@@ -491,15 +491,16 @@ def _resolve_out_dir(out_dir: str) -> Path:
 # ---------------------------------------------------------------------------
 # commands
 
-def _snapshot_rows(grid: Grid, u: np.ndarray, v: np.ndarray):
-    axes = grid.centers()
-    if grid.dim == 1:
-        for i in range(grid.shape[0]):
-            yield (axes[0][i], u[i], v[i])
-    else:
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                yield (axes[0][i, j], axes[1][i, j], u[i, j], v[i, j])
+def _coordinate_cells(grid: Grid) -> list:
+    """The coordinate columns of a snapshot, one formatted string per cell
+    in row-major order."""
+    columns = [c.ravel().tolist() for c in grid.centers()]
+    return [",".join(_fmt(x) for x in cell) for cell in zip(*columns)]
+
+
+def _snapshot_rows(coords: list, u: np.ndarray, v: np.ndarray):
+    """Rows of Python floats: numpy scalars would print as np.float64(...)."""
+    return zip(coords, u.ravel().tolist(), v.ravel().tolist())
 
 
 def _cmd_run(cfg: RunConfig, out: Path, jobs: int) -> None:
@@ -508,10 +509,11 @@ def _cmd_run(cfg: RunConfig, out: Path, jobs: int) -> None:
         rows = [[getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
                 for row in result.diagnostics]
         _write_csv(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
-        coords = ("x",) if cfg.grid.dim == 1 else ("x", "y")
+        names = ("x",) if cfg.grid.dim == 1 else ("x", "y")
+        coords = _coordinate_cells(cfg.grid)
         for k, state in enumerate(result.states):
-            _write_csv(out / f"snapshot_{k:04d}.csv", coords + ("u", "v"),
-                       _snapshot_rows(cfg.grid, state.u.values,
+            _write_csv(out / f"snapshot_{k:04d}.csv", names + ("u", "v"),
+                       _snapshot_rows(coords, state.u.values,
                                       state.v.values))
     if "json" in cfg.formats:
         last = result.diagnostics[-1]
@@ -659,7 +661,7 @@ def _cmd_poisson_test(cfg: RunConfig, out: Path, jobs: int) -> None:
         grid = Grid((n,), (length,))
         x = grid.axis_centers(0)
         w = np.cos(math.pi * x / length)
-        sol = solve_neumann_zero_mean(grid, Field(grid, w), tol=1e-12)
+        sol = solve_neumann_zero_mean(grid, Field(grid, w))
         exact = w / (math.pi / length) ** 2
         err = float(np.max(np.abs(sol.psi.values - exact)))
         levels.append((n, err, sol.iterations))

@@ -117,8 +117,9 @@ class CoefficientModel:
             problems.append(f"q_lower(v) is not positive on (0, {v_max}]")
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         a22 = np.broadcast_to(self.a22_values(uu, vv), uu.shape)
-        qv = np.broadcast_to(evaluate(self.q_lower, {"v": vv}), uu.shape)
-        if np.any(a22 < qv - 1e-12 * (1.0 + np.abs(qv))):
+        # q_lower depends on v alone, so its floor on vs serves every u row
+        floor = q - 1e-12 * (1.0 + np.abs(q))
+        if np.any(a22 < floor):
             problems.append("A22(u,v) drops below q_lower(v) on the sample box")
         if problems:
             raise ValueError("; ".join(problems))

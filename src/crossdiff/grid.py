@@ -14,6 +14,7 @@ i.e. plain cell sums times the cell volume.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ class Grid:
             raise ValueError("need at least two cells per axis")
         if any(not (l > 0.0 and math.isfinite(l)) for l in lengths):
             raise ValueError("box lengths must be positive")
+        object.__setattr__(self, "_spacing", tuple(
+            l / n for l, n in zip(lengths, shape)))
 
     @property
     def dim(self) -> int:
@@ -47,7 +50,7 @@ class Grid:
 
     @property
     def spacing(self) -> tuple:
-        return tuple(l / n for l, n in zip(self.lengths, self.shape))
+        return self._spacing
 
     @property
     def cell_volume(self) -> float:
@@ -61,18 +64,22 @@ class Grid:
         h = self.spacing[axis]
         return (np.arange(self.shape[axis]) + 0.5) * h
 
-    def centers(self) -> tuple:
-        """Cell-center coordinate arrays, each broadcast to the grid shape."""
+    @functools.cached_property
+    def _centers(self) -> tuple:
         axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(axes[0], axes[1], indexing="ij"))
+        if self.dim == 2:
+            axes = np.meshgrid(axes[0], axes[1], indexing="ij")
+        for a in axes:
+            a.flags.writeable = False
+        return tuple(axes)
+
+    def centers(self) -> tuple:
+        """Cell-center coordinate arrays, each broadcast to the grid shape;
+        computed once per grid and read-only."""
+        return self._centers
 
     def coordinate_bindings(self, t: float = 0.0) -> dict:
-        b = {"t": t, "x": self.centers()[0]}
-        if self.dim == 2:
-            b["y"] = self.centers()[1]
-        return b
+        return {"t": t, **dict(zip(("x", "y"), self.centers()))}
 
 
 @dataclass

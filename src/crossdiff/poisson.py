@@ -1,11 +1,17 @@
 """Zero-mean Neumann Poisson solves and the discrete H^-1 machinery.
 
 Solves -lap(psi) = w - mean(w) with no-flux boundaries and the gauge
-integral(psi) = 0, using matrix-free conjugate gradients on the mean-zero
-subspace: the right-hand side is projected once, the iterate after every
-update.  The discrete Neumann Laplacian built from the grid calculus is
-symmetric positive semidefinite with kernel = constants, so CG is exact on
-that subspace.
+integral(psi) = 0 directly.  The cell-centred Neumann Laplacian of the grid
+calculus is diagonalised exactly by the DCT-II along each axis: mode k of an
+axis with n cells of width h is cos(pi k (i + 1/2) / n), with eigenvalue
+(2 - 2 cos(pi k / n)) / h^2, and the eigenvalues of a 2-D grid are the sums
+of the axis ones.  So the solve is a forward DCT, a division by the
+eigenvalues (the constant mode, the kernel, is set to zero) and an inverse
+DCT, computed with numpy.fft through the even extension of the data
+(Strang, SIAM Rev. 41, 1999; Makhoul, IEEE TASSP 28, 1980).  There is no
+iteration and no tolerance: the forward error is at roundoff level, and the
+relative residual is a small multiple of eps times the condition number of
+the Laplacian.
 
 hminus1_seminorm returns ||grad psi||_L2, the discrete H^-1 seminorm of w;
 by summation by parts it equals sqrt(<w - mean(w), psi>), and both routes
@@ -16,19 +22,19 @@ iteration, i.e. 1/lambda_1 of the Neumann Laplacian.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .grid import Field, Grid, divergence_arrays, grad_sq_sum, gradient_arrays
 
-DEFAULT_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
-    """CG ran out of iterations; carries the best iterate seen."""
+    """An iteration ran out of steps; carries the best iterate seen."""
 
     def __init__(self, message: str, best: np.ndarray, residual_norm: float,
                  iterations: int):
@@ -41,113 +47,103 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class PoissonSolution:
     psi: Field
-    residual_norm: float  # relative to ||w - mean(w)||
-    iterations: int
+    residual_norm: float  # true ||w - mean(w) + lap(psi)|| / ||w - mean(w)||
+    iterations: int       # always 0: the solve is direct
 
 
-def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
-                       tol: float, max_iter: int,
-                       project: Optional[Callable] = None):
-    """Matrix-free CG for SPD (or SPSD-with-projection) operators.
-
-    Stops when the true residual satisfies ||b - A x|| <= tol ||b||; the
-    recurrence residual triggers the check and is refreshed from the true
-    one if roundoff made them drift apart.  Returns (x, iterations,
-    relative residual).  A zero right-hand side returns zeros immediately
-    with zero iterations.
+@functools.lru_cache(maxsize=8)
+def _spectrum(grid: Grid) -> tuple:
+    """Per-grid constants of the DCT solve: the eigenvalues of -lap on the
+    grid shape, with the constant mode set to inf so that dividing by it
+    gives zero, and for each axis the twiddle factors exp(-i pi k / (2n))
+    shaped to broadcast along that axis.  Read-only, shared by all callers.
     """
-    norm_b = float(np.linalg.norm(b.ravel()))
-    if norm_b == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    x = np.array(x0, dtype=float, copy=True)
-    if project is not None:
-        project(x)
-    r = b - apply_a(x)
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    iterations = 0
-    target = tol * norm_b
-    while True:
-        if math.sqrt(rs) <= target:
-            true_r = b - apply_a(x)
-            true_norm = float(np.linalg.norm(true_r.ravel()))
-            if true_norm <= target:
-                return x, iterations, true_norm / norm_b
-            r = true_r
-            p = r.copy()
-            rs = float(np.vdot(r, r))
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"CG did not reach tol {tol:g} in {max_iter} iterations "
-                f"(residual {math.sqrt(rs) / norm_b:.3e})",
-                x, math.sqrt(rs) / norm_b, iterations)
-        ap = apply_a(p)
-        p_ap = float(np.vdot(p, ap))
-        if p_ap <= 0.0:
-            raise ConvergenceError(
-                "CG broke down: operator is not positive definite on the "
-                "search space", x, math.sqrt(rs) / norm_b, iterations)
-        alpha = rs / p_ap
-        x += alpha * p
-        if project is not None:
-            project(x)
-        r -= alpha * ap
-        rs_next = float(np.vdot(r, r))
-        p *= rs_next / rs
-        p += r
-        rs = rs_next
-        iterations += 1
+    lam = np.zeros(grid.shape)
+    twiddles = []
+    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        k = np.arange(n)
+        shape = [1] * grid.dim
+        shape[axis] = n
+        lam = lam + ((2.0 - 2.0 * np.cos(math.pi * k / n)) / (h * h)
+                     ).reshape(shape)
+        twiddle = np.exp(-0.5j * math.pi * k / n).reshape(shape)
+        twiddle.flags.writeable = False
+        twiddles.append(twiddle)
+    lam[(0,) * grid.dim] = math.inf
+    lam.flags.writeable = False
+    return lam, tuple(twiddles)
 
 
-def neg_laplacian_operator(grid: Grid) -> Callable:
-    def apply_a(a: np.ndarray) -> np.ndarray:
-        return -divergence_arrays(grid, gradient_arrays(grid, a))
-    return apply_a
+def _dct(x: np.ndarray, axis: int, twiddle: np.ndarray) -> np.ndarray:
+    """2 sum_i x_i cos(pi k (2i + 1) / (2n)) along `axis`, k < n.
+
+    The even extension y = (x, reversed x) of length 2n has the FFT
+    Y_k = exp(i pi k / (2n)) times that sum.
+    """
+    x = np.moveaxis(x, axis, 0)
+    y = np.fft.rfft(np.concatenate((x, x[::-1])), axis=0)[:len(x)]
+    return np.moveaxis((y * np.moveaxis(twiddle, axis, 0)).real, 0, axis)
 
 
-def _project_mean(x: np.ndarray) -> None:
-    x -= x.mean()
+def _idct(c: np.ndarray, axis: int, twiddle: np.ndarray) -> np.ndarray:
+    """Inverse of _dct along `axis`: undo the twiddle (Y_n = 0) and take the
+    first half of the inverse FFT of the even extension."""
+    c = np.moveaxis(c, axis, 0)
+    y = np.fft.irfft(np.conj(np.moveaxis(twiddle, axis, 0)) * c, 2 * len(c),
+                     axis=0)
+    return np.moveaxis(y[:len(c)], 0, axis)
 
 
-def solve_neumann_zero_mean(grid: Grid, w: Field, tol: float = DEFAULT_TOL,
-                            max_iter: Optional[int] = None,
-                            x0: Optional[np.ndarray] = None) -> PoissonSolution:
-    """Solve -lap(psi) = w - mean(w), no-flux, integral(psi) = 0.
+def solve_neumann_zero_mean(grid: Grid, w: Field) -> PoissonSolution:
+    """Solve -lap(psi) = w - mean(w), no-flux, integral(psi) = 0, directly.
 
     The compatible right-hand side makes the singular Neumann problem
     well-posed on the mean-zero subspace; a w that is constant up to
     rounding noise (the projected part falls below roundoff relative to w)
-    yields psi = 0 with zero iterations.  Raises ConvergenceError when
-    max_iter (default 10 * cell count) is exhausted.
+    yields psi = 0 with a zero residual.  The reported residual is the true
+    relative residual of the returned psi, from one application of the
+    5-point operator.
     """
-    if max_iter is None:
-        max_iter = 10 * grid.cell_count
     b = w.values - np.mean(w.values)
-    if np.linalg.norm(b.ravel()) <= 1e-13 * np.linalg.norm(w.values.ravel()):
+    norm_b = float(np.linalg.norm(b.ravel()))
+    if norm_b <= 1e-13 * np.linalg.norm(w.values.ravel()):
         return PoissonSolution(Field(grid, np.zeros(grid.shape)), 0.0, 0)
-    start = np.zeros(grid.shape) if x0 is None else x0
-    psi, iterations, rel = conjugate_gradient(
-        neg_laplacian_operator(grid), b, start, tol, max_iter,
-        project=_project_mean)
-    _project_mean(psi)
-    return PoissonSolution(Field(grid, psi), rel, iterations)
+    lam, twiddles = _spectrum(grid)
+    coeffs = b
+    for axis, twiddle in enumerate(twiddles):
+        coeffs = _dct(coeffs, axis, twiddle)
+    psi = coeffs / lam
+    for axis, twiddle in enumerate(twiddles):
+        psi = _idct(psi, axis, twiddle)
+    psi -= psi.mean()
+    residual = b + divergence_arrays(grid, gradient_arrays(grid, psi))
+    rel = float(np.linalg.norm(residual.ravel())) / norm_b
+    return PoissonSolution(Field(grid, psi), rel, 0)
 
 
-def hminus1_seminorm(grid: Grid, w: Field, tol: float = DEFAULT_TOL) -> float:
+def hminus1_seminorm(grid: Grid, w: Field) -> float:
     """Discrete H^-1 seminorm of w: ||grad psi|| for the zero-mean solve.
 
-    Cross-checks the gradient route against the duality route
-    sqrt(<w - mean(w), psi>); disagreement beyond what the solver tolerance
-    allows raises RuntimeError.
+    Cross-checks the gradient route G = ||grad psi||^2 against the duality
+    route P = <b, psi>, b = w - mean(w), and raises RuntimeError when they
+    disagree by more than this roundoff model allows.  For the computed psi,
+    summation by parts gives G - P = -<r, psi> exactly, r = b + lap(psi).
+    The DCT solve is backward stable: ||r|| <= c eps (lambda_max ||psi|| +
+    ||b||) with lambda_max <= sum 4/h^2 and c growing like log2 N for N
+    terms.  Since lambda_1 ||psi||^2 <= G, the lambda_max ||psi||^2 part is
+    at most eps cond(-lap) G.  Forming G and P rounds each by at most
+    (5 + log2 N) eps times G and ||b|| ||psi||.
     """
-    sol = solve_neumann_zero_mean(grid, w, tol=tol)
-    psi = sol.psi.values
+    psi = solve_neumann_zero_mean(grid, w).psi.values
     grad_sq = grad_sq_sum(grid, psi)
     b = w.values - np.mean(w.values)
-    duality_sq = float(np.sum(b * psi)) * grid.cell_volume
-    norm_b = math.sqrt(float(np.sum(b * b)) * grid.cell_volume)
-    norm_psi = math.sqrt(float(np.sum(psi * psi)) * grid.cell_volume)
-    slack = 10.0 * tol * norm_b * norm_psi + 1e-14 * (1.0 + grad_sq)
+    vol = grid.cell_volume
+    duality_sq = float(np.sum(b * psi)) * vol
+    norm_b = math.sqrt(float(np.sum(b * b)) * vol)
+    norm_psi = math.sqrt(float(np.sum(psi * psi)) * vol)
+    lam_max = sum(4.0 / (h * h) for h in grid.spacing)
+    c = 5.0 + math.log2(grid.cell_count * (grid.dim + 1))
+    slack = c * EPS * (lam_max * norm_psi ** 2 + norm_b * norm_psi + grad_sq)
     if abs(grad_sq - duality_sq) > slack:
         raise RuntimeError(
             f"H^-1 cross-check failed: gradient route {grad_sq:.15e} vs "
@@ -155,7 +151,7 @@ def hminus1_seminorm(grid: Grid, w: Field, tol: float = DEFAULT_TOL) -> float:
     return math.sqrt(grad_sq)
 
 
-def poincare_ratio(grid: Grid, tol: float = 1e-6, solver_tol: float = 1e-12,
+def poincare_ratio(grid: Grid, tol: float = 1e-6,
                    max_sweeps: int = 200) -> float:
     """Best discrete constant in ||f||^2 <= K ||grad f||^2, mean-zero f.
 
@@ -168,11 +164,8 @@ def poincare_ratio(grid: Grid, tol: float = 1e-6, solver_tol: float = 1e-12,
     z -= z.mean()
     z /= np.linalg.norm(z.ravel())
     estimate = 0.0
-    psi = None
     for _ in range(max_sweeps):
-        sol = solve_neumann_zero_mean(grid, Field(grid, z), tol=solver_tol,
-                                      x0=psi)
-        psi = sol.psi.values
+        psi = solve_neumann_zero_mean(grid, Field(grid, z)).psi.values
         new_estimate = float(np.vdot(psi, z))
         z = psi / np.linalg.norm(psi.ravel())
         if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .coeffs import CoefficientModel
 from .exprs import Const, Expr, differentiate, evaluate, mul, substitute
 from .grid import (Field, Grid, divergence_arrays, face_average_arrays,
                    grad_sq_sum, gradient_arrays)
-from .poisson import conjugate_gradient
+from .poisson import ConvergenceError
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
 
@@ -160,7 +160,7 @@ class SimConfig:
                             break
         if problems:
             raise ValueError("invalid configuration: " + "; ".join(problems))
-        self._warn_if_dt_large()
+        self._warn_if_dt_large(u0.values, v0.values)
 
     def initial_fields(self):
         if self.mms_u is not None:
@@ -169,14 +169,12 @@ class SimConfig:
         return (Field.from_expr(self.grid, self.ic_u, 0.0),
                 Field.from_expr(self.grid, self.ic_v, 0.0))
 
-    def _warn_if_dt_large(self) -> None:
+    def _warn_if_dt_large(self, u0: np.ndarray, v0: np.ndarray) -> None:
         """Advisory explicit-term bound dt <= h^2 / max |A12 grad v| at t=0."""
-        u0, v0 = self.initial_fields()
-        a12 = np.broadcast_to(
-            self.model.a12_values(u0.values, v0.values), self.grid.shape)
+        a12 = np.broadcast_to(self.model.a12_values(u0, v0), self.grid.shape)
         worst = 0.0
         for a12_f, dv_f in zip(face_average_arrays(self.grid, a12),
-                               gradient_arrays(self.grid, v0.values)):
+                               gradient_arrays(self.grid, v0)):
             worst = max(worst, float(np.max(np.abs(a12_f * dv_f))))
         h2 = min(self.grid.spacing) ** 2
         if worst > 0.0 and self.dt > h2 / worst:
@@ -184,6 +182,103 @@ class SimConfig:
                 f"dt = {self.dt:g} exceeds the explicit cross-diffusion "
                 f"guideline h^2/max|A12 grad v| = {h2 / worst:g}; expect "
                 "instability or positivity loss", RuntimeWarning)
+
+
+def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
+                       tol: float, max_iter: int):
+    """Matrix-free CG for SPD operators.
+
+    Stops when the true residual satisfies ||b - A x|| <= tol ||b||; the
+    recurrence residual triggers the check and is refreshed from the true
+    one if roundoff made them drift apart.  Returns (x, iterations,
+    relative residual).  A zero right-hand side returns zeros immediately
+    with zero iterations.  apply_a may return the same array on every call:
+    its result is consumed before the next call.
+    """
+    norm_b = float(np.linalg.norm(b.ravel()))
+    if norm_b == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    x = np.array(x0, dtype=float, copy=True)
+    r = b - apply_a(x)
+    p = r.copy()
+    rs = float(np.vdot(r, r))
+    iterations = 0
+    target = tol * norm_b
+    while True:
+        if math.sqrt(rs) <= target:
+            true_r = b - apply_a(x)
+            true_norm = float(np.linalg.norm(true_r.ravel()))
+            if true_norm <= target:
+                return x, iterations, true_norm / norm_b
+            r = true_r
+            p = r.copy()
+            rs = float(np.vdot(r, r))
+        if iterations >= max_iter:
+            raise ConvergenceError(
+                f"CG did not reach tol {tol:g} in {max_iter} iterations "
+                f"(residual {math.sqrt(rs) / norm_b:.3e})",
+                x, math.sqrt(rs) / norm_b, iterations)
+        ap = apply_a(p)
+        p_ap = float(np.vdot(p, ap))
+        if p_ap <= 0.0:
+            raise ConvergenceError(
+                "CG broke down: operator is not positive definite on the "
+                "search space", x, math.sqrt(rs) / norm_b, iterations)
+        alpha = rs / p_ap
+        x += alpha * p
+        r -= alpha * ap
+        rs_next = float(np.vdot(r, r))
+        p *= rs_next / rs
+        p += r
+        rs = rs_next
+        iterations += 1
+
+
+def step_operator(grid: Grid, mob: tuple, dt: float,
+                  c: Optional[np.ndarray] = None) -> Callable:
+    """The implicit step matrix x -> x + dt c x - dt div(mob grad x).
+
+    mob holds one face-mobility array per axis; c (the v step's absorption
+    diagonal) may be omitted.  Each call performs the same floating-point
+    operations, in the same order, as
+
+        x + dt * c * x
+          - dt * divergence_arrays(grid, mob * gradient_arrays(grid, x))
+
+    so the result is bitwise identical, but the face slices are taken once
+    and every call writes into the same preallocated arrays: the returned
+    array is overwritten by the next call.
+    """
+    inner, lo, hi = slice(1, -1), slice(None, -1), slice(1, None)
+    axes = []
+    for axis, (h, m) in enumerate(zip(grid.spacing, mob)):
+        def pick(s):
+            return (slice(None),) * axis + (s,)
+        flux = np.zeros(m.shape)  # boundary faces carry no flux
+        axes.append((h, pick(hi), pick(lo), flux[pick(inner)],
+                     m[pick(inner)], flux[pick(hi)], flux[pick(lo)]))
+    div = np.empty(grid.shape)
+    part = np.empty(grid.shape)
+    out = np.empty(grid.shape)
+    dtc = None if c is None else dt * c
+
+    def apply_a(x):
+        for axis, (h, x_hi, x_lo, f_in, m_in, f_hi, f_lo) in enumerate(axes):
+            np.subtract(x[x_hi], x[x_lo], out=f_in)
+            np.divide(f_in, h, out=f_in)
+            np.multiply(m_in, f_in, out=f_in)
+            target = div if axis == 0 else part
+            np.subtract(f_hi, f_lo, out=target)
+            np.divide(target, h, out=target)
+            if axis:
+                np.add(div, part, out=div)
+        np.multiply(div, dt, out=div)
+        if dtc is None:
+            return np.subtract(x, div, out=out)
+        np.multiply(dtc, x, out=out)
+        np.add(x, out, out=out)
+        return np.subtract(out, div, out=out)
+    return apply_a
 
 
 def _cells(values, shape) -> np.ndarray:
@@ -246,12 +341,8 @@ class Simulation:
             explicit = explicit + self._forcing(self.forcing_v, t_next)
         rhs = v + dt * explicit
 
-        def apply_a(x):
-            flux = tuple(mf * gf for mf, gf
-                         in zip(mob, gradient_arrays(g, x)))
-            return x + dt * c_abs * x - dt * divergence_arrays(g, flux)
-
-        v_new, _, _ = conjugate_gradient(apply_a, rhs, v, self.cfg.lin_tol,
+        v_new, _, _ = conjugate_gradient(step_operator(g, mob, dt, c_abs),
+                                         rhs, v, self.cfg.lin_tol,
                                          self._max_iter)
         # analytic mass balance: sum v' = sum rhs - dt sum(C v'); restore it
         target = float(np.sum(rhs)) - dt * float(np.sum(c_abs * v_new))
@@ -284,13 +375,8 @@ class Simulation:
             reaction = reaction + self._forcing(self.forcing_u, t_next)
         rhs = u + dt * (divergence_arrays(g, cross) + reaction)
 
-        def apply_a(x):
-            flux = tuple(mf * gf for mf, gf
-                         in zip(mob, gradient_arrays(g, x)))
-            return x - dt * divergence_arrays(g, flux)
-
-        u_new, _, _ = conjugate_gradient(apply_a, rhs, u, self.cfg.lin_tol,
-                                         self._max_iter)
+        u_new, _, _ = conjugate_gradient(step_operator(g, mob, dt), rhs, u,
+                                         self.cfg.lin_tol, self._max_iter)
         # flux divergences carry no net mass; reactions and forcing do
         reaction_mass = dt * float(np.sum(reaction)) * vol
         target = mass_pre + reaction_mass

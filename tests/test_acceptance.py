@@ -65,7 +65,7 @@ def test_criterion_01_poisson_dense_oracle_and_eigenmode_convergence():
         rng = np.random.default_rng(grid.cell_count)
         w = rng.standard_normal(grid.shape)
         expected = dense_pinned_solve(grid, w)
-        sol = solve_neumann_zero_mean(grid, Field(grid, w), tol=1e-12)
+        sol = solve_neumann_zero_mean(grid, Field(grid, w))
         worst = max(worst, float(np.max(np.abs(sol.psi.values - expected))))
     assert worst <= 1e-10
 
@@ -74,7 +74,7 @@ def test_criterion_01_poisson_dense_oracle_and_eigenmode_convergence():
         g = Grid((n,), (1.0,))
         x = g.axis_centers(0)
         w = np.cos(math.pi * x)
-        sol = solve_neumann_zero_mean(g, Field(g, w), tol=1e-12)
+        sol = solve_neumann_zero_mean(g, Field(g, w))
         errors[n] = float(np.max(np.abs(sol.psi.values - w / math.pi ** 2)))
         assert sol.iterations <= 5
     orders = [math.log(errors[64] / errors[128], 2.0),
@@ -185,7 +185,7 @@ def test_criterion_05_energy_identity(heat_report):
         rng = np.random.default_rng(seed)
         dus = [rng.normal(loc=rng.uniform(-1, 1), scale=1.0, size=shape)
                for _ in range(16)]
-        lhs, _, diff = energy_identity_check(grid, dus, tol=1e-13)
+        lhs, _, diff = energy_identity_check(grid, dus)
         assert diff <= 1e-10 * (1.0 + abs(lhs))
         worst = max(worst, diff / (1.0 + abs(lhs)))
 

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from crossdiff import solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.exprs import evaluate
 
@@ -193,6 +195,32 @@ def test_run_command_2d_snapshot_layout(tmp_path):
     assert len(lines) == 1 + 6 * 5
 
 
+@pytest.mark.parametrize("grid", [{"dim": 1, "n": 7, "L": 1.3},
+                                  {"dim": 2, "n": [6, 5], "L": [1.0, 0.7]}])
+def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
+    payload = {
+        "command": "run",
+        "grid": grid,
+        "model": {"preset": "case2", "chi": 0.25, "l": 0.5},
+        "time": {"dt": 1e-3, "t_end": 3e-3, "cadence": 1},
+        "initial": {"u": "1 + 0.3*cos(pi*x)", "v": "1 + 0.2*cos(pi*x)"},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_config(tmp_path, payload)
+    assert main([str(path)]) == 0
+    cfg = load_config(path)
+    result = solver.run(cfg.to_sim_config(), validate=False)
+    coords = [c.ravel() for c in cfg.grid.centers()]
+    for k, state in enumerate(result.states):
+        lines = (tmp_path / "out" / f"snapshot_{k:04d}.csv").read_text(
+            encoding="utf-8").splitlines()[1:]
+        cells = np.array([[float(c) for c in line.split(",")]
+                          for line in lines])
+        expected = np.stack(coords + [state.u.values.ravel(),
+                                      state.v.values.ravel()], axis=1)
+        assert np.array_equal(cells, expected)
+
+
 def test_run_format_subsets(tmp_path):
     payload = heat_run_config(tmp_path / "json_only")
     payload["output"]["formats"] = ["json"]
@@ -349,6 +377,21 @@ def test_poisson_test_command(tmp_path):
     assert report["observed_order"] == pytest.approx(2.0, abs=0.3)
     assert report["poincare_relative_error"] < 0.02
     assert all(lvl["iterations"] <= 5 for lvl in report["levels"])
+
+
+def test_poisson_test_command_at_large_levels(tmp_path):
+    payload = {
+        "command": "poisson-test",
+        "grid": {"dim": 1, "n": 1024, "L": 1.0},
+        "poisson": {"levels": [256, 512, 1024]},
+        "output": {"directory": str(tmp_path / "po")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    report = json.loads((tmp_path / "po" / "poisson.json").read_text(
+        encoding="utf-8"))
+    assert len(report["orders"]) == 2
+    assert all(1.8 <= order <= 2.2 for order in report["orders"])
+    assert report["poincare_relative_error"] < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ import pytest
 
 from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import evaluate, parse
-from crossdiff.grid import Field, Grid
-from crossdiff.solver import (PositivityError, SimConfig, SimState, f_energy,
-                              mms_forcing, run, step_u, step_v, time_grid)
+from crossdiff.grid import Field, Grid, divergence_arrays, gradient_arrays
+from crossdiff.poisson import ConvergenceError
+from crossdiff.solver import (PositivityError, SimConfig, SimState,
+                              conjugate_gradient, f_energy, mms_forcing, run,
+                              step_operator, step_u, step_v, time_grid)
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -31,6 +33,40 @@ def case2(chi=0.25, l=0.5):
 def state(grid, u, v, t=0.0):
     return SimState(t, Field(grid, np.broadcast_to(u, grid.shape).copy()),
                     Field(grid, np.broadcast_to(v, grid.shape).copy()))
+
+
+# ---------------------------------------------------------------------------
+# step operator and CG
+
+
+@pytest.mark.parametrize("grid", [Grid((37,), (1.3,)),
+                                  Grid((9, 14), (0.7, 2.1))])
+def test_step_operator_matches_grid_calculus_bitwise(grid):
+    rng = np.random.default_rng(grid.cell_count)
+    dt = 0.0137
+    faces = gradient_arrays(grid, np.zeros(grid.shape))
+    mob = tuple(rng.uniform(0.1, 3.0, f.shape) for f in faces)
+    c = rng.uniform(0.0, 2.0, grid.shape)
+    v_apply = step_operator(grid, mob, dt, c)
+    u_apply = step_operator(grid, mob, dt)
+    for _ in range(3):  # the result arrays are reused from call to call
+        x = rng.standard_normal(grid.shape)
+        flux = tuple(m * g for m, g in zip(mob, gradient_arrays(grid, x)))
+        div = divergence_arrays(grid, flux)
+        assert np.array_equal(v_apply(x), x + dt * c * x - dt * div)
+        assert np.array_equal(u_apply(x), x - dt * div)
+
+
+def test_nonconvergence_carries_best_iterate():
+    g = Grid((128,), (1.0,))
+    rng = np.random.default_rng(12)
+    apply_a = step_operator(g, (rng.uniform(0.5, 2.0, 129),), 1.0)
+    b = rng.standard_normal(128)
+    with pytest.raises(ConvergenceError) as err:
+        conjugate_gradient(apply_a, b, np.zeros(128), 1e-14, 2)
+    assert err.value.best.shape == (128,)
+    assert err.value.iterations == 2
+    assert math.isfinite(err.value.residual_norm)
 
 
 # ---------------------------------------------------------------------------
