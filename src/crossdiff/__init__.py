@@ -22,7 +22,7 @@ from .grid import Field, Grid
 from .poisson import (ConvergenceError, PoissonSolution, hminus1_seminorm,
                       poincare_ratio, solve_neumann_zero_mean)
 from .solver import (PositivityError, RunResult, SimConfig, SimState,
-                     Simulation, f_energy, mms_forcing, run, step_u, step_v)
+                     Simulation, f_energy, mms_forcing, run)
 from .stability import (GronwallTrace, StabilityReport, SweepResult,
                         energy_identity_check, gronwall_trace,
                         perturbation_sweep, run_pair)
@@ -39,7 +39,7 @@ __all__ = [
     "ConvergenceError", "PoissonSolution", "hminus1_seminorm",
     "poincare_ratio", "solve_neumann_zero_mean",
     "PositivityError", "RunResult", "SimConfig", "SimState", "Simulation",
-    "f_energy", "mms_forcing", "run", "step_u", "step_v",
+    "f_energy", "mms_forcing", "run",
     "GronwallTrace", "StabilityReport", "SweepResult",
     "energy_identity_check", "gronwall_trace", "perturbation_sweep",
     "run_pair",

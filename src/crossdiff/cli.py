@@ -1,10 +1,10 @@
 """Batch front-end: JSON config in, CSV/JSON artifacts and a gnuplot script out.
 
 The config file is the single source of truth for an experiment; the command
-line only picks the file, an output-directory override and a parallelism
-bound, so runs stay archivable and diffable.  Validation is total: every
-invalid field is reported, not just the first.  All outputs are written with
-fixed float formatting and sorted JSON keys, so identical configs reproduce
+line only picks the file and an output-directory override, so runs stay
+archivable and diffable.  Validation is total: every invalid field is
+reported, not just the first.  All outputs are written with fixed float
+formatting and sorted JSON keys, so identical configs reproduce
 byte-identical artifacts.
 
 Commands
@@ -503,7 +503,7 @@ def _snapshot_rows(coords: list, u: np.ndarray, v: np.ndarray):
     return zip(coords, u.ravel().tolist(), v.ravel().tolist())
 
 
-def _cmd_run(cfg: RunConfig, out: Path, jobs: int) -> None:
+def _cmd_run(cfg: RunConfig, out: Path) -> None:
     result = solver.run(cfg.to_sim_config(), validate=False)
     if "csv" in cfg.formats:
         rows = [[getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
@@ -537,7 +537,7 @@ def _report_rows(report: stability.StabilityReport):
                    report.cum_dissipation)]
 
 
-def _cmd_stability(cfg: RunConfig, out: Path, jobs: int) -> None:
+def _cmd_stability(cfg: RunConfig, out: Path) -> None:
     sim = cfg.to_sim_config()
     pert = replace_initial(cfg, cfg.amplitude)
     report = stability.run_pair(sim, pert.ic_u, pert.ic_v)
@@ -568,9 +568,9 @@ def _cmd_stability(cfg: RunConfig, out: Path, jobs: int) -> None:
         emit_plots(out)
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, jobs: int) -> None:
+def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
     result = stability.perturbation_sweep(cfg.to_sim_config(), cfg.du,
-                                          cfg.dv, cfg.amplitudes, jobs=jobs)
+                                          cfg.dv, cfg.amplitudes)
     if "csv" in cfg.formats:
         _write_csv(out / "sweep.csv",
                    ("amplitude", "q0", "E0", "supE", "ratio", "C_hat",
@@ -588,7 +588,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, jobs: int) -> None:
         emit_plots(out)
 
 
-def _cmd_mms(cfg: RunConfig, out: Path, jobs: int) -> None:
+def _cmd_mms(cfg: RunConfig, out: Path) -> None:
     base_n = cfg.mms_levels[0]
     levels = []
     for n in cfg.mms_levels:
@@ -638,7 +638,7 @@ def _cmd_mms(cfg: RunConfig, out: Path, jobs: int) -> None:
         emit_plots(out)
 
 
-def _cmd_check_coeffs(cfg: RunConfig, out: Path, jobs: int) -> None:
+def _cmd_check_coeffs(cfg: RunConfig, out: Path) -> None:
     verdict = check_finite_gamma_lipschitz(
         cfg.coeff_f, cfg.coeff_gamma, cfg.coeff_a1, cfg.coeff_a2,
         budget=cfg.coeff_budget, seed=cfg.coeff_seed)
@@ -654,7 +654,7 @@ def _cmd_check_coeffs(cfg: RunConfig, out: Path, jobs: int) -> None:
     _write_json(out / "lipschitz.json", payload)
 
 
-def _cmd_poisson_test(cfg: RunConfig, out: Path, jobs: int) -> None:
+def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
     length = cfg.grid.lengths[0] if cfg.grid is not None else 1.0
     levels = []
     for n in cfg.poisson_levels:
@@ -766,12 +766,12 @@ def _emit_error(code: int, kind: str, message: str,
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def dispatch(cfg: RunConfig, jobs: int = 1) -> int:
+def dispatch(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
         out = _resolve_out_dir(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[cfg.command](cfg, out, jobs)
+        _COMMANDS[cfg.command](cfg, out)
         return 0
     except EvalError as err:
         _emit_error(2, "numeric", str(err))
@@ -798,12 +798,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("config", help="path to a JSON run configuration")
     parser.add_argument("--output-dir", default=None,
                         help="override the configured output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweep members")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        _emit_error(1, "config", "--jobs must be >= 1")
-        return 1
     try:
         cfg = load_config(args.config)
     except ConfigError as err:
@@ -814,7 +809,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     if args.output_dir is not None:
         cfg.out_dir = args.output_dir
-    return dispatch(cfg, jobs=args.jobs)
+    return dispatch(cfg)
 
 
 if __name__ == "__main__":

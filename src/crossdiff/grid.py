@@ -113,45 +113,81 @@ class Field:
 
 # ---------------------------------------------------------------------------
 # array kernels (hot paths work on raw arrays; the Field API wraps them)
+#
+# The kernels index from the last axis, so an array of shape grid.shape and a
+# batch of shape (B, *grid.shape) both work: the leading member axis passes
+# through and the output shape follows the input.
+
+
+def _along(dim: int, axis: int, s) -> tuple:
+    return (Ellipsis, s) + (slice(None),) * (dim - 1 - axis)
+
+
+# per grid dimension, per axis: the index tuples of the upper and the lower
+# cell of each interior face, of the interior faces, and of the first and the
+# last cell (or face) along that axis
+FACE_SLICES = {
+    dim: tuple(tuple(_along(dim, axis, s) for s in (
+        slice(1, None), slice(None, -1), slice(1, -1), 0, -1))
+        for axis in range(dim))
+    for dim in (1, 2)
+}
+
 
 def gradient_arrays(grid: Grid, a: np.ndarray) -> FaceData:
-    h = grid.spacing
+    h, s = grid.spacing, a.shape
     if grid.dim == 1:
-        g = np.zeros(grid.shape[0] + 1)
-        g[1:-1] = (a[1:] - a[:-1]) / h[0]
+        ((hi, lo, inner, _, _),) = FACE_SLICES[1]
+        g = np.zeros(s[:-1] + (s[-1] + 1,))
+        g[inner] = (a[hi] - a[lo]) / h[0]
         return (g,)
-    n1, n2 = grid.shape
-    gx = np.zeros((n1 + 1, n2))
-    gx[1:-1, :] = (a[1:, :] - a[:-1, :]) / h[0]
-    gy = np.zeros((n1, n2 + 1))
-    gy[:, 1:-1] = (a[:, 1:] - a[:, :-1]) / h[1]
+    (xhi, xlo, xin, _, _), (yhi, ylo, yin, _, _) = FACE_SLICES[2]
+    gx = np.zeros(s[:-2] + (s[-2] + 1, s[-1]))
+    gx[xin] = (a[xhi] - a[xlo]) / h[0]
+    gy = np.zeros(s[:-1] + (s[-1] + 1,))
+    gy[yin] = (a[yhi] - a[ylo]) / h[1]
     return (gx, gy)
 
 
 def divergence_arrays(grid: Grid, fluxes: FaceData) -> np.ndarray:
     h = grid.spacing
     if grid.dim == 1:
+        ((hi, lo, _, _, _),) = FACE_SLICES[1]
         f = fluxes[0]
-        return (f[1:] - f[:-1]) / h[0]
+        return (f[hi] - f[lo]) / h[0]
+    (xhi, xlo, _, _, _), (yhi, ylo, _, _, _) = FACE_SLICES[2]
     fx, fy = fluxes
-    return (fx[1:, :] - fx[:-1, :]) / h[0] + (fy[:, 1:] - fy[:, :-1]) / h[1]
+    return (fx[xhi] - fx[xlo]) / h[0] + (fy[yhi] - fy[ylo]) / h[1]
 
 
 def face_average_arrays(grid: Grid, a: np.ndarray) -> FaceData:
     """Arithmetic mean onto faces; boundary faces copy the adjacent cell."""
+    s = a.shape
     if grid.dim == 1:
-        m = np.empty(grid.shape[0] + 1)
-        m[1:-1] = 0.5 * (a[1:] + a[:-1])
-        m[0], m[-1] = a[0], a[-1]
+        ((hi, lo, inner, first, last),) = FACE_SLICES[1]
+        m = np.empty(s[:-1] + (s[-1] + 1,))
+        m[inner] = 0.5 * (a[hi] + a[lo])
+        m[first], m[last] = a[first], a[last]
         return (m,)
-    n1, n2 = grid.shape
-    mx = np.empty((n1 + 1, n2))
-    mx[1:-1, :] = 0.5 * (a[1:, :] + a[:-1, :])
-    mx[0, :], mx[-1, :] = a[0, :], a[-1, :]
-    my = np.empty((n1, n2 + 1))
-    my[:, 1:-1] = 0.5 * (a[:, 1:] + a[:, :-1])
-    my[:, 0], my[:, -1] = a[:, 0], a[:, -1]
+    (xhi, xlo, xin, xfirst, xlast), (yhi, ylo, yin, yfirst, ylast) = \
+        FACE_SLICES[2]
+    mx = np.empty(s[:-2] + (s[-2] + 1, s[-1]))
+    mx[xin] = 0.5 * (a[xhi] + a[xlo])
+    mx[xfirst], mx[xlast] = a[xfirst], a[xlast]
+    my = np.empty(s[:-1] + (s[-1] + 1,))
+    my[yin] = 0.5 * (a[yhi] + a[ylo])
+    my[yfirst], my[ylast] = a[yfirst], a[ylast]
     return (mx, my)
+
+
+def member_sums(x: np.ndarray) -> list:
+    """Sums over all but the leading (member) axis of a batch, as floats.
+
+    Each member's sum is bitwise np.sum of its own cells (checked from
+    1-D n = 7 to 4097 and on 2-D shapes): a contiguous row is reduced by
+    the same pairwise summation either way.
+    """
+    return x.reshape(len(x), -1).sum(axis=1).tolist()
 
 
 def grad_sq_sum(grid: Grid, a: np.ndarray) -> float:

@@ -15,9 +15,18 @@ arithmetic face means, so the degenerate diffusion is linearly implicit
 while cross-diffusion and reaction stay explicit.  S1, S2 are optional
 manufactured-solution forcings, built symbolically by mms_forcing.
 
+Batches: the state carries a leading member axis, u and v having shape
+(B, *grid.shape) with one row per trajectory.  The members share the grid,
+the model, the time grid and any manufactured forcing, and do not couple.
+A run is a batch of one; the stability harness steps a pair, or a whole
+amplitude sweep, as one batch, so each step is one set of array operations
+and one CG solve of the block-diagonal system.  Every per-member quantity
+(mass shift, ledgers, clip budget) is reduced per row, bitwise as it would
+be for that member alone.
+
 Conservation: fluxes vanish on boundary faces, so the flux divergence sums
 to zero and the only mass sources are reactions, forcing and clipping.
-After each CG solve the iterate is shifted by a constant so the analytic
+After each CG solve each member is shifted by a constant so the analytic
 mass balance holds exactly (the shift is below solver tolerance; iterative
 truncation would otherwise leak mass).  Negative u cells are clipped to
 zero and the added mass is ledgered, giving the exact discrete identity
@@ -31,22 +40,27 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import exprs
 from .coeffs import CoefficientModel
 from .exprs import Const, Expr, differentiate, evaluate, mul, substitute
-from .grid import (Field, Grid, divergence_arrays, face_average_arrays,
-                   grad_sq_sum, gradient_arrays)
+from .grid import (FACE_SLICES, Field, Grid, divergence_arrays,
+                   face_average_arrays, gradient_arrays, member_sums)
 from .poisson import ConvergenceError
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
 
 
 class PositivityError(RuntimeError):
-    """A step produced nonpositive v or clipped more u mass than allowed."""
+    """A step produced nonpositive v or clipped more u mass than allowed;
+    members holds the indices of the failing members of the batch."""
+
+    def __init__(self, message: str, members: tuple = ()):
+        super().__init__(message)
+        self.members = members
 
 
 @dataclass
@@ -186,18 +200,27 @@ class SimConfig:
 
 def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                        tol: float, max_iter: int):
-    """Matrix-free CG for SPD operators.
+    """Matrix-free CG for SPD operators, on a batch of independent members.
 
-    Stops when the true residual satisfies ||b - A x|| <= tol ||b||; the
-    recurrence residual triggers the check and is refreshed from the true
-    one if roundoff made them drift apart.  Returns (x, iterations,
-    relative residual).  A zero right-hand side returns zeros immediately
-    with zero iterations.  apply_a may return the same array on every call:
-    its result is consumed before the next call.
+    The leading axis of b indexes members whose systems do not couple (the
+    operator is block diagonal); they are solved as one system with shared
+    alpha and beta, so identical members get identical iterates.  Stops
+    when the true residual satisfies ||b - A x|| <= tol min_i ||b_i||, the
+    minimum over members with a nonzero right-hand side; since ||r_i|| <=
+    ||r||, every such member's relative residual is then at most tol.  With
+    one member this is the stop ||r|| <= tol ||b||.  The recurrence residual
+    triggers the check and is refreshed from the true one if roundoff made
+    them drift apart.  Returns (x, iterations, ||r|| / min_i ||b_i||), a
+    bound on every member's relative residual.  A zero right-hand side
+    returns zeros immediately with zero iterations.  apply_a may return the
+    same array on every call: its result is consumed before the next call.
     """
-    norm_b = float(np.linalg.norm(b.ravel()))
+    norm_b = math.sqrt(float(np.vdot(b, b)))  # bitwise np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
+    if len(b) > 1:
+        member_norms = np.linalg.norm(b.reshape(len(b), -1), axis=1)
+        norm_b = float(np.min(member_norms[member_norms > 0.0]))
     x = np.array(x0, dtype=float, copy=True)
     r = b - apply_a(x)
     p = r.copy()
@@ -207,7 +230,7 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     while True:
         if math.sqrt(rs) <= target:
             true_r = b - apply_a(x)
-            true_norm = float(np.linalg.norm(true_r.ravel()))
+            true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
             if true_norm <= target:
                 return x, iterations, true_norm / norm_b
             r = true_r
@@ -239,7 +262,9 @@ def step_operator(grid: Grid, mob: tuple, dt: float,
     """The implicit step matrix x -> x + dt c x - dt div(mob grad x).
 
     mob holds one face-mobility array per axis; c (the v step's absorption
-    diagonal) may be omitted.  Each call performs the same floating-point
+    diagonal) may be omitted.  The arrays may carry a leading member axis,
+    (B, *faces); x then has shape (B, *grid.shape), and the members do not
+    couple.  Each call performs the same floating-point
     operations, in the same order, as
 
         x + dt * c * x
@@ -249,17 +274,15 @@ def step_operator(grid: Grid, mob: tuple, dt: float,
     and every call writes into the same preallocated arrays: the returned
     array is overwritten by the next call.
     """
-    inner, lo, hi = slice(1, -1), slice(None, -1), slice(1, None)
     axes = []
-    for axis, (h, m) in enumerate(zip(grid.spacing, mob)):
-        def pick(s):
-            return (slice(None),) * axis + (s,)
+    for h, m, (hi, lo, inner, _, _) in zip(grid.spacing, mob,
+                                          FACE_SLICES[grid.dim]):
         flux = np.zeros(m.shape)  # boundary faces carry no flux
-        axes.append((h, pick(hi), pick(lo), flux[pick(inner)],
-                     m[pick(inner)], flux[pick(hi)], flux[pick(lo)]))
-    div = np.empty(grid.shape)
-    part = np.empty(grid.shape)
-    out = np.empty(grid.shape)
+        axes.append((h, hi, lo, flux[inner], m[inner], flux[hi], flux[lo]))
+    shape = mob[0].shape[:mob[0].ndim - grid.dim] + grid.shape
+    div = np.empty(shape)
+    part = np.empty(shape)
+    out = np.empty(shape)
     dtc = None if c is None else dt * c
 
     def apply_a(x):
@@ -286,21 +309,40 @@ def _cells(values, shape) -> np.ndarray:
 
 
 class Simulation:
-    """Mutable stepper; run() and the stability harness drive it."""
+    """Mutable stepper over a batch of members; run() and the stability
+    harness drive it.
 
-    def __init__(self, cfg: SimConfig, validate: bool = True):
+    The members share the grid, the model, the time grid and any
+    manufactured forcing; only their data differ.  u and v have shape
+    (B, *grid.shape), member i being (u[i], v[i]), and the per-member
+    ledgers clipped_total, cum_grad_u_sq and reaction_mass_total are lists
+    of B floats.  members lists the (u0, v0) cell arrays, one pair per
+    member; when it is omitted, cfg's own initial data form a batch of one.
+    """
+
+    def __init__(self, cfg: SimConfig, validate: bool = True,
+                 members: Optional[Sequence] = None):
         if validate:
             cfg.validate()
         self.cfg = cfg
         self.grid = cfg.grid
         self.model = cfg.model
-        u0, v0 = cfg.initial_fields()
-        self.u = u0.values.copy()
-        self.v = v0.values.copy()
+        if members is None:
+            u0, v0 = cfg.initial_fields()
+            members = [(u0.values, v0.values)]
+        self.u = np.array([u for u, _ in members], dtype=float)
+        self.v = np.array([v for _, v in members], dtype=float)
+        if self.u.shape[1:] != self.grid.shape \
+                or self.v.shape != self.u.shape:
+            raise ValueError(f"member data must have the grid shape "
+                             f"{self.grid.shape}")
+        count = len(self.u)
+        # shape of one value per member, broadcast against the cells
+        self._per_cell = (count,) + (1,) * self.grid.dim
         self.t = 0.0
-        self.clipped_total = 0.0
-        self.cum_grad_u_sq = 0.0
-        self.reaction_mass_total = 0.0  # sum_k dt * integral(R1 + S1)
+        self.clipped_total = [0.0] * count
+        self.cum_grad_u_sq = [0.0] * count
+        self.reaction_mass_total = [0.0] * count  # sum_k dt integral(R1+S1)
         if cfg.mms_u is not None:
             self.forcing_u, self.forcing_v = mms_forcing(
                 cfg.mms_u, cfg.mms_v, cfg.model)
@@ -311,32 +353,41 @@ class Simulation:
         else:
             self._max_iter = max(200, 10 * self.grid.cell_count)
 
-    def state(self) -> SimState:
-        return SimState(self.t, Field(self.grid, self.u.copy()),
-                        Field(self.grid, self.v.copy()))
+    def state(self, i: int = 0) -> SimState:
+        return SimState(self.t, Field(self.grid, self.u[i].copy()),
+                        Field(self.grid, self.v[i].copy()))
 
     def _forcing(self, e: Expr, t: float) -> np.ndarray:
         b = self.grid.coordinate_bindings(t)
         return _cells(evaluate(e, b), self.grid.shape)
 
     def step(self, dt: float, t_next: Optional[float] = None) -> None:
+        """Advance every member by dt.  A PositivityError carries the
+        indices of the failing members in .members."""
         if t_next is None:
             t_next = self.t + dt
         v_new = self._step_v(dt, t_next)
         self._step_u(dt, t_next, v_new)
-        self.cum_grad_u_sq += dt * grad_sq_sum(self.grid, self.u)
+        # per member, the same sums in the same order as grad_sq_sum
+        vol = self.grid.cell_volume
+        grad_sq = [0.0] * len(self.u)
+        for gf in gradient_arrays(self.grid, self.u):
+            grad_sq = [q + s * vol for q, s
+                       in zip(grad_sq, member_sums(gf * gf))]
+        self.cum_grad_u_sq = [c + dt * q for c, q
+                              in zip(self.cum_grad_u_sq, grad_sq)]
         self.v = v_new
         self.t = t_next
 
     def _step_v(self, dt: float, t_next: float) -> np.ndarray:
         g, m = self.grid, self.model
         u, v = self.u, self.v
-        a22 = _cells(m.a22_values(u, v), g.shape)
+        a22 = _cells(m.a22_values(u, v), u.shape)
         mob = face_average_arrays(g, a22)
-        q2 = _cells(m.q2_values(v), g.shape)
+        q2 = _cells(m.q2_values(v), u.shape)
         c_abs = u * np.maximum(-q2, 0.0) / v
         explicit = u * np.maximum(q2, 0.0) \
-            + _cells(evaluate(m.r2_tilde, {"u": u, "v": v}), g.shape)
+            + _cells(evaluate(m.r2_tilde, {"u": u, "v": v}), u.shape)
         if self.forcing_v is not None:
             explicit = explicit + self._forcing(self.forcing_v, t_next)
         rhs = v + dt * explicit
@@ -345,18 +396,23 @@ class Simulation:
                                          rhs, v, self.cfg.lin_tol,
                                          self._max_iter)
         # analytic mass balance: sum v' = sum rhs - dt sum(C v'); restore it
-        target = float(np.sum(rhs)) - dt * float(np.sum(c_abs * v_new))
-        v_new += (target - float(np.sum(v_new))) / v_new.size
-        if np.any(v_new <= 0.0):
+        cells = g.cell_count
+        shift = [(r - dt * c - s) / cells for r, c, s in zip(
+            member_sums(rhs), member_sums(c_abs * v_new), member_sums(v_new))]
+        v_new += np.array(shift).reshape(self._per_cell)
+        bad = v_new <= 0.0
+        if bad.any():
+            failing = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
             raise PositivityError(
-                f"positivity lost in the v step at t = {t_next:g}; reduce dt")
+                f"positivity lost in the v step at t = {t_next:g}; reduce dt",
+                tuple(failing.tolist()))
         return v_new
 
     def _step_u(self, dt: float, t_next: float, v_new: np.ndarray) -> None:
         g, m = self.grid, self.model
         u = self.u
         vol = g.cell_volume
-        mass_pre = float(np.sum(u)) * vol
+        mass_pre = [s * vol for s in member_sums(u)]
 
         u_faces = face_average_arrays(g, u)
         v_faces = face_average_arrays(g, v_new)
@@ -365,12 +421,12 @@ class Simulation:
             * np.power(uf, m.alpha)
             for uf, vf in zip(u_faces, v_faces))
 
-        a12 = _cells(m.a12_values(u, v_new), g.shape)
+        a12 = _cells(m.a12_values(u, v_new), u.shape)
         a12_faces = face_average_arrays(g, a12)
         cross = tuple(af * gf for af, gf
                       in zip(a12_faces, gradient_arrays(g, v_new)))
-        reaction = u * _cells(m.q1_values(v_new), g.shape) \
-            + _cells(evaluate(m.r1_tilde, {"u": u, "v": v_new}), g.shape)
+        reaction = u * _cells(m.q1_values(v_new), u.shape) \
+            + _cells(evaluate(m.r1_tilde, {"u": u, "v": v_new}), u.shape)
         if self.forcing_u is not None:
             reaction = reaction + self._forcing(self.forcing_u, t_next)
         rhs = u + dt * (divergence_arrays(g, cross) + reaction)
@@ -378,72 +434,50 @@ class Simulation:
         u_new, _, _ = conjugate_gradient(step_operator(g, mob, dt), rhs, u,
                                          self.cfg.lin_tol, self._max_iter)
         # flux divergences carry no net mass; reactions and forcing do
-        reaction_mass = dt * float(np.sum(reaction)) * vol
-        target = mass_pre + reaction_mass
-        u_new += (target - float(np.sum(u_new)) * vol) / (u_new.size * vol)
-        clipped = -float(np.sum(np.minimum(u_new, 0.0))) * vol
-        if clipped > CLIP_BUDGET * max(mass_pre, 1e-300):
+        reaction_mass = [dt * s * vol for s in member_sums(reaction)]
+        cells = g.cell_count
+        shift = [(mp + r - s * vol) / (cells * vol) for mp, r, s
+                 in zip(mass_pre, reaction_mass, member_sums(u_new))]
+        u_new += np.array(shift).reshape(self._per_cell)
+        clipped = [-s * vol for s in member_sums(np.minimum(u_new, 0.0))]
+        over = [i for i, (c, mp) in enumerate(zip(clipped, mass_pre))
+                if c > CLIP_BUDGET * max(mp, 1e-300)]
+        if over:
             raise PositivityError(
                 f"positivity budget exceeded at t = {t_next:g}: clipped "
-                f"{clipped:.3e} > {CLIP_BUDGET:g} * mass; reduce dt")
+                f"{max(clipped[i] for i in over):.3e} > {CLIP_BUDGET:g} * "
+                "mass; reduce dt", tuple(over))
         np.clip(u_new, 0.0, None, out=u_new)
-        self.clipped_total += clipped
-        self.reaction_mass_total += reaction_mass
+        self.clipped_total = [a + c for a, c
+                              in zip(self.clipped_total, clipped)]
+        self.reaction_mass_total = [a + r for a, r in zip(
+            self.reaction_mass_total, reaction_mass)]
         self.u = u_new
 
-    def diagnostics_row(self) -> DiagnosticsRow:
+    def diagnostics_row(self, i: int = 0) -> DiagnosticsRow:
         g = self.grid
+        u, v = self.u[i], self.v[i]
         vol = g.cell_volume
         max_grad_v = max(float(np.max(np.abs(gf)))
-                         for gf in gradient_arrays(g, self.v))
+                         for gf in gradient_arrays(g, v))
         if self.cfg.f_energy_gamma is not None:
-            fe = f_energy(self.state(), self.cfg.f_energy_gamma,
+            fe = f_energy(self.state(i), self.cfg.f_energy_gamma,
                           self.cfg.f_energy_ks)
         else:
             fe = float("nan")
         return DiagnosticsRow(
             t=self.t,
-            mass_u=float(np.sum(self.u)) * vol,
-            mass_v=float(np.sum(self.v)) * vol,
-            min_u=float(np.min(self.u)),
-            max_u=float(np.max(self.u)),
-            min_v=float(np.min(self.v)),
-            max_v=float(np.max(self.v)),
+            mass_u=float(np.sum(u)) * vol,
+            mass_v=float(np.sum(v)) * vol,
+            min_u=float(np.min(u)),
+            max_u=float(np.max(u)),
+            min_v=float(np.min(v)),
+            max_v=float(np.max(v)),
             max_grad_v=max_grad_v,
-            cum_grad_u_sq=self.cum_grad_u_sq,
+            cum_grad_u_sq=self.cum_grad_u_sq[i],
             f_energy=fe,
-            clipped_mass=self.clipped_total,
+            clipped_mass=self.clipped_total[i],
         )
-
-
-# ---------------------------------------------------------------------------
-# public stepping API
-
-def step_v(s: SimState, m: CoefficientModel, dt: float,
-           tol: float = 1e-10) -> Field:
-    """One implicit v step from the given state; returns the new v."""
-    sim = _adhoc_simulation(s, m, dt, tol)
-    return Field(s.u.grid, sim._step_v(dt, s.t + dt))
-
-
-def step_u(s: SimState, m: CoefficientModel, dt: float, v_new: Field,
-           tol: float = 1e-10):
-    """One semi-implicit u step against the already-updated v; returns
-    (new u, clipped mass)."""
-    sim = _adhoc_simulation(s, m, dt, tol)
-    sim._step_u(dt, s.t + dt, v_new.values)
-    return Field(s.u.grid, sim.u), sim.clipped_total
-
-
-def _adhoc_simulation(s: SimState, m: CoefficientModel, dt: float,
-                      tol: float) -> Simulation:
-    cfg = SimConfig(grid=s.u.grid, model=m, dt=dt, t_end=dt,
-                    ic_u=Const(0.0), ic_v=Const(1.0), lin_tol=tol)
-    sim = Simulation(cfg, validate=False)
-    sim.u = s.u.values.copy()
-    sim.v = s.v.values.copy()
-    sim.t = s.t
-    return sim
 
 
 def time_grid(dt: float, t_end: float):
@@ -488,8 +522,8 @@ def run(cfg: SimConfig, record_states: bool = True,
             if record_states:
                 states.append(sim.state())
             diagnostics.append(sim.diagnostics_row())
-    return RunResult(states, diagnostics, sim.clipped_total,
-                     sim.reaction_mass_total)
+    return RunResult(states, diagnostics, sim.clipped_total[0],
+                     sim.reaction_mass_total[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Paired-trajectory stability harness.
 
-Two simulations advance in lockstep from nearby initial data and the
-difference is measured in the triple the continuous theory controls,
+Trajectories from nearby initial data advance as one batch (one
+Simulation with a leading member axis), and the difference between each
+perturbed member and the base member is measured in the triple the
+continuous theory controls,
 
     E(t) = (integral du)^2 + ||grad dpsi||^2 + ||dv||_2^2,
 
@@ -26,7 +28,6 @@ relative to the perturbation size rather than the solution size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -36,7 +37,7 @@ from .coeffs import CoefficientModel, dissipation_density
 from .exprs import Const, Expr, evaluate, mul
 from .grid import Field, Grid, grad_sq_sum
 from .poisson import solve_neumann_zero_mean
-from .solver import SimConfig, Simulation, time_grid
+from .solver import PositivityError, SimConfig, Simulation, time_grid
 
 FIT_FLOOR_FRACTION = 1e-2   # fit lambda_hat only where E > this fraction of E(0)
 RATIO_SPREAD_BOUND = 4.0    # acceptance bound for the sweep ratio spread
@@ -90,79 +91,109 @@ def _trapezoid_cumulative(times: Sequence[float],
 
 def run_pair(cfg: SimConfig, ic2_u: Expr, ic2_v: Expr) -> StabilityReport:
     """Evolve (u1, v1) from cfg's initial data and (u2, v2) from (ic2_u,
-    ic2_v) with identical discretization; measure E, D at every cadence tick.
+    ic2_v) with identical discretization, as one batch of two; measure E, D
+    at every cadence tick.
 
     The energy identity residual is computed when cfg.output_every == 1
-    (dense mode) and is None otherwise.  Solver failures are re-raised
-    tagged with the trajectory that failed.
+    (dense mode) and is None otherwise.  A positivity failure is re-raised
+    tagged with the trajectory that failed.  Manufactured-solution configs
+    are rejected with ValueError.
+    """
+    if cfg.ic_u is None or cfg.ic_v is None:
+        raise ValueError("a paired run perturbs explicit initial data; "
+                         "manufactured-solution configs are not pairable")
+    return _run_batch(cfg, [(ic2_u, ic2_v)],
+                      ("first trajectory", "second trajectory"))[0]
+
+
+def _run_batch(cfg: SimConfig, others: Sequence[tuple],
+               labels: Sequence[str]) -> list:
+    """Step cfg's initial data (member 0, the base) and each (ic_u, ic_v) of
+    `others` as one batch; return one StabilityReport per other member,
+    measured against the base at every cadence tick.
+
+    Each member's data is validated as its own config.  A PositivityError
+    is re-raised naming the failing members by their `labels`.
     """
     cfg.validate()
-    cfg2 = replace(cfg, ic_u=ic2_u, ic_v=ic2_v, mms_u=None, mms_v=None)
-    cfg2.validate()
-    sims = (Simulation(cfg, validate=False), Simulation(cfg2, validate=False))
+    members = [cfg.initial_fields()]
+    for ic_u, ic_v in others:
+        cfg_i = replace(cfg, ic_u=ic_u, ic_v=ic_v)
+        cfg_i.validate()
+        members.append(cfg_i.initial_fields())
+    sim = Simulation(cfg, validate=False,
+                     members=[(u.values, v.values) for u, v in members])
     grid = cfg.grid
     vol = grid.cell_volume
     alpha = cfg.model.alpha
     dense = cfg.output_every == 1
 
     times = [0.0]
-    energy, comp_mass, comp_hm1, comp_v, dissipation = [], [], [], [], []
-    delta_us, psis = [], []
-    v_min, v_max = math.inf, -math.inf
+    names = ("energy", "comp_mass", "comp_hm1", "comp_v", "dissipation",
+             "delta_u", "psi")
+    series = [{name: [] for name in names} for _ in others]
+    v_min = np.full(len(members), math.inf)
+    v_max = np.full(len(members), -math.inf)
 
     def tick():
-        nonlocal v_min, v_max
-        s1, s2 = sims
-        du = s1.u - s2.u
-        dv = s1.v - s2.v
-        sol = solve_neumann_zero_mean(grid, Field(grid, du))
-        mass_sq = (float(np.sum(du)) * vol) ** 2
-        hm1_sq = grad_sq_sum(grid, sol.psi.values)
-        v_sq = float(np.sum(dv * dv)) * vol
-        comp_mass.append(mass_sq)
-        comp_hm1.append(hm1_sq)
-        comp_v.append(v_sq)
-        energy.append(mass_sq + hm1_sq + v_sq)
-        dissipation.append(
-            float(np.sum(dissipation_density(s1.u, s2.u, alpha))) * vol)
-        v_min = min(v_min, float(np.min(s1.v)), float(np.min(s2.v)))
-        v_max = max(v_max, float(np.max(s1.v)), float(np.max(s2.v)))
-        if dense:
-            delta_us.append(du)
-            psis.append(sol.psi.values)
+        u, v = sim.u, sim.v
+        for j, rec in enumerate(series, start=1):
+            du = u[0] - u[j]
+            dv = v[0] - v[j]
+            sol = solve_neumann_zero_mean(grid, Field(grid, du))
+            mass_sq = (float(np.sum(du)) * vol) ** 2
+            hm1_sq = grad_sq_sum(grid, sol.psi.values)
+            v_sq = float(np.sum(dv * dv)) * vol
+            rec["comp_mass"].append(mass_sq)
+            rec["comp_hm1"].append(hm1_sq)
+            rec["comp_v"].append(v_sq)
+            rec["energy"].append(mass_sq + hm1_sq + v_sq)
+            rec["dissipation"].append(float(np.sum(
+                dissipation_density(u[0], u[j], alpha))) * vol)
+            if dense:
+                rec["delta_u"].append(du)
+                rec["psi"].append(sol.psi.values)
+        flat = v.reshape(len(v), -1)
+        np.minimum(v_min, flat.min(axis=1), out=v_min)
+        np.maximum(v_max, flat.max(axis=1), out=v_max)
 
     tick()
     step_times = time_grid(cfg.dt, cfg.t_end)
     t_prev = 0.0
     for k, t_next in enumerate(step_times):
-        for label, sim in zip(("first", "second"), sims):
-            try:
-                sim.step(t_next - t_prev, t_next)
-            except RuntimeError as err:
-                note = f"{label} trajectory: "
-                err.args = (note + str(err.args[0] if err.args else err),) \
-                    + err.args[1:]
-                raise
+        try:
+            sim.step(t_next - t_prev, t_next)
+        except PositivityError as err:
+            failing = " and ".join(labels[i] for i in err.members)
+            err.args = (f"{failing}: {err.args[0]}",) + err.args[1:]
+            raise
         t_prev = t_next
         if (k + 1) % cfg.output_every == 0 or k + 1 == len(step_times):
             times.append(t_next)
             tick()
 
-    e0 = energy[0]
-    sup_e = max(energy)
-    residual = None
-    if dense:
-        residual = _identity_residual(grid, delta_us, psis)[2]
-    return StabilityReport(
-        times=times, energy=energy, comp_mass=comp_mass, comp_hm1=comp_hm1,
-        comp_v=comp_v, dissipation=dissipation,
-        cum_dissipation=_trapezoid_cumulative(times, dissipation),
-        e0=e0, sup_e=sup_e,
-        c_hat=(sup_e / e0 if e0 > 0.0 else 0.0),
-        lambda_hat=_ols_log_rate(times, energy, e0),
-        energy_identity_residual=residual,
-        v_range=(v_min, v_max),
-    )
+    reports = []
+    for j, rec in enumerate(series, start=1):
+        energy = rec["energy"]
+        e0 = energy[0]
+        sup_e = max(energy)
+        residual = None
+        if dense:
+            residual = _identity_residual(grid, rec["delta_u"],
+                                          rec["psi"])[2]
+        reports.append(StabilityReport(
+            times=list(times), energy=energy, comp_mass=rec["comp_mass"],
+            comp_hm1=rec["comp_hm1"], comp_v=rec["comp_v"],
+            dissipation=rec["dissipation"],
+            cum_dissipation=_trapezoid_cumulative(times, rec["dissipation"]),
+            e0=e0, sup_e=sup_e,
+            c_hat=(sup_e / e0 if e0 > 0.0 else 0.0),
+            lambda_hat=_ols_log_rate(times, energy, e0),
+            energy_identity_residual=residual,
+            v_range=(float(min(v_min[0], v_min[j])),
+                     float(max(v_max[0], v_max[j]))),
+        ))
+    return reports
 
 
 def _identity_residual(grid: Grid, delta_us: Sequence[np.ndarray],
@@ -273,35 +304,17 @@ class SweepResult:
     bounded: bool    # spread <= RATIO_SPREAD_BOUND
 
 
-def _sweep_member(args) -> SweepRow:
-    cfg, du_expr, dv_expr, eps = args
-    ic2_u = cfg.ic_u + mul(Const(eps), du_expr)
-    ic2_v = cfg.ic_v + mul(Const(eps), dv_expr)
-    report = run_pair(cfg, ic2_u, ic2_v)
-    grid = cfg.grid
-    vol = grid.cell_volume
-    b = grid.coordinate_bindings(0.0)
-    du0 = np.broadcast_to(np.asarray(evaluate(mul(Const(eps), du_expr), b),
-                                     dtype=float), grid.shape)
-    dv0 = np.broadcast_to(np.asarray(evaluate(mul(Const(eps), dv_expr), b),
-                                     dtype=float), grid.shape)
-    q0 = float(np.sum(du0 * du0) + np.sum(dv0 * dv0)) * vol
-    return SweepRow(
-        amplitude=eps, q0=q0, e0=report.e0, sup_e=report.sup_e,
-        ratio=(report.sup_e / q0 if q0 > 0.0 else 0.0),
-        c_hat=report.c_hat, lambda_hat=report.lambda_hat,
-    )
-
-
 def perturbation_sweep(cfg: SimConfig, du_expr: Expr, dv_expr: Expr,
-                       amplitudes: Sequence[float],
-                       jobs: int = 1) -> SweepResult:
-    """For each amplitude eps run the pair (ic, ic + eps * direction) and
+                       amplitudes: Sequence[float]) -> SweepResult:
+    """For each amplitude eps compare ic + eps * direction with ic and
     record the quadratic initial size Q = integral (du0)^2 + (dv0)^2 against
     sup_t E.  Continuous-dependence stability predicts sup E / Q bounded
     across the sweep; the spread over positive rows is checked against the
     factor-4 acceptance bound.  Amplitudes must be nonnegative and strictly
     decreasing; a zero amplitude contributes an all-zero row.
+
+    All trajectories advance as one batch: the unperturbed one is stepped
+    once, and each perturbed one is measured against it.
     """
     if cfg.ic_u is None or cfg.ic_v is None:
         raise ValueError("the sweep perturbs explicit initial data; "
@@ -314,12 +327,25 @@ def perturbation_sweep(cfg: SimConfig, du_expr: Expr, dv_expr: Expr,
             raise ValueError("amplitudes must be finite and nonnegative")
     if any(b >= a for a, b in zip(amps, amps[1:])):
         raise ValueError("amplitudes must be strictly decreasing")
-    work = [(cfg, du_expr, dv_expr, a) for a in amps]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_member, work))
-    else:
-        rows = [_sweep_member(w) for w in work]
+    others = [(cfg.ic_u + mul(Const(eps), du_expr),
+               cfg.ic_v + mul(Const(eps), dv_expr)) for eps in amps]
+    labels = ["base trajectory"] + [f"amplitude {eps:g}" for eps in amps]
+    reports = _run_batch(cfg, others, labels)
+    grid = cfg.grid
+    vol = grid.cell_volume
+    b = grid.coordinate_bindings(0.0)
+    rows = []
+    for eps, report in zip(amps, reports):
+        du0 = np.broadcast_to(np.asarray(
+            evaluate(mul(Const(eps), du_expr), b), dtype=float), grid.shape)
+        dv0 = np.broadcast_to(np.asarray(
+            evaluate(mul(Const(eps), dv_expr), b), dtype=float), grid.shape)
+        q0 = float(np.sum(du0 * du0) + np.sum(dv0 * dv0)) * vol
+        rows.append(SweepRow(
+            amplitude=eps, q0=q0, e0=report.e0, sup_e=report.sup_e,
+            ratio=(report.sup_e / q0 if q0 > 0.0 else 0.0),
+            c_hat=report.c_hat, lambda_hat=report.lambda_hat,
+        ))
     ratios = [r.ratio for r in rows if r.q0 > 0.0]
     if ratios:
         ratio_min, ratio_max = min(ratios), max(ratios)

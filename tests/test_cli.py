@@ -438,13 +438,6 @@ def test_runtime_positivity_failure_exits_2(tmp_path, capsys):
     assert "step 1" in err["message"]
 
 
-def test_bad_jobs_flag_exits_1(tmp_path, capsys):
-    payload = heat_run_config(tmp_path)
-    rc = main([str(write_config(tmp_path, payload)), "--jobs", "0"])
-    assert rc == 1
-    assert stderr_payload(capsys)["kind"] == "config"
-
-
 def test_output_root_env_prefixes_relative_directories(tmp_path, monkeypatch):
     monkeypatch.setenv("CROSSDIFF_OUTPUT_ROOT", str(tmp_path / "root"))
     payload = heat_run_config("rel_out")
@@ -475,6 +468,6 @@ def test_sweep_accepts_jobs_flag(tmp_path):
         "stability": {"du": "cos(pi*x)", "amplitudes": [1e-2, 1e-3]},
         "output": {"directory": str(tmp_path / "psweep")},
     }
-    rc = main([str(write_config(tmp_path, payload)), "--jobs", "2"])
+    rc = main([str(write_config(tmp_path, payload))])
     assert rc == 0
     assert (tmp_path / "psweep" / "sweep.csv").exists()

@@ -9,7 +9,7 @@ from crossdiff.exprs import parse
 from crossdiff.grid import (Field, Grid, divergence, divergence_arrays,
                             face_average_arrays, face_gradient,
                             grad_l2_norm, grad_sq_sum, gradient_arrays,
-                            integral, l2_norm, laplacian, mean)
+                            integral, l2_norm, laplacian, mean, member_sums)
 
 # ---------------------------------------------------------------------------
 # grid geometry
@@ -222,3 +222,39 @@ def test_face_average_2d_shapes():
     assert mx.shape == (4, 4) and my.shape == (3, 5)
     assert mx[1, 0] == pytest.approx(2.0)  # mean of 0 and 4
     assert my[0, 1] == pytest.approx(0.5)  # mean of 0 and 1
+
+
+# ---------------------------------------------------------------------------
+# a leading member axis
+
+
+@pytest.mark.parametrize("grid", [Grid((37,), (1.3,)),
+                                  Grid((9, 14), (0.7, 2.1))])
+def test_batched_kernels_equal_member_kernels_bitwise(grid):
+    rng = np.random.default_rng(5)
+    batch = rng.standard_normal((3,) + grid.shape) + 2.0
+    faces = gradient_arrays(grid, batch)
+    flux = tuple(rng.standard_normal(f.shape) for f in faces)
+    averages = face_average_arrays(grid, batch)
+    div = divergence_arrays(grid, flux)
+    sums = member_sums(batch)
+    assert div.shape == batch.shape and len(sums) == 3
+    for i, a in enumerate(batch):
+        for got, want in zip(faces, gradient_arrays(grid, a)):
+            assert np.array_equal(got[i], want)
+        for got, want in zip(averages, face_average_arrays(grid, a)):
+            assert np.array_equal(got[i], want)
+        member_flux = tuple(f[i] for f in flux)
+        assert np.array_equal(div[i], divergence_arrays(grid, member_flux))
+        assert sums[i] == float(np.sum(a))
+
+
+@pytest.mark.parametrize("n", [7, 33, 128, 257, 1000, 4097])
+def test_member_sums_equal_separate_sums_bitwise(n):
+    grid = Grid((n,), (1.0,))
+    rng = np.random.default_rng(n)
+    batch = rng.standard_normal((4, n)) * rng.uniform(0.1, 10.0, (4, 1))
+    assert member_sums(batch) == [float(np.sum(a)) for a in batch]
+    faces = gradient_arrays(grid, batch)[0]
+    assert member_sums(faces * faces) == [float(np.sum(f * f))
+                                          for f in faces]

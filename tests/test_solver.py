@@ -10,8 +10,8 @@ from crossdiff.exprs import evaluate, parse
 from crossdiff.grid import Field, Grid, divergence_arrays, gradient_arrays
 from crossdiff.poisson import ConvergenceError
 from crossdiff.solver import (PositivityError, SimConfig, SimState,
-                              conjugate_gradient, f_energy, mms_forcing, run,
-                              step_operator, step_u, step_v, time_grid)
+                              Simulation, conjugate_gradient, f_energy,
+                              mms_forcing, run, step_operator, time_grid)
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -33,6 +33,14 @@ def case2(chi=0.25, l=0.5):
 def state(grid, u, v, t=0.0):
     return SimState(t, Field(grid, np.broadcast_to(u, grid.shape).copy()),
                     Field(grid, np.broadcast_to(v, grid.shape).copy()))
+
+
+def stepper(grid, model, u, v):
+    """A one-member Simulation from the given cell values; the config's own
+    initial data and time span are unused."""
+    cfg = SimConfig(grid=grid, model=model, dt=1.0, t_end=1.0)
+    return Simulation(cfg, validate=False, members=[
+        (np.broadcast_to(u, grid.shape), np.broadcast_to(v, grid.shape))])
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +65,77 @@ def test_step_operator_matches_grid_calculus_bitwise(grid):
         assert np.array_equal(u_apply(x), x - dt * div)
 
 
+@pytest.mark.parametrize("grid", [Grid((37,), (1.3,)),
+                                  Grid((9, 14), (0.7, 2.1))])
+def test_batched_step_operator_equals_member_operators_bitwise(grid):
+    rng = np.random.default_rng(3)
+    dt = 0.0137
+    faces = gradient_arrays(grid, np.zeros((3,) + grid.shape))
+    mob = tuple(rng.uniform(0.1, 3.0, f.shape) for f in faces)
+    c = rng.uniform(0.0, 2.0, (3,) + grid.shape)
+    x = rng.standard_normal((3,) + grid.shape)
+    v_batch = step_operator(grid, mob, dt, c)(x)
+    u_batch = step_operator(grid, mob, dt)(x)
+    for i in range(3):
+        member_mob = tuple(m[i] for m in mob)
+        assert np.array_equal(v_batch[i],
+                              step_operator(grid, member_mob, dt, c[i])(x[i]))
+        assert np.array_equal(u_batch[i],
+                              step_operator(grid, member_mob, dt)(x[i]))
+
+
+def test_batched_cg_bounds_every_member_relative_residual():
+    # one member's right-hand side is 1e6 times smaller than the others';
+    # a stop at tol * ||b|| would leave it far above tol
+    g = Grid((96,), (1.0,))
+    rng = np.random.default_rng(4)
+    mob = (rng.uniform(0.5, 2.0, (3, 97)),)
+    apply_a = step_operator(g, mob, 0.05)
+    b = rng.standard_normal((3, 96))
+    b[1] *= 1e-6
+    tol = 1e-8
+    x, iterations, rel = conjugate_gradient(apply_a, b, np.zeros_like(b),
+                                            tol, 1000)
+    assert iterations > 0 and rel <= tol
+    residual = b - apply_a(x)
+    for r_i, b_i in zip(residual, b):
+        assert np.linalg.norm(r_i) <= tol * np.linalg.norm(b_i)
+
+
+def test_batched_step_equals_single_member_steps():
+    # a batch differs from separate runs only through the shared CG stop
+    g = Grid((40,), (1.0,))
+    cfg = SimConfig(grid=g, model=case2(), dt=5e-4, t_end=0.01,
+                    ic_u=parse("1 + 0.5*cos(pi*x)"),
+                    ic_v=parse("1 + 0.2*cos(pi*x)"), lin_tol=1e-12)
+    x = g.axis_centers(0)
+    data = [(1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * x)),
+            (1.2 + 0.1 * np.cos(2 * math.pi * x), np.full(40, 0.8))]
+    batch = Simulation(cfg, validate=False, members=data)
+    singles = [Simulation(cfg, validate=False, members=[d]) for d in data]
+    for _ in range(20):
+        batch.step(cfg.dt)
+        for sim in singles:
+            sim.step(cfg.dt)
+    for i, sim in enumerate(singles):
+        assert np.allclose(batch.u[i], sim.u[0], rtol=1e-10, atol=0.0)
+        assert np.allclose(batch.v[i], sim.v[0], rtol=1e-10, atol=0.0)
+        row, alone = batch.diagnostics_row(i), sim.diagnostics_row()
+        assert row.mass_u == pytest.approx(alone.mass_u, rel=1e-12)
+        assert row.cum_grad_u_sq == pytest.approx(alone.cum_grad_u_sq,
+                                                  rel=1e-9)
+        assert batch.reaction_mass_total[i] == pytest.approx(
+            sim.reaction_mass_total[0], rel=1e-12)
+
+
 def test_nonconvergence_carries_best_iterate():
     g = Grid((128,), (1.0,))
     rng = np.random.default_rng(12)
-    apply_a = step_operator(g, (rng.uniform(0.5, 2.0, 129),), 1.0)
-    b = rng.standard_normal(128)
+    apply_a = step_operator(g, (rng.uniform(0.5, 2.0, (1, 129)),), 1.0)
+    b = rng.standard_normal((1, 128))
     with pytest.raises(ConvergenceError) as err:
-        conjugate_gradient(apply_a, b, np.zeros(128), 1e-14, 2)
-    assert err.value.best.shape == (128,)
+        conjugate_gradient(apply_a, b, np.zeros((1, 128)), 1e-14, 2)
+    assert err.value.best.shape == (1, 128)
     assert err.value.iterations == 2
     assert math.isfinite(err.value.residual_norm)
 
@@ -75,48 +146,49 @@ def test_nonconvergence_carries_best_iterate():
 
 def test_constant_v_is_a_steady_state():
     g = Grid((32,), (1.0,))
-    s = state(g, 1.0, 4.0)
-    v = step_v(s, HEAT, dt=0.05)
-    assert np.max(np.abs(v.values - 4.0)) <= 1e-13
+    sim = stepper(g, HEAT, 1.0, 4.0)
+    sim.step(0.05)
+    assert np.max(np.abs(sim.v - 4.0)) <= 1e-13
     for _ in range(10):
-        s = SimState(s.t + 0.05, s.u, v)
-        v = step_v(s, HEAT, dt=0.05)
-    assert np.max(np.abs(v.values - 4.0)) <= 1e-13
+        sim.step(0.05)
+    assert np.max(np.abs(sim.v - 4.0)) <= 1e-13
 
 
 def test_absorption_single_step_oracle():
     # R2 = -u v with u = 1: one implicit step is exactly v0/(1 + dt)
     m = make_model(r2_linear="-v")
     g = Grid((16,), (1.0,))
-    v = step_v(state(g, 1.0, 2.0), m, dt=0.1)
-    assert np.max(np.abs(v.values - 2.0 / 1.1)) <= 1e-14
+    sim = stepper(g, m, 1.0, 2.0)
+    sim.step(0.1)
+    assert np.max(np.abs(sim.v - 2.0 / 1.1)) <= 1e-14
 
 
 def test_absorption_tracks_exponential_decay():
     m = make_model(r2_linear="-v")
     g = Grid((8,), (1.0,))
     dt, steps = 0.01, 100
-    s = state(g, 1.0, 2.0)
-    for k in range(steps):
-        v = step_v(s, m, dt=dt)
-        s = SimState((k + 1) * dt, s.u, v)
+    sim = stepper(g, m, 1.0, 2.0)
+    for _ in range(steps):
+        sim.step(dt)
+    assert np.array_equal(sim.u, np.ones((1, 8)))  # u = 1 is steady here
     # first-order in time: error O(dt) against 2 e^{-1}
-    assert np.max(np.abs(s.v.values - 2.0 * math.exp(-1.0))) <= 4.0 * dt
+    assert np.max(np.abs(sim.v - 2.0 * math.exp(-1.0))) <= 4.0 * dt
 
 
 def test_v_step_positivity_error_mentions_dt():
     m = make_model(r2_tilde="-10")
     g = Grid((8,), (1.0,))
     with pytest.raises(PositivityError, match="reduce dt"):
-        step_v(state(g, 1.0, 1.0), m, dt=0.2)
+        stepper(g, m, 1.0, 1.0).step(0.2)
 
 
 def test_v_step_growth_part_is_explicit():
     # q2 = +v (growth): one step gives v0 + dt*u*v0 exactly (v0 constant)
     m = make_model(r2_linear="v")
     g = Grid((8,), (1.0,))
-    v = step_v(state(g, 1.0, 2.0), m, dt=0.1)
-    assert np.max(np.abs(v.values - 2.2)) <= 1e-13
+    sim = stepper(g, m, 1.0, 2.0)
+    sim.step(0.1)
+    assert np.max(np.abs(sim.v - 2.2)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +211,10 @@ def test_heat_mode_decay_rate():
 def test_zero_u_is_a_fixed_point_of_the_degenerate_step():
     m = make_model(alpha=1.0, p="v")
     g = Grid((16,), (1.0,))
-    s = state(g, 0.0, 1.0)
-    v_new = step_v(s, m, dt=0.01)
-    u_new, clipped = step_u(s, m, dt=0.01, v_new=v_new)
-    assert np.array_equal(u_new.values, np.zeros(16))
-    assert clipped == 0.0
+    sim = stepper(g, m, 0.0, 1.0)
+    sim.step(0.01)
+    assert np.array_equal(sim.u, np.zeros((1, 16)))
+    assert sim.clipped_total[0] == 0.0
 
 
 def test_u_step_mass_change_equals_reaction_integral():
@@ -154,8 +225,11 @@ def test_u_step_mass_change_equals_reaction_integral():
     s = state(g, 1.0 + 0.5 * np.cos(math.pi * x),
               1.0 + 0.2 * np.cos(math.pi * x))
     dt = 1e-4
-    v_new = step_v(s, m, dt=dt)
-    u_new, clipped = step_u(s, m, dt=dt, v_new=v_new)
+    sim = stepper(g, m, s.u.values, s.v.values)
+    sim.step(dt)
+    new = sim.state()
+    u_new, v_new = new.u, new.v
+    clipped = sim.clipped_total[0]
     vol = g.cell_volume
     mass_change = float(np.sum(u_new.values - s.u.values)) * vol
     reaction = s.u.values * evaluate(m.r1_linear, {"v": v_new.values})

@@ -10,7 +10,7 @@ from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import parse
 from crossdiff.grid import Grid
 from crossdiff.poisson import poincare_ratio
-from crossdiff.solver import PositivityError, SimConfig
+from crossdiff.solver import PositivityError, SimConfig, Simulation
 from crossdiff.stability import (GronwallTrace, energy_identity_check,
                                  gronwall_trace, perturbation_sweep, run_pair)
 
@@ -139,8 +139,18 @@ def test_run_pair_tags_the_failing_trajectory():
     m = make_model(r2_tilde="-2")
     cfg = SimConfig(grid=Grid((8,), (1.0,)), model=m, dt=0.05, t_end=0.1,
                     ic_u=parse("1"), ic_v=parse("3"))
-    with pytest.raises(PositivityError, match="second trajectory"):
+    with pytest.raises(PositivityError, match="second trajectory") as err:
         run_pair(cfg, parse("1"), parse("0.05"))
+    assert "first" not in str(err.value)
+
+
+def test_run_pair_rejects_manufactured_configs():
+    # a manufactured config has one forcing for one solution; no twin
+    cfg = SimConfig(grid=Grid((16,), (1.0,)), model=HEAT, dt=1e-3,
+                    t_end=1e-2, mms_u=parse("2 + exp(-t)*cos(pi*x)"),
+                    mms_v=parse("2"))
+    with pytest.raises(ValueError, match="manufactured"):
+        run_pair(cfg, parse("2 + 1.01*cos(pi*x)"), parse("2"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +248,48 @@ def test_sweep_zero_amplitude_row_is_zero():
     assert result.spread == 1.0  # single positive row
 
 
-def test_sweep_parallel_matches_serial():
-    cfg = heat_config(n=32, dt=1e-3, t_end=0.01, cadence=5)
-    serial = perturbation_sweep(cfg, parse("cos(pi*x)"), parse("0"),
-                                [1e-2, 1e-3], jobs=1)
-    parallel = perturbation_sweep(cfg, parse("cos(pi*x)"), parse("0"),
-                                  [1e-2, 1e-3], jobs=2)
-    assert serial == parallel
+def test_sweep_batch_matches_single_amplitude_sweeps():
+    # the batch shares its CG steps; each row must still be the pair's own
+    cfg = case2_config()
+    du, dv = parse("cos(pi*x)"), parse("0.5*cos(2*pi*x)")
+    amps = [1e-2, 1e-3, 1e-4]
+    batch = perturbation_sweep(cfg, du, dv, amps)
+    for row, eps in zip(batch.rows, amps):
+        alone = perturbation_sweep(cfg, du, dv, [eps]).rows[0]
+        assert row.amplitude == alone.amplitude
+        assert row.q0 == alone.q0
+        assert row.e0 == alone.e0
+        for name in ("sup_e", "ratio", "c_hat", "lambda_hat"):
+            assert getattr(row, name) == pytest.approx(
+                getattr(alone, name), rel=1e-6, abs=0.0), name
+
+
+def test_identical_members_stay_bitwise_identical_at_odd_n():
+    cfg = case2_config(n=33, cadence=4)
+    u0, v0 = (f.values for f in cfg.initial_fields())
+    sim = Simulation(cfg, validate=False,
+                     members=[(u0, v0), (1.01 * u0, v0), (u0, v0)])
+    for _ in range(20):
+        sim.step(cfg.dt)
+        assert np.array_equal(sim.u[0], sim.u[2])
+        assert np.array_equal(sim.v[0], sim.v[2])
+    assert not np.array_equal(sim.u[0], sim.u[1])
+    result = perturbation_sweep(cfg, parse("cos(pi*x)"), parse("0"),
+                                [1e-2, 0.0])
+    zero = result.rows[-1]
+    assert (zero.q0, zero.e0, zero.sup_e, zero.ratio, zero.c_hat,
+            zero.lambda_hat) == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert result.rows[0].sup_e > 0.0
+
+
+def test_sweep_positivity_failure_names_the_amplitude():
+    m = make_model(r2_tilde="-2")
+    cfg = SimConfig(grid=Grid((8,), (1.0,)), model=m, dt=0.05, t_end=0.1,
+                    ic_u=parse("1"), ic_v=parse("3"))
+    with pytest.raises(PositivityError, match="amplitude 2.95") as err:
+        perturbation_sweep(cfg, parse("0"), parse("-1"), [2.95, 0.5])
+    assert "amplitude 0.5" not in str(err.value)
+    assert "base" not in str(err.value)
 
 
 def test_sweep_argument_validation():
