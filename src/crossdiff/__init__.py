@@ -18,11 +18,11 @@ from .coeffs import (CoefficientModel, LipschitzVerdict, build_preset,
                      mean_power_bounds_check, power_gap_inequality_check)
 from .exprs import (EvalError, ExpressionError, Expr, ParseError,
                     differentiate, evaluate, parse, substitute, to_string)
-from .grid import Field, Grid
-from .poisson import (ConvergenceError, PoissonSolution, hminus1_seminorm,
-                      poincare_ratio, solve_neumann_zero_mean)
-from .solver import (PositivityError, RunResult, SimConfig, SimState,
-                     Simulation, f_energy, mms_forcing, run)
+from .grid import Grid
+from .poisson import (PoissonSolution, hminus1_seminorm, poincare_ratio,
+                      solve_neumann_zero_mean)
+from .solver import (ConvergenceError, PositivityError, RunResult, SimConfig,
+                     SimState, Simulation, f_energy, mms_forcing, run)
 from .stability import (GronwallTrace, StabilityReport, SweepResult,
                         energy_identity_check, gronwall_trace,
                         perturbation_sweep, run_pair)
@@ -35,10 +35,10 @@ __all__ = [
     "mean_power_bounds_check", "power_gap_inequality_check",
     "EvalError", "ExpressionError", "Expr", "ParseError", "differentiate",
     "evaluate", "parse", "substitute", "to_string",
-    "Field", "Grid",
-    "ConvergenceError", "PoissonSolution", "hminus1_seminorm",
-    "poincare_ratio", "solve_neumann_zero_mean",
-    "PositivityError", "RunResult", "SimConfig", "SimState", "Simulation",
+    "Grid",
+    "PoissonSolution", "hminus1_seminorm", "poincare_ratio",
+    "solve_neumann_zero_mean",
+    "ConvergenceError", "PositivityError", "RunResult", "SimConfig", "SimState", "Simulation",
     "f_energy", "mms_forcing", "run",
     "GronwallTrace", "StabilityReport", "SweepResult",
     "energy_identity_check", "gronwall_trace", "perturbation_sweep",

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -37,8 +37,8 @@ from . import solver, stability
 from .coeffs import (CoefficientModel, build_preset,
                      check_finite_gamma_lipschitz)
 from .exprs import (Const, EvalError, ExpressionError, Expr, ParseError, mul,
-                    parse, variables)
-from .grid import Field, Grid
+                    parse, variable_problems, variables)
+from .grid import Grid
 from .poisson import poincare_ratio, solve_neumann_zero_mean
 from .solver import DIAGNOSTICS_COLUMNS, SimConfig
 
@@ -140,13 +140,22 @@ def _expr(block: Mapping, key: str, where: str, errors: list,
     except ParseError as err:
         errors.append(f"{where}.{key}: {err}")
         return None
-    if allowed_vars is not None:
-        extra = variables(e) - allowed_vars
-        if extra:
-            errors.append(f"{where}.{key} may only use "
-                          f"{sorted(allowed_vars)}; found {sorted(extra)}")
-            return None
-    return e
+    problems = [] if allowed_vars is None \
+        else variable_problems(f"{where}.{key}", e, allowed_vars)
+    errors.extend(problems)
+    return None if problems else e
+
+
+def _levels(block: Mapping, where: str, default: list, errors: list) -> list:
+    levels = block.get("levels", default)
+    if not (isinstance(levels, list) and len(levels) >= 2
+            and all(isinstance(n, int) and not isinstance(n, bool)
+                    and n >= 2 for n in levels)
+            and all(b > a for a, b in zip(levels, levels[1:]))):
+        errors.append(f"{where}.levels must be an increasing list of at "
+                      "least two cell counts")
+        return []
+    return list(levels)
 
 
 def _parse_grid(block, errors) -> Optional[Grid]:
@@ -208,35 +217,19 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
     _check_keys(block, ("alpha",) + _MODEL_EXPR_KEYS, "model", errors)
     alpha = _num(block, "alpha", "model", errors)
     here = len(errors)
-    uv = frozenset(("u", "v"))
-    v_only = frozenset(("v",))
-    p = _expr(block, "p", "model", errors, allowed_vars=v_only)
-    a12 = _expr(block, "a12", "model", errors, required=False, default="0",
-                allowed_vars=uv)
-    a22 = _expr(block, "a22", "model", errors, allowed_vars=uv)
-    if "q_lower" in block:
-        q_lower = _expr(block, "q_lower", "model", errors,
-                        allowed_vars=v_only)
-    elif a22 is not None and variables(a22) <= v_only:
-        q_lower = a22
-    else:
-        q_lower = None
-        errors.append("model.q_lower is required when a22 depends on u")
-    r1_linear = _expr(block, "r1_linear", "model", errors, required=False,
-                      default="0", allowed_vars=v_only)
-    r1_tilde = _expr(block, "r1_tilde", "model", errors, required=False,
-                     default="0", allowed_vars=uv)
-    r2_linear = _expr(block, "r2_linear", "model", errors, required=False,
-                      default="0", allowed_vars=v_only)
-    r2_tilde = _expr(block, "r2_tilde", "model", errors, required=False,
-                     default="0", allowed_vars=uv)
-    if alpha is None or len(errors) > here or None in (p, a22, q_lower):
+    parts = {}
+    for key in _MODEL_EXPR_KEYS:  # a22 comes before q_lower
+        if key != "q_lower" or key in block:
+            parts[key] = _expr(block, key, "model", errors,
+                               required=key in ("p", "a22"), default="0")
+        elif parts["a22"] is not None and "u" not in variables(parts["a22"]):
+            parts[key] = parts["a22"]
+        else:
+            errors.append("model.q_lower is required when a22 depends on u")
+    if alpha is None or len(errors) > here:
         return None
     try:
-        return CoefficientModel(alpha=alpha, p=p, a12=a12, a22=a22,
-                                q_lower=q_lower, r1_linear=r1_linear,
-                                r1_tilde=r1_tilde, r2_linear=r2_linear,
-                                r2_tilde=r2_tilde)
+        return CoefficientModel(alpha=alpha, **parts)
     except (ValueError, ExpressionError) as err:
         errors.append(f"model: {err}")
         return None
@@ -245,8 +238,11 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
 def load_config(path) -> RunConfig:
     """Read and fully validate a JSON run configuration.
 
-    Raises ConfigError carrying every detected problem; OSError for
-    unreadable files.
+    The loader owns the rules of the file itself: unknown and missing keys,
+    types and parsing.  A simulation command's config is then checked by
+    SimConfig.problems(), which owns every rule on it, whatever else
+    failed.  Raises ConfigError carrying every detected problem; OSError
+    for unreadable files.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -288,26 +284,20 @@ def load_config(path) -> RunConfig:
         _check_keys(t, ("dt", "t_end", "cadence"), "time", errors)
         cfg.dt = _num(t, "dt", "time", errors, default=0.0)
         cfg.t_end = _num(t, "t_end", "time", errors, default=0.0)
-        cadence = t.get("cadence", 1)
-        if isinstance(cadence, bool) or not isinstance(cadence, int) \
-                or cadence < 1:
-            errors.append("time.cadence must be an integer >= 1")
-        else:
-            cfg.cadence = cadence
+        cfg.cadence = t.get("cadence", 1)
 
-    spatial = frozenset(("x", "y")) if cfg.grid is not None \
-        and cfg.grid.dim == 2 else frozenset(("x",))
     ic = block("initial", command in ("stability", "sweep")
                or (command == "run" and "mms" not in raw))
     if ic is not None:
         _check_keys(ic, ("u", "v"), "initial", errors)
-        cfg.ic_u = _expr(ic, "u", "initial", errors, allowed_vars=spatial)
-        cfg.ic_v = _expr(ic, "v", "initial", errors, allowed_vars=spatial)
+        cfg.ic_u = _expr(ic, "u", "initial", errors)
+        cfg.ic_v = _expr(ic, "v", "initial", errors)
 
     st = block("stability", command in ("stability", "sweep"))
     if st is not None:
         _check_keys(st, ("du", "dv", "amplitude", "amplitudes"),
                     "stability", errors)
+        spatial = None if cfg.grid is None else cfg.grid.coordinates
         cfg.du = _expr(st, "du", "stability", errors, required=False,
                        default="0", allowed_vars=spatial)
         cfg.dv = _expr(st, "dv", "stability", errors, required=False,
@@ -325,28 +315,15 @@ def load_config(path) -> RunConfig:
                               "list of numbers for sweep")
             else:
                 cfg.amplitudes = [float(a) for a in amps]
-                if any(b >= a for a, b in zip(cfg.amplitudes,
-                                              cfg.amplitudes[1:])):
-                    errors.append("stability.amplitudes must be strictly "
-                                  "decreasing")
-                if any(a < 0.0 for a in cfg.amplitudes):
-                    errors.append("stability.amplitudes must be nonnegative")
+                errors.extend(f"stability.{problem}" for problem
+                              in stability.amplitude_problems(cfg.amplitudes))
 
     mm = block("mms", command == "mms")
     if mm is not None:
         _check_keys(mm, ("u", "v", "levels"), "mms", errors)
-        st_vars = spatial | frozenset(("t",))
-        cfg.mms_u = _expr(mm, "u", "mms", errors, allowed_vars=st_vars)
-        cfg.mms_v = _expr(mm, "v", "mms", errors, allowed_vars=st_vars)
-        levels = mm.get("levels", [32, 64, 128])
-        if not (isinstance(levels, list) and len(levels) >= 2
-                and all(isinstance(n, int) and not isinstance(n, bool)
-                        and n >= 2 for n in levels)
-                and all(b > a for a, b in zip(levels, levels[1:]))):
-            errors.append("mms.levels must be an increasing list of at "
-                          "least two cell counts")
-        else:
-            cfg.mms_levels = list(levels)
+        cfg.mms_u = _expr(mm, "u", "mms", errors)
+        cfg.mms_v = _expr(mm, "v", "mms", errors)
+        cfg.mms_levels = _levels(mm, "mms", [32, 64, 128], errors)
 
     cc = block("coeffcheck", command == "check-coeffs")
     if cc is not None:
@@ -381,33 +358,16 @@ def load_config(path) -> RunConfig:
     po = block("poisson", False)
     if po is not None:
         _check_keys(po, ("levels",), "poisson", errors)
-        levels = po.get("levels", [64, 128, 256])
-        if not (isinstance(levels, list) and len(levels) >= 2
-                and all(isinstance(n, int) and not isinstance(n, bool)
-                        and n >= 2 for n in levels)
-                and all(b > a for a, b in zip(levels, levels[1:]))):
-            errors.append("poisson.levels must be an increasing list of at "
-                          "least two cell counts")
-        else:
-            cfg.poisson_levels = list(levels)
+        cfg.poisson_levels = _levels(po, "poisson", [64, 128, 256], errors)
     elif command == "poisson-test":
         cfg.poisson_levels = [64, 128, 256]
 
     so = block("solver", False)
     if so is not None:
         _check_keys(so, ("tol", "max_iter"), "solver", errors)
-        tol = _num(so, "tol", "solver", errors, required=False, default=None)
-        if tol is not None:
-            if not 0.0 < tol < 1.0:
-                errors.append("solver.tol must lie in (0, 1)")
-            else:
-                cfg.lin_tol = tol
-        if "max_iter" in so:
-            mi = so["max_iter"]
-            if isinstance(mi, bool) or not isinstance(mi, int) or mi < 1:
-                errors.append("solver.max_iter must be an integer >= 1")
-            else:
-                cfg.lin_max_iter = mi
+        cfg.lin_tol = _num(so, "tol", "solver", errors, required=False,
+                           default=cfg.lin_tol)
+        cfg.lin_max_iter = so.get("max_iter")
 
     fe = block("fenergy", False)
     if fe is not None:
@@ -432,20 +392,21 @@ def load_config(path) -> RunConfig:
             else:
                 cfg.formats = tuple(f for f in FORMATS if f in formats)
 
-    # deep validation: a schema-valid sim config must also satisfy the
-    # solver's own invariants so dispatch never fails for config reasons
-    if not errors and needs_sim:
-        try:
-            cfg.to_sim_config().validate()
-        except ValueError as err:
-            errors.append(str(err))
-    if not errors and command in ("stability", "sweep"):
-        eps = cfg.amplitudes[0] if command == "sweep" else cfg.amplitude
-        try:
-            pert = replace_initial(cfg, eps)
-            pert.validate()
-        except ValueError as err:
-            errors.append(f"perturbed data: {err}")
+    # deep validation: a sim config must also satisfy the solver's own
+    # rules, so dispatch never fails for config reasons; the perturbed
+    # trajectory's data must satisfy the data rules
+    if needs_sim:
+        sim = cfg.to_sim_config()
+        errors.extend(sim.problems())
+        if not errors and command in ("stability", "sweep"):
+            eps = cfg.amplitudes[0] if command == "sweep" else cfg.amplitude
+            try:
+                u0, v0 = replace_initial(cfg, eps).initial_fields()
+            except EvalError as err:
+                errors.append(f"perturbed data: {err}")
+            else:
+                errors.extend(f"perturbed data: {problem}" for problem
+                              in sim.data_problems(u0, v0))
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -513,8 +474,7 @@ def _cmd_run(cfg: RunConfig, out: Path) -> None:
         coords = _coordinate_cells(cfg.grid)
         for k, state in enumerate(result.states):
             _write_csv(out / f"snapshot_{k:04d}.csv", names + ("u", "v"),
-                       _snapshot_rows(coords, state.u.values,
-                                      state.v.values))
+                       _snapshot_rows(coords, state.u, state.v))
     if "json" in cfg.formats:
         last = result.diagnostics[-1]
         _write_json(out / "summary.json", {
@@ -595,17 +555,15 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> None:
         shape = (n,) * cfg.grid.dim
         grid = Grid(shape, cfg.grid.lengths)
         scale = (base_n / n) ** 2
-        sim = SimConfig(grid=grid, model=cfg.model, dt=cfg.dt * scale,
-                        t_end=cfg.t_end, output_every=10 ** 9,
-                        lin_tol=cfg.lin_tol, lin_max_iter=cfg.lin_max_iter,
-                        mms_u=cfg.mms_u, mms_v=cfg.mms_v)
+        sim = replace(cfg.to_sim_config(), grid=grid, dt=cfg.dt * scale,
+                      output_every=10 ** 9)
         result = solver.run(sim, record_states=True, validate=False)
         final = result.states[-1]
-        exact_u = Field.from_expr(grid, cfg.mms_u, final.t).values
-        exact_v = Field.from_expr(grid, cfg.mms_v, final.t).values
+        exact_u = grid.cell_values(cfg.mms_u, final.t)
+        exact_v = grid.cell_values(cfg.mms_v, final.t)
         vol = grid.cell_volume
-        err_u = math.sqrt(float(np.sum((final.u.values - exact_u) ** 2)) * vol)
-        err_v = math.sqrt(float(np.sum((final.v.values - exact_v) ** 2)) * vol)
+        err_u = math.sqrt(float(np.sum((final.u - exact_u) ** 2)) * vol)
+        err_v = math.sqrt(float(np.sum((final.v - exact_v) ** 2)) * vol)
         levels.append((n, max(grid.spacing), sim.dt, err_u, err_v))
 
     rows = []
@@ -661,9 +619,9 @@ def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
         grid = Grid((n,), (length,))
         x = grid.axis_centers(0)
         w = np.cos(math.pi * x / length)
-        sol = solve_neumann_zero_mean(grid, Field(grid, w))
+        sol = solve_neumann_zero_mean(grid, w)
         exact = w / (math.pi / length) ** 2
-        err = float(np.max(np.abs(sol.psi.values - exact)))
+        err = float(np.max(np.abs(sol.psi - exact)))
         levels.append((n, err, sol.iterations))
     orders = [math.log(ep / e) / math.log(2.0)
               for (_, ep, _), (_, e, _) in zip(levels, levels[1:])]
@@ -776,9 +734,6 @@ def dispatch(cfg: RunConfig) -> int:
     except EvalError as err:
         _emit_error(2, "numeric", str(err))
         return 2
-    except ConfigError as err:
-        _emit_error(1, "config", str(err), err.errors)
-        return 1
     except (ExpressionError, ValueError) as err:
         _emit_error(1, "config", str(err))
         return 1

@@ -33,16 +33,11 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import exprs
-from .exprs import Const, Expr, Var, evaluate, mul, neg, pow_
+from .exprs import (Const, Expr, Var, evaluate, mul, neg, pow_,
+                    variable_problems)
 
-_STATE_VARS = frozenset(("u", "v"))
-
-
-def _require_vars(name: str, e: Expr, allowed: frozenset) -> None:
-    extra = exprs.variables(e) - allowed
-    if extra:
-        raise ValueError(
-            f"{name} may only use {sorted(allowed)}; found {sorted(extra)}")
+_V_ONLY = ("p", "q_lower", "r1_linear", "r2_linear")
+_STATE = ("a12", "a22", "r1_tilde", "r2_tilde")
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,14 @@ class CoefficientModel:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be finite and nonnegative")
-        for name in ("p", "q_lower", "r1_linear", "r2_linear"):
-            _require_vars(name, getattr(self, name), frozenset(("v",)))
-        for name in ("a12", "a22", "r1_tilde", "r2_tilde"):
-            _require_vars(name, getattr(self, name), _STATE_VARS)
+        problems = [
+            problem for names, allowed in ((_V_ONLY, frozenset("v")),
+                                           (_STATE, frozenset("uv")))
+            for name in names
+            for problem in variable_problems(name, getattr(self, name),
+                                             allowed)]
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def gamma(self) -> float:
@@ -115,9 +114,10 @@ class CoefficientModel:
         q = np.asarray(evaluate(self.q_lower, {"v": vs}))
         if np.any(q <= 0.0):
             problems.append(f"q_lower(v) is not positive on (0, {v_max}]")
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        a22 = np.broadcast_to(self.a22_values(uu, vv), uu.shape)
-        # q_lower depends on v alone, so its floor on vs serves every u row
+        # samples on the open grid (us rows, vs columns), never materialised
+        # as two full coordinate arrays; q_lower depends on v alone, so its
+        # floor on vs serves every u row
+        a22 = self.a22_values(us[:, None], vs[None, :])
         floor = q - 1e-12 * (1.0 + np.abs(q))
         if np.any(a22 < floor):
             problems.append("A22(u,v) drops below q_lower(v) on the sample box")
@@ -305,7 +305,9 @@ def check_finite_gamma_lipschitz(f: Expr, gamma: float, a1: float, a2: float,
         raise ValueError("the box must have positive side lengths")
     if budget < 1000:
         raise ValueError("budget below 1000 samples is meaningless")
-    _require_vars("f", f, frozenset(("y", "u", "v")))
+    problems = variable_problems("f", f, frozenset("yuv"))
+    if problems:
+        raise ValueError(problems[0])
 
     def values(y, z):
         try:

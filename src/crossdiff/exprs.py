@@ -591,3 +591,11 @@ def variables(e: Expr) -> frozenset:
     if isinstance(e, Unary):
         return variables(e.arg)
     return variables(e.lhs) | variables(e.rhs)
+
+
+def variable_problems(name: str, e: Expr, allowed: frozenset) -> list:
+    """[a message] when e uses a variable outside `allowed`, else []."""
+    extra = variables(e) - allowed
+    if not extra:
+        return []
+    return [f"{name} may only use {sorted(allowed)}; found {sorted(extra)}"]

@@ -1,11 +1,12 @@
 """Uniform cell-centered grids on 1D/2D boxes and their no-flux calculus.
 
-Cells are uniform boxes; degrees of freedom live at cell centers, fluxes on
-faces.  Gradients are two-point differences on interior faces and zero on
-boundary faces, which encodes homogeneous Neumann data.  divergence and
-face_gradient are exact negative adjoints of each other (summation by
+Cells are uniform boxes; degrees of freedom live at cell centers, one
+double per cell in a plain array of the grid shape, and fluxes on faces.
+Gradients are two-point differences on interior faces and zero on boundary
+faces, which encodes homogeneous Neumann data.  divergence_arrays and
+gradient_arrays are exact negative adjoints of each other (summation by
 parts), so the discrete operators conserve mass and the Neumann Laplacian
-divergence(face_gradient(.)) is symmetric with kernel = constants.
+divergence_arrays(gradient_arrays(.)) is symmetric with kernel = constants.
 
 Face data is a tuple with one array per axis; the array for axis i has
 shape[i] + 1 entries along that axis.  Integrals use midpoint quadrature,
@@ -78,41 +79,20 @@ class Grid:
         computed once per grid and read-only."""
         return self._centers
 
-    def coordinate_bindings(self, t: float = 0.0) -> dict:
-        return {"t": t, **dict(zip(("x", "y"), self.centers()))}
+    @property
+    def coordinates(self) -> frozenset:
+        """The names of the spatial coordinates: x, and y in 2D."""
+        return frozenset("xy"[:self.dim])
 
-
-@dataclass
-class Field:
-    """One double per cell, row-major, same shape as its grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {values.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.values = values
-
-    @classmethod
-    def from_expr(cls, grid: Grid, e: exprs.Expr, t: float = 0.0) -> "Field":
-        vals = exprs.evaluate(e, grid.coordinate_bindings(t))
-        return cls(grid, np.broadcast_to(vals, grid.shape).copy())
-
-    @classmethod
-    def full(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
+    def cell_values(self, e: exprs.Expr, t: float = 0.0) -> np.ndarray:
+        """e evaluated at the cell centres at time t, as a read-only array
+        of the grid shape (a constant e is broadcast, not copied)."""
+        values = exprs.evaluate(e, {"t": t, **dict(zip("xy", self.centers()))})
+        return np.broadcast_to(np.asarray(values, dtype=float), self.shape)
 
 
 # ---------------------------------------------------------------------------
-# array kernels (hot paths work on raw arrays; the Field API wraps them)
+# array kernels
 #
 # The kernels index from the last axis, so an array of shape grid.shape and a
 # batch of shape (B, *grid.shape) both work: the leading member axis passes
@@ -197,39 +177,3 @@ def grad_sq_sum(grid: Grid, a: np.ndarray) -> float:
     for g in gradient_arrays(grid, a):
         total += float(np.sum(g * g)) * vol
     return total
-
-
-# ---------------------------------------------------------------------------
-# Field API
-
-def face_gradient(f: Field) -> FaceData:
-    """Two-point gradient on interior faces; boundary faces are zero."""
-    return gradient_arrays(f.grid, f.values)
-
-
-def divergence(grid: Grid, fluxes: FaceData) -> Field:
-    """Discrete divergence of face fluxes; integrates to zero when boundary
-    fluxes vanish (no-flux conservation)."""
-    return Field(grid, divergence_arrays(grid, fluxes))
-
-
-def laplacian(f: Field) -> Field:
-    return divergence(f.grid, face_gradient(f))
-
-
-def integral(f: Field) -> float:
-    return float(np.sum(f.values)) * f.grid.cell_volume
-
-
-def mean(f: Field) -> float:
-    return float(np.mean(f.values))
-
-
-def l2_norm(f: Field) -> float:
-    return math.sqrt(float(np.sum(f.values * f.values)) * f.grid.cell_volume)
-
-
-def grad_l2_norm(f: Field) -> float:
-    """Discrete H^1 seminorm; by summation by parts its square equals
-    <-laplacian(f), f> exactly."""
-    return math.sqrt(grad_sq_sum(f.grid, f.values))

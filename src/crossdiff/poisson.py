@@ -15,9 +15,9 @@ the Laplacian.
 
 hminus1_seminorm returns ||grad psi||_L2, the discrete H^-1 seminorm of w;
 by summation by parts it equals sqrt(<w - mean(w), psi>), and both routes
-are computed and cross-checked.  poincare_ratio estimates the best constant
-K with ||f||^2 <= K ||grad f||^2 over mean-zero fields via inverse power
-iteration, i.e. 1/lambda_1 of the Neumann Laplacian.
+are computed and cross-checked.  poincare_ratio is the best constant K with
+||f||^2 <= K ||grad f||^2 over mean-zero fields, 1/lambda_1 for the
+smallest nonzero eigenvalue lambda_1 of the same spectrum.
 """
 
 from __future__ import annotations
@@ -28,25 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, divergence_arrays, grad_sq_sum, gradient_arrays
+from .grid import Grid, divergence_arrays, grad_sq_sum, gradient_arrays
 
 EPS = float(np.finfo(float).eps)
 
 
-class ConvergenceError(RuntimeError):
-    """An iteration ran out of steps; carries the best iterate seen."""
-
-    def __init__(self, message: str, best: np.ndarray, residual_norm: float,
-                 iterations: int):
-        super().__init__(message)
-        self.best = best
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-
-
 @dataclass
 class PoissonSolution:
-    psi: Field
+    psi: np.ndarray
     residual_norm: float  # true ||w - mean(w) + lap(psi)|| / ||w - mean(w)||
     iterations: int       # always 0: the solve is direct
 
@@ -94,7 +83,7 @@ def _idct(c: np.ndarray, axis: int, twiddle: np.ndarray) -> np.ndarray:
     return np.moveaxis(y[:len(c)], 0, axis)
 
 
-def solve_neumann_zero_mean(grid: Grid, w: Field) -> PoissonSolution:
+def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
     """Solve -lap(psi) = w - mean(w), no-flux, integral(psi) = 0, directly.
 
     The compatible right-hand side makes the singular Neumann problem
@@ -104,10 +93,10 @@ def solve_neumann_zero_mean(grid: Grid, w: Field) -> PoissonSolution:
     relative residual of the returned psi, from one application of the
     5-point operator.
     """
-    b = w.values - np.mean(w.values)
+    b = w - np.mean(w)
     norm_b = float(np.linalg.norm(b.ravel()))
-    if norm_b <= 1e-13 * np.linalg.norm(w.values.ravel()):
-        return PoissonSolution(Field(grid, np.zeros(grid.shape)), 0.0, 0)
+    if norm_b <= 1e-13 * np.linalg.norm(w.ravel()):
+        return PoissonSolution(np.zeros(grid.shape), 0.0, 0)
     lam, twiddles = _spectrum(grid)
     coeffs = b
     for axis, twiddle in enumerate(twiddles):
@@ -118,10 +107,10 @@ def solve_neumann_zero_mean(grid: Grid, w: Field) -> PoissonSolution:
     psi -= psi.mean()
     residual = b + divergence_arrays(grid, gradient_arrays(grid, psi))
     rel = float(np.linalg.norm(residual.ravel())) / norm_b
-    return PoissonSolution(Field(grid, psi), rel, 0)
+    return PoissonSolution(psi, rel, 0)
 
 
-def hminus1_seminorm(grid: Grid, w: Field) -> float:
+def hminus1_seminorm(grid: Grid, w: np.ndarray) -> float:
     """Discrete H^-1 seminorm of w: ||grad psi|| for the zero-mean solve.
 
     Cross-checks the gradient route G = ||grad psi||^2 against the duality
@@ -134,9 +123,9 @@ def hminus1_seminorm(grid: Grid, w: Field) -> float:
     at most eps cond(-lap) G.  Forming G and P rounds each by at most
     (5 + log2 N) eps times G and ||b|| ||psi||.
     """
-    psi = solve_neumann_zero_mean(grid, w).psi.values
+    psi = solve_neumann_zero_mean(grid, w).psi
     grad_sq = grad_sq_sum(grid, psi)
-    b = w.values - np.mean(w.values)
+    b = w - np.mean(w)
     vol = grid.cell_volume
     duality_sq = float(np.sum(b * psi)) * vol
     norm_b = math.sqrt(float(np.sum(b * b)) * vol)
@@ -151,25 +140,7 @@ def hminus1_seminorm(grid: Grid, w: Field) -> float:
     return math.sqrt(grad_sq)
 
 
-def poincare_ratio(grid: Grid, tol: float = 1e-6,
-                   max_sweeps: int = 200) -> float:
-    """Best discrete constant in ||f||^2 <= K ||grad f||^2, mean-zero f.
-
-    Inverse power iteration on the Neumann Laplacian: each sweep solves a
-    zero-mean Poisson problem, and the Rayleigh quotient <A^-1 z, z>/<z, z>
-    converges to 1/lambda_1.  Deterministic seeded start.
-    """
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal(grid.shape)
-    z -= z.mean()
-    z /= np.linalg.norm(z.ravel())
-    estimate = 0.0
-    for _ in range(max_sweeps):
-        psi = solve_neumann_zero_mean(grid, Field(grid, z)).psi.values
-        new_estimate = float(np.vdot(psi, z))
-        z = psi / np.linalg.norm(psi.ravel())
-        if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:
-            return new_estimate
-        estimate = new_estimate
-    raise ConvergenceError("power iteration on the inverse Laplacian did not "
-                           "settle", z, float("nan"), max_sweeps)
+def poincare_ratio(grid: Grid) -> float:
+    """Best discrete constant K in ||f||^2 <= K ||grad f||^2 over mean-zero
+    f: 1/lambda_1 for the smallest nonzero eigenvalue of -lap."""
+    return 1.0 / float(np.min(_spectrum(grid)[0]))

@@ -47,11 +47,21 @@ import numpy as np
 from . import exprs
 from .coeffs import CoefficientModel
 from .exprs import Const, Expr, differentiate, evaluate, mul, substitute
-from .grid import (FACE_SLICES, Field, Grid, divergence_arrays,
-                   face_average_arrays, gradient_arrays, member_sums)
-from .poisson import ConvergenceError
+from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
+                   gradient_arrays, member_sums)
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
+
+
+class ConvergenceError(RuntimeError):
+    """A step solve failed; carries the best iterate seen."""
+
+    def __init__(self, message: str, best: np.ndarray, residual_norm: float,
+                 iterations: int):
+        super().__init__(message)
+        self.best = best
+        self.residual_norm = residual_norm
+        self.iterations = iterations
 
 
 class PositivityError(RuntimeError):
@@ -66,8 +76,8 @@ class PositivityError(RuntimeError):
 @dataclass
 class SimState:
     t: float
-    u: Field
-    v: Field
+    u: np.ndarray  # cell values, grid shape
+    v: np.ndarray
 
 
 @dataclass
@@ -90,9 +100,15 @@ DIAGNOSTICS_COLUMNS = ("t", "mass_u", "mass_v", "min_u", "max_u", "min_v",
                        "clipped_mass")
 
 
+def _is_count(n) -> bool:
+    """An integer >= 1; True is not an integer here."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass
 class SimConfig:
-    """Everything one run needs; validate() reports all problems at once."""
+    """Everything one run needs, and the owner of every rule on it:
+    problems() lists all that are broken, validate() raises on them."""
 
     grid: Grid
     model: CoefficientModel
@@ -108,7 +124,14 @@ class SimConfig:
     f_energy_gamma: Optional[float] = None
     f_energy_ks: Optional[float] = None
 
-    def validate(self) -> None:
+    def problems(self) -> list:
+        """Every broken rule of this config, one message each.
+
+        A config built from a file whose grid or model failed to parse
+        carries None there; the checks that need it are skipped and every
+        other rule is still checked.  When nothing is wrong, warns if dt
+        exceeds the explicit cross-diffusion guideline.
+        """
         problems = []
         if not (isinstance(self.dt, float) and self.dt > 0.0
                 and math.isfinite(self.dt)):
@@ -116,74 +139,86 @@ class SimConfig:
         if not (isinstance(self.t_end, float) and math.isfinite(self.t_end)
                 and self.t_end >= (self.dt if self.dt > 0 else 0.0)):
             problems.append("time.t_end must be finite and at least dt")
-        if not (isinstance(self.output_every, int) and self.output_every >= 1):
+        if not _is_count(self.output_every):
             problems.append("time.cadence must be an integer >= 1")
         if not (0.0 < self.lin_tol < 1.0):
             problems.append("solver.tol must lie in (0, 1)")
-        if self.lin_max_iter is not None and self.lin_max_iter < 1:
-            problems.append("solver.max_iter must be >= 1 when given")
+        if self.lin_max_iter is not None and not _is_count(self.lin_max_iter):
+            problems.append("solver.max_iter must be an integer >= 1")
         if (self.f_energy_gamma is None) != (self.f_energy_ks is None):
             problems.append("fenergy needs both gamma and ks")
         if self.f_energy_gamma is not None and not self.f_energy_gamma > 0.0:
             problems.append("fenergy.gamma must be positive")
-
-        spatial = frozenset(("x", "y")) if self.grid.dim == 2 \
-            else frozenset(("x",))
-        if self.mms_u is not None or self.mms_v is not None:
-            if self.mms_u is None or self.mms_v is None:
-                problems.append("mms needs both u and v expressions")
-        for name, e, allowed in (("initial.u", self.ic_u, spatial),
-                                 ("initial.v", self.ic_v, spatial),
-                                 ("mms.u", self.mms_u, spatial | {"t"}),
-                                 ("mms.v", self.mms_v, spatial | {"t"})):
-            if e is None:
-                continue
-            extra = exprs.variables(e) - allowed
-            if extra:
-                problems.append(
-                    f"{name} may only use {sorted(allowed)}; found {sorted(extra)}")
-        if self.mms_u is None and (self.ic_u is None or self.ic_v is None):
+        incomplete = True
+        if (self.mms_u is None) != (self.mms_v is None):
+            problems.append("mms needs both u and v expressions")
+        elif self.mms_u is None and (self.ic_u is None or self.ic_v is None):
             problems.append("initial data (or a manufactured pair) is required")
-
-        try:
-            self.model.check_positivity()
-        except ValueError as err:
-            problems.append(f"model: {err}")
-
-        if not problems:
-            # sampled sign conditions on the actual cells this run will use
+        else:
+            incomplete = False
+        if self.model is not None:
             try:
-                u0, v0 = self.initial_fields()
-            except (exprs.EvalError, ValueError) as err:
-                problems.append(f"initial data: {err}")
-            else:
-                if np.any(u0.values < 0.0):
-                    problems.append("initial u must be nonnegative")
-                elif not np.any(u0.values > 0.0):
-                    problems.append("initial u must not vanish identically")
-                if np.any(v0.values <= 0.0):
-                    problems.append("initial v must be positive")
-                if self.mms_u is not None and not problems:
-                    for frac in (0.25, 0.5, 0.75, 1.0):
-                        tt = frac * self.t_end
-                        us = Field.from_expr(self.grid, self.mms_u, tt).values
-                        vs = Field.from_expr(self.grid, self.mms_v, tt).values
-                        if np.any(us <= 0.0) or np.any(vs <= 0.0):
-                            problems.append("manufactured solutions must stay "
-                                            "positive on [0, t_end]")
-                            break
+                self.model.check_positivity()
+            except ValueError as err:
+                problems.append(f"model: {err}")
+        if self.grid is None:
+            return problems
+
+        spatial = self.grid.coordinates
+        wrong_variables = [
+            problem for name, e, allowed in (
+                ("initial.u", self.ic_u, spatial),
+                ("initial.v", self.ic_v, spatial),
+                ("mms.u", self.mms_u, spatial | {"t"}),
+                ("mms.v", self.mms_v, spatial | {"t"})) if e is not None
+            for problem in exprs.variable_problems(name, e, allowed)]
+        problems += wrong_variables
+        if incomplete or wrong_variables:
+            return problems
+        # sampled sign conditions on the actual cells this run will use
+        try:
+            u0, v0 = self.initial_fields()
+            problems += self.data_problems(u0, v0)
+            if self.mms_u is not None and not problems and any(
+                    np.any(self.grid.cell_values(e, frac * self.t_end) <= 0.0)
+                    for frac in (0.25, 0.5, 0.75, 1.0)
+                    for e in (self.mms_u, self.mms_v)):
+                problems.append("manufactured solutions must stay positive "
+                                "on [0, t_end]")
+        except exprs.EvalError as err:
+            return problems + [f"initial data: {err}"]
+        if not problems and self.model is not None:
+            self.warn_if_dt_large(u0, v0)
+        return problems
+
+    def validate(self) -> None:
+        """Raise ValueError listing every problem; see problems()."""
+        problems = self.problems()
         if problems:
             raise ValueError("invalid configuration: " + "; ".join(problems))
-        self._warn_if_dt_large(u0.values, v0.values)
 
-    def initial_fields(self):
-        if self.mms_u is not None:
-            return (Field.from_expr(self.grid, self.mms_u, 0.0),
-                    Field.from_expr(self.grid, self.mms_v, 0.0))
-        return (Field.from_expr(self.grid, self.ic_u, 0.0),
-                Field.from_expr(self.grid, self.ic_v, 0.0))
+    @staticmethod
+    def data_problems(u0: np.ndarray, v0: np.ndarray) -> list:
+        """The rules on one member's initial cell values."""
+        if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(v0))):
+            return ["field values must be finite"]
+        problems = []
+        if np.any(u0 < 0.0):
+            problems.append("initial u must be nonnegative")
+        elif not np.any(u0 > 0.0):
+            problems.append("initial u must not vanish identically")
+        if np.any(v0 <= 0.0):
+            problems.append("initial v must be positive")
+        return problems
 
-    def _warn_if_dt_large(self, u0: np.ndarray, v0: np.ndarray) -> None:
+    def initial_fields(self) -> tuple:
+        """(u0, v0) on the cells, read-only: the initial data, or the
+        manufactured pair at t = 0."""
+        pair = (self.ic_u, self.ic_v) if self.mms_u is None \
+            else (self.mms_u, self.mms_v)
+        return tuple(self.grid.cell_values(e) for e in pair)
+
+    def warn_if_dt_large(self, u0: np.ndarray, v0: np.ndarray) -> None:
         """Advisory explicit-term bound dt <= h^2 / max |A12 grad v| at t=0."""
         a12 = np.broadcast_to(self.model.a12_values(u0, v0), self.grid.shape)
         worst = 0.0
@@ -212,10 +247,14 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     triggers the check and is refreshed from the true one if roundoff made
     them drift apart.  Returns (x, iterations, ||r|| / min_i ||b_i||), a
     bound on every member's relative residual.  A zero right-hand side
-    returns zeros immediately with zero iterations.  apply_a may return the
-    same array on every call: its result is consumed before the next call.
+    returns zeros immediately with zero iterations, and a non-finite one
+    raises ConvergenceError at once.  apply_a may return the same array on
+    every call: its result is consumed before the next call.
     """
     norm_b = math.sqrt(float(np.vdot(b, b)))  # bitwise np.linalg.norm(b)
+    if not math.isfinite(norm_b):
+        raise ConvergenceError("CG right-hand side is not finite", x0,
+                               math.nan, 0)
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     if len(b) > 1:
@@ -243,7 +282,7 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                 x, math.sqrt(rs) / norm_b, iterations)
         ap = apply_a(p)
         p_ap = float(np.vdot(p, ap))
-        if p_ap <= 0.0:
+        if not p_ap > 0.0:
             raise ConvergenceError(
                 "CG broke down: operator is not positive definite on the "
                 "search space", x, math.sqrt(rs) / norm_b, iterations)
@@ -328,8 +367,7 @@ class Simulation:
         self.grid = cfg.grid
         self.model = cfg.model
         if members is None:
-            u0, v0 = cfg.initial_fields()
-            members = [(u0.values, v0.values)]
+            members = [cfg.initial_fields()]
         self.u = np.array([u for u, _ in members], dtype=float)
         self.v = np.array([v for _, v in members], dtype=float)
         if self.u.shape[1:] != self.grid.shape \
@@ -340,6 +378,7 @@ class Simulation:
         # shape of one value per member, broadcast against the cells
         self._per_cell = (count,) + (1,) * self.grid.dim
         self.t = 0.0
+        self.steps = 0
         self.clipped_total = [0.0] * count
         self.cum_grad_u_sq = [0.0] * count
         self.reaction_mass_total = [0.0] * count  # sum_k dt integral(R1+S1)
@@ -348,26 +387,26 @@ class Simulation:
                 cfg.mms_u, cfg.mms_v, cfg.model)
         else:
             self.forcing_u = self.forcing_v = None
-        if cfg.lin_max_iter is not None:
-            self._max_iter = cfg.lin_max_iter
-        else:
-            self._max_iter = max(200, 10 * self.grid.cell_count)
+        self._max_iter = cfg.lin_max_iter or max(200, 10 * self.grid.cell_count)
 
     def state(self, i: int = 0) -> SimState:
-        return SimState(self.t, Field(self.grid, self.u[i].copy()),
-                        Field(self.grid, self.v[i].copy()))
-
-    def _forcing(self, e: Expr, t: float) -> np.ndarray:
-        b = self.grid.coordinate_bindings(t)
-        return _cells(evaluate(e, b), self.grid.shape)
+        return SimState(self.t, self.u[i].copy(), self.v[i].copy())
 
     def step(self, dt: float, t_next: Optional[float] = None) -> None:
-        """Advance every member by dt.  A PositivityError carries the
-        indices of the failing members in .members."""
+        """Advance every member by dt.  A failure's message starts with the
+        step number and its time; a PositivityError carries the indices of
+        the failing members in .members."""
         if t_next is None:
             t_next = self.t + dt
-        v_new = self._step_v(dt, t_next)
-        self._step_u(dt, t_next, v_new)
+        try:
+            v_new = self._step_v(dt, t_next)
+            self._step_u(dt, t_next, v_new)
+        except (RuntimeError, ValueError) as err:  # solves, positivity, domains
+            if err.args and isinstance(err.args[0], str):
+                err.args = (f"step {self.steps + 1} (t = {t_next:g}): "
+                            f"{err.args[0]}",) + err.args[1:]
+            raise
+        self.steps += 1
         # per member, the same sums in the same order as grad_sq_sum
         vol = self.grid.cell_volume
         grad_sq = [0.0] * len(self.u)
@@ -379,6 +418,16 @@ class Simulation:
         self.v = v_new
         self.t = t_next
 
+    def _solve(self, name: str, apply_a: Callable, rhs: np.ndarray,
+               x0: np.ndarray) -> np.ndarray:
+        """The step CG; a failure names the solve."""
+        try:
+            return conjugate_gradient(apply_a, rhs, x0, self.cfg.lin_tol,
+                                      self._max_iter)[0]
+        except ConvergenceError as err:
+            err.args = (f"{name} solve: {err.args[0]}",) + err.args[1:]
+            raise
+
     def _step_v(self, dt: float, t_next: float) -> np.ndarray:
         g, m = self.grid, self.model
         u, v = self.u, self.v
@@ -389,12 +438,10 @@ class Simulation:
         explicit = u * np.maximum(q2, 0.0) \
             + _cells(evaluate(m.r2_tilde, {"u": u, "v": v}), u.shape)
         if self.forcing_v is not None:
-            explicit = explicit + self._forcing(self.forcing_v, t_next)
+            explicit = explicit + g.cell_values(self.forcing_v, t_next)
         rhs = v + dt * explicit
 
-        v_new, _, _ = conjugate_gradient(step_operator(g, mob, dt, c_abs),
-                                         rhs, v, self.cfg.lin_tol,
-                                         self._max_iter)
+        v_new = self._solve("v", step_operator(g, mob, dt, c_abs), rhs, v)
         # analytic mass balance: sum v' = sum rhs - dt sum(C v'); restore it
         cells = g.cell_count
         shift = [(r - dt * c - s) / cells for r, c, s in zip(
@@ -404,7 +451,7 @@ class Simulation:
         if bad.any():
             failing = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
             raise PositivityError(
-                f"positivity lost in the v step at t = {t_next:g}; reduce dt",
+                "positivity lost in the v step; reduce dt",
                 tuple(failing.tolist()))
         return v_new
 
@@ -428,11 +475,10 @@ class Simulation:
         reaction = u * _cells(m.q1_values(v_new), u.shape) \
             + _cells(evaluate(m.r1_tilde, {"u": u, "v": v_new}), u.shape)
         if self.forcing_u is not None:
-            reaction = reaction + self._forcing(self.forcing_u, t_next)
+            reaction = reaction + g.cell_values(self.forcing_u, t_next)
         rhs = u + dt * (divergence_arrays(g, cross) + reaction)
 
-        u_new, _, _ = conjugate_gradient(step_operator(g, mob, dt), rhs, u,
-                                         self.cfg.lin_tol, self._max_iter)
+        u_new = self._solve("u", step_operator(g, mob, dt), rhs, u)
         # flux divergences carry no net mass; reactions and forcing do
         reaction_mass = [dt * s * vol for s in member_sums(reaction)]
         cells = g.cell_count
@@ -444,7 +490,7 @@ class Simulation:
                 if c > CLIP_BUDGET * max(mp, 1e-300)]
         if over:
             raise PositivityError(
-                f"positivity budget exceeded at t = {t_next:g}: clipped "
+                "positivity budget exceeded: clipped "
                 f"{max(clipped[i] for i in over):.3e} > {CLIP_BUDGET:g} * "
                 "mass; reduce dt", tuple(over))
         np.clip(u_new, 0.0, None, out=u_new)
@@ -461,7 +507,7 @@ class Simulation:
         max_grad_v = max(float(np.max(np.abs(gf)))
                          for gf in gradient_arrays(g, v))
         if self.cfg.f_energy_gamma is not None:
-            fe = f_energy(self.state(i), self.cfg.f_energy_gamma,
+            fe = f_energy(g, u, v, self.cfg.f_energy_gamma,
                           self.cfg.f_energy_ks)
         else:
             fe = float("nan")
@@ -510,13 +556,7 @@ def run(cfg: SimConfig, record_states: bool = True,
     times = time_grid(cfg.dt, cfg.t_end)
     t_prev = 0.0
     for k, t_next in enumerate(times):
-        try:
-            sim.step(t_next - t_prev, t_next)
-        except Exception as err:
-            if err.args and isinstance(err.args[0], str):
-                err.args = (f"step {k + 1} (t = {t_next:g}): "
-                            f"{err.args[0]}",) + err.args[1:]
-            raise
+        sim.step(t_next - t_prev, t_next)
         t_prev = t_next
         if (k + 1) % cfg.output_every == 0 or k + 1 == len(times):
             if record_states:
@@ -529,11 +569,10 @@ def run(cfg: SimConfig, record_states: bool = True,
 # ---------------------------------------------------------------------------
 # diagnostics and manufactured solutions
 
-def f_energy(s: SimState, gamma_param: float, ks: float) -> float:
+def f_energy(g: Grid, u: np.ndarray, v: np.ndarray, gamma_param: float,
+             ks: float) -> float:
     """integral( u ln u + gamma/4 |grad v|^4 / v^3 + ks^2/6 v^3 ), with the
     convention 0 ln 0 = 0 and face gradients averaged back to centers."""
-    g = s.u.grid
-    u, v = s.u.values, s.v.values
     with np.errstate(divide="ignore", invalid="ignore"):
         ulnu = np.where(u > 0.0, u * np.log(np.maximum(u, 1e-300)), 0.0)
     grad_sq = np.zeros(g.shape)

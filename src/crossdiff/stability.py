@@ -28,14 +28,14 @@ relative to the perturbation size rather than the solution size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .coeffs import CoefficientModel, dissipation_density
 from .exprs import Const, Expr, evaluate, mul
-from .grid import Field, Grid, grad_sq_sum
+from .grid import Grid, grad_sq_sum
 from .poisson import solve_neumann_zero_mean
 from .solver import PositivityError, SimConfig, Simulation, time_grid
 
@@ -112,18 +112,21 @@ def _run_batch(cfg: SimConfig, others: Sequence[tuple],
     `others` as one batch; return one StabilityReport per other member,
     measured against the base at every cadence tick.
 
-    Each member's data is validated as its own config.  A PositivityError
-    is re-raised naming the failing members by their `labels`.
+    cfg is validated in full and each other member's data by the data
+    rules, with the same dt advisory.  A PositivityError is re-raised
+    naming the failing members by their `labels`.
     """
     cfg.validate()
-    members = [cfg.initial_fields()]
-    for ic_u, ic_v in others:
-        cfg_i = replace(cfg, ic_u=ic_u, ic_v=ic_v)
-        cfg_i.validate()
-        members.append(cfg_i.initial_fields())
-    sim = Simulation(cfg, validate=False,
-                     members=[(u.values, v.values) for u, v in members])
     grid = cfg.grid
+    members = [cfg.initial_fields()]
+    for (ic_u, ic_v), label in zip(others, labels[1:]):
+        u0, v0 = grid.cell_values(ic_u), grid.cell_values(ic_v)
+        problems = cfg.data_problems(u0, v0)
+        if problems:
+            raise ValueError(f"{label}: invalid data: " + "; ".join(problems))
+        cfg.warn_if_dt_large(u0, v0)
+        members.append((u0, v0))
+    sim = Simulation(cfg, validate=False, members=members)
     vol = grid.cell_volume
     alpha = cfg.model.alpha
     dense = cfg.output_every == 1
@@ -140,9 +143,9 @@ def _run_batch(cfg: SimConfig, others: Sequence[tuple],
         for j, rec in enumerate(series, start=1):
             du = u[0] - u[j]
             dv = v[0] - v[j]
-            sol = solve_neumann_zero_mean(grid, Field(grid, du))
+            sol = solve_neumann_zero_mean(grid, du)
             mass_sq = (float(np.sum(du)) * vol) ** 2
-            hm1_sq = grad_sq_sum(grid, sol.psi.values)
+            hm1_sq = grad_sq_sum(grid, sol.psi)
             v_sq = float(np.sum(dv * dv)) * vol
             rec["comp_mass"].append(mass_sq)
             rec["comp_hm1"].append(hm1_sq)
@@ -152,7 +155,7 @@ def _run_batch(cfg: SimConfig, others: Sequence[tuple],
                 dissipation_density(u[0], u[j], alpha))) * vol)
             if dense:
                 rec["delta_u"].append(du)
-                rec["psi"].append(sol.psi.values)
+                rec["psi"].append(sol.psi)
         flat = v.reshape(len(v), -1)
         np.minimum(v_min, flat.min(axis=1), out=v_min)
         np.maximum(v_max, flat.max(axis=1), out=v_max)
@@ -222,8 +225,7 @@ def energy_identity_check(grid: Grid, delta_us: Sequence[np.ndarray]):
         raise ValueError("energy identity needs du at every step boundary; "
                          "rerun with dense cadence (output cadence 1)")
     delta_us = [np.asarray(du, dtype=float) for du in delta_us]
-    psis = [solve_neumann_zero_mean(grid, Field(grid, du)).psi.values
-            for du in delta_us]
+    psis = [solve_neumann_zero_mean(grid, du).psi for du in delta_us]
     return _identity_residual(grid, delta_us, psis)
 
 
@@ -304,6 +306,20 @@ class SweepResult:
     bounded: bool    # spread <= RATIO_SPREAD_BOUND
 
 
+def amplitude_problems(amplitudes: Sequence[float]) -> list:
+    """The rules on a sweep's amplitudes, one message per broken rule:
+    a nonempty list of finite, nonnegative, strictly decreasing numbers."""
+    amps = [float(a) for a in amplitudes]
+    problems = []
+    if not amps:
+        problems.append("amplitudes must be a nonempty decreasing list")
+    if not all(math.isfinite(a) and a >= 0.0 for a in amps):
+        problems.append("amplitudes must be finite and nonnegative")
+    if any(b >= a for a, b in zip(amps, amps[1:])):
+        problems.append("amplitudes must be strictly decreasing")
+    return problems
+
+
 def perturbation_sweep(cfg: SimConfig, du_expr: Expr, dv_expr: Expr,
                        amplitudes: Sequence[float]) -> SweepResult:
     """For each amplitude eps compare ic + eps * direction with ic and
@@ -319,27 +335,20 @@ def perturbation_sweep(cfg: SimConfig, du_expr: Expr, dv_expr: Expr,
     if cfg.ic_u is None or cfg.ic_v is None:
         raise ValueError("the sweep perturbs explicit initial data; "
                          "manufactured-solution configs are not sweepable")
+    problems = amplitude_problems(amplitudes)
+    if problems:
+        raise ValueError("; ".join(problems))
     amps = [float(a) for a in amplitudes]
-    if not amps:
-        raise ValueError("amplitudes must be a nonempty decreasing list")
-    for a in amps:
-        if not (math.isfinite(a) and a >= 0.0):
-            raise ValueError("amplitudes must be finite and nonnegative")
-    if any(b >= a for a, b in zip(amps, amps[1:])):
-        raise ValueError("amplitudes must be strictly decreasing")
     others = [(cfg.ic_u + mul(Const(eps), du_expr),
                cfg.ic_v + mul(Const(eps), dv_expr)) for eps in amps]
     labels = ["base trajectory"] + [f"amplitude {eps:g}" for eps in amps]
     reports = _run_batch(cfg, others, labels)
     grid = cfg.grid
     vol = grid.cell_volume
-    b = grid.coordinate_bindings(0.0)
     rows = []
     for eps, report in zip(amps, reports):
-        du0 = np.broadcast_to(np.asarray(
-            evaluate(mul(Const(eps), du_expr), b), dtype=float), grid.shape)
-        dv0 = np.broadcast_to(np.asarray(
-            evaluate(mul(Const(eps), dv_expr), b), dtype=float), grid.shape)
+        du0 = grid.cell_values(mul(Const(eps), du_expr))
+        dv0 = grid.cell_values(mul(Const(eps), dv_expr))
         q0 = float(np.sum(du0 * du0) + np.sum(dv0 * dv0)) * vol
         rows.append(SweepRow(
             amplitude=eps, q0=q0, e0=report.e0, sup_e=report.sup_e,

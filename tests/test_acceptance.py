@@ -16,7 +16,7 @@ from crossdiff.coeffs import (CoefficientModel, check_finite_gamma_lipschitz,
                               mean_power_bounds_check,
                               power_gap_inequality_check)
 from crossdiff.exprs import parse
-from crossdiff.grid import Field, Grid
+from crossdiff.grid import Grid
 from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
 from crossdiff.stability import energy_identity_check, run_pair
 
@@ -65,8 +65,8 @@ def test_criterion_01_poisson_dense_oracle_and_eigenmode_convergence():
         rng = np.random.default_rng(grid.cell_count)
         w = rng.standard_normal(grid.shape)
         expected = dense_pinned_solve(grid, w)
-        sol = solve_neumann_zero_mean(grid, Field(grid, w))
-        worst = max(worst, float(np.max(np.abs(sol.psi.values - expected))))
+        sol = solve_neumann_zero_mean(grid, w)
+        worst = max(worst, float(np.max(np.abs(sol.psi - expected))))
     assert worst <= 1e-10
 
     errors = {}
@@ -74,8 +74,8 @@ def test_criterion_01_poisson_dense_oracle_and_eigenmode_convergence():
         g = Grid((n,), (1.0,))
         x = g.axis_centers(0)
         w = np.cos(math.pi * x)
-        sol = solve_neumann_zero_mean(g, Field(g, w))
-        errors[n] = float(np.max(np.abs(sol.psi.values - w / math.pi ** 2)))
+        sol = solve_neumann_zero_mean(g, w)
+        errors[n] = float(np.max(np.abs(sol.psi - w / math.pi ** 2)))
         assert sol.iterations <= 5
     orders = [math.log(errors[64] / errors[128], 2.0),
               math.log(errors[128] / errors[256], 2.0)]

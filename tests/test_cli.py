@@ -8,6 +8,7 @@ import pytest
 
 from crossdiff import solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
+from crossdiff.coeffs import CoefficientModel
 from crossdiff.exprs import evaluate
 
 
@@ -109,6 +110,17 @@ def test_schema_errors_are_collected_not_first_only(tmp_path):
     assert "initial.u" in text
     assert len(err.value.errors) >= 4
 
+    # the simulation rules still run when the grid fails to parse
+    payload = heat_run_config(tmp_path)
+    payload["grid"]["dim"] = 3
+    payload["time"]["cadence"] = 0
+    payload["solver"] = {"tol": 2}
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert err.value.errors == ["grid.dim must be 1 or 2",
+                                "time.cadence must be an integer >= 1",
+                                "solver.tol must lie in (0, 1)"]
+
 
 def test_json_syntax_error_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
@@ -123,6 +135,25 @@ def test_deep_validation_reaches_solver_invariants(tmp_path):
     payload["initial"]["u"] = "cos(pi*x)"   # negative half-interval
     with pytest.raises(ConfigError, match="nonnegative"):
         load_config(write_config(tmp_path, payload))
+
+
+def test_deep_validation_reports_each_problem_once(tmp_path, capsys):
+    payload = heat_run_config(tmp_path)
+    payload["initial"]["u"] = "exp(1000*(x+1))"  # overflows to inf
+    payload["time"]["cadence"] = True             # not an integer
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert err["message"].count("invalid configuration") == 1
+    assert err["details"] == ["time.cadence must be an integer >= 1",
+                              "field values must be finite"]
+
+
+def test_non_finite_initial_data_are_rejected_at_load(tmp_path):
+    payload = heat_run_config(tmp_path)
+    payload["initial"]["v"] = "1 + exp(800*x)"
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert err.value.errors == ["field values must be finite"]
 
 
 def test_deep_validation_covers_perturbed_trajectory(tmp_path):
@@ -216,8 +247,8 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
             encoding="utf-8").splitlines()[1:]
         cells = np.array([[float(c) for c in line.split(",")]
                           for line in lines])
-        expected = np.stack(coords + [state.u.values.ravel(),
-                                      state.v.values.ravel()], axis=1)
+        expected = np.stack(coords + [state.u.ravel(), state.v.ravel()],
+                            axis=1)
         assert np.array_equal(cells, expected)
 
 
@@ -436,6 +467,70 @@ def test_runtime_positivity_failure_exits_2(tmp_path, capsys):
     err = stderr_payload(capsys)
     assert err["kind"] == "numeric"
     assert "step 1" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_finite_step_data_exit_2(tmp_path, capsys, command):
+    # R~2 overflows at u = 1: the v solve must refuse at once
+    payload = {
+        "command": command,
+        "grid": {"dim": 1, "n": 16, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1",
+                  "r2_tilde": "exp(1000*u)"},
+        "time": {"dt": 1e-3, "t_end": 2e-3},
+        "initial": {"u": "1", "v": "1"},
+        "stability": {"du": "cos(pi*x)", "amplitudes": [1e-2, 1e-3]},
+        "output": {"directory": str(tmp_path / "inf")},
+    }
+    if command == "run":
+        del payload["stability"]
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    err = stderr_payload(capsys)
+    assert err["kind"] == "numeric"
+    assert "step 1 (t = 0.001): v solve:" in err["message"]
+    assert "not finite" in err["message"]
+
+
+def test_sweep_step_failure_names_step_time_and_solve(tmp_path, capsys):
+    payload = {
+        "command": "sweep",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"alpha": 1.0, "p": "v", "a22": "1"},
+        "time": {"dt": 1e-3, "t_end": 2e-3},
+        "initial": {"u": "1 + 0.5*cos(pi*x) + 0.2*cos(3*pi*x)",
+                    "v": "1 + 0.3*cos(2*pi*x)"},
+        "stability": {"du": "cos(pi*x)", "amplitudes": [1e-2, 1e-3]},
+        "solver": {"max_iter": 1, "tol": 1e-12},
+        "output": {"directory": str(tmp_path / "ctx")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    err = stderr_payload(capsys)
+    assert err["kind"] == "numeric"
+    assert err["message"].startswith("step 1 (t = 0.001): u solve: CG did "
+                                     "not reach tol 1e-12 in 1 iterations")
+
+
+def test_sweep_checks_model_positivity_once_at_load_and_once_to_run(
+        tmp_path, monkeypatch):
+    calls = []
+    original = CoefficientModel.check_positivity
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(CoefficientModel, "check_positivity", counted)
+    payload = {
+        "command": "sweep",
+        "grid": {"dim": 1, "n": 16, "L": 1.0},
+        "model": {"preset": "case2", "chi": 0.25, "l": 0.5},
+        "time": {"dt": 1e-3, "t_end": 2e-3},
+        "initial": {"u": "1 + 0.5*cos(pi*x)", "v": "1 + 0.1*cos(pi*x)"},
+        "stability": {"du": "cos(pi*x)", "dv": "cos(2*pi*x)",
+                      "amplitudes": [1e-2, 5e-3, 2.5e-3]},
+        "output": {"directory": str(tmp_path / "count")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    assert len(calls) == 2
 
 
 def test_output_root_env_prefixes_relative_directories(tmp_path, monkeypatch):

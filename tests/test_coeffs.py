@@ -114,6 +114,29 @@ def test_check_positivity_flags_bad_lower_bound():
         m.check_positivity()
 
 
+def test_check_positivity_samples_u_and_v_on_their_own_axes():
+    # with q_lower = v, A22 = v + c u stays above the floor exactly when
+    # c >= 0; sampling u along the v axis would miss the sign
+    def model(a22):
+        return CoefficientModel(alpha=0.0, p=Const(1.0), a12=Const(0.0),
+                                a22=parse(a22), q_lower=parse("v"),
+                                r1_linear=Const(0.0), r1_tilde=Const(0.0),
+                                r2_linear=Const(0.0), r2_tilde=Const(0.0))
+    model("v + 0.001*u").check_positivity()
+    with pytest.raises(ValueError, match="A22"):
+        model("v - 0.001*u").check_positivity()
+
+
+def test_coefficient_model_reports_every_misplaced_variable():
+    with pytest.raises(ValueError) as err:
+        CoefficientModel(alpha=0.0, p=parse("u"), a12=Const(0.0),
+                         a22=parse("1 + x"), q_lower=Const(1.0),
+                         r1_linear=Const(0.0), r1_tilde=Const(0.0),
+                         r2_linear=Const(0.0), r2_tilde=Const(0.0))
+    assert str(err.value) == ("p may only use ['v']; found ['u']; "
+                              "a22 may only use ['u', 'v']; found ['x']")
+
+
 # ---------------------------------------------------------------------------
 # dissipation density and the two power inequalities
 

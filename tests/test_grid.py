@@ -1,4 +1,4 @@
-"""Mesh, fields, and the discrete gradient/divergence calculus."""
+"""Mesh, cell values, and the discrete gradient/divergence calculus."""
 
 import math
 
@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from crossdiff.exprs import parse
-from crossdiff.grid import (Field, Grid, divergence, divergence_arrays,
-                            face_average_arrays, face_gradient,
-                            grad_l2_norm, grad_sq_sum, gradient_arrays,
-                            integral, l2_norm, laplacian, mean, member_sums)
+from crossdiff.grid import (Grid, divergence_arrays, face_average_arrays,
+                            grad_sq_sum, gradient_arrays, member_sums)
+from crossdiff.coeffs import build_preset
+from crossdiff.solver import SimConfig, Simulation
+
+
+def laplacian(grid, a):
+    return divergence_arrays(grid, gradient_arrays(grid, a))
+
+
+def integral(grid, a):
+    return float(np.sum(a)) * grid.cell_volume
 
 # ---------------------------------------------------------------------------
 # grid geometry
@@ -48,19 +56,28 @@ def test_grid_rejects_bad_shapes():
 
 def test_field_from_expression_and_validation():
     g = Grid((16,), (1.0,))
-    f = Field.from_expr(g, parse("cos(pi*x)"))
-    assert f.values.shape == (16,)
-    assert f.values[0] == pytest.approx(math.cos(math.pi * 0.03125))
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(7))
-    with pytest.raises(ValueError):
-        Field(g, np.full(16, math.nan))
+    f = g.cell_values(parse("cos(pi*x)"))
+    assert f.shape == (16,)
+    assert f[0] == pytest.approx(math.cos(math.pi * 0.03125))
+    assert g.cell_values(parse("x*t"), 2.0)[0] == 2.0 * 0.03125
+    ones = np.ones(16)
+    cfg = SimConfig(grid=g, model=build_preset(1, {"chi": 1.0}), dt=1.0,
+                    t_end=1.0)
+    with pytest.raises(ValueError, match="grid shape"):
+        Simulation(cfg, validate=False, members=[(np.zeros(7), np.ones(7))])
+    assert SimConfig.data_problems(ones, ones) == []
+    for bad in (np.full(16, math.nan), np.full(16, math.inf)):
+        assert SimConfig.data_problems(bad, ones) \
+            == ["field values must be finite"]
+        assert SimConfig.data_problems(ones, bad) \
+            == ["field values must be finite"]
 
 
 def test_field_from_constant_expression_broadcasts():
     g = Grid((4, 5), (1.0, 1.0))
-    f = Field.from_expr(g, parse("2"))
-    assert np.array_equal(f.values, np.full((4, 5), 2.0))
+    f = g.cell_values(parse("2"))
+    assert np.array_equal(f, np.full((4, 5), 2.0))
+    assert not f.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +86,13 @@ def test_field_from_constant_expression_broadcasts():
 
 def test_gradient_of_constant_is_zero_everywhere():
     g = Grid((9,), (2.0,))
-    (gf,) = face_gradient(Field.full(g, 3.7))
+    (gf,) = gradient_arrays(g, np.full(g.shape, 3.7))
     assert np.array_equal(gf, np.zeros(10))
 
 
 def test_gradient_of_linear_data_is_exact():
     g = Grid((8,), (1.0,))
-    f = Field(g, g.axis_centers(0).copy())
-    (gf,) = face_gradient(f)
+    (gf,) = gradient_arrays(g, g.axis_centers(0))
     assert np.array_equal(gf[1:-1], np.ones(7))
     assert gf[0] == 0.0 and gf[-1] == 0.0  # no-flux encoding
 
@@ -105,8 +121,8 @@ def test_gradient_2d_linear_in_each_axis():
 
 def test_divergence_of_zero_flux():
     g = Grid((5,), (1.0,))
-    out = divergence(g, (np.zeros(6),))
-    assert np.array_equal(out.values, np.zeros(5))
+    out = divergence_arrays(g, (np.zeros(6),))
+    assert np.array_equal(out, np.zeros(5))
 
 
 def test_laplacian_matches_hand_stencil():
@@ -114,9 +130,8 @@ def test_laplacian_matches_hand_stencil():
     # stencil gives (0, 16, -32, 16)
     g = Grid((4,), (1.0,))
     for c in (0.0, 2.5):
-        f = Field(g, np.array([c, c, c + 1.0, c]))
-        lap = laplacian(f)
-        assert np.array_equal(lap.values, np.array([0.0, 16.0, -32.0, 16.0]))
+        lap = laplacian(g, np.array([c, c, c + 1.0, c]))
+        assert np.array_equal(lap, np.array([0.0, 16.0, -32.0, 16.0]))
 
 
 def test_divergence_integral_vanishes_for_interior_flux():
@@ -124,7 +139,7 @@ def test_divergence_integral_vanishes_for_interior_flux():
     g1 = Grid((17,), (1.5,))
     flux = np.zeros(18)
     flux[1:-1] = rng.standard_normal(16)
-    total = integral(divergence(g1, (flux,)))
+    total = integral(g1, divergence_arrays(g1, (flux,)))
     assert abs(total) <= 1e-14
 
     g2 = Grid((6, 9), (1.0, 2.0))
@@ -132,7 +147,7 @@ def test_divergence_integral_vanishes_for_interior_flux():
     fy = np.zeros((6, 10))
     fx[1:-1, :] = rng.standard_normal((5, 9))
     fy[:, 1:-1] = rng.standard_normal((6, 8))
-    total = integral(divergence(g2, (fx, fy)))
+    total = integral(g2, divergence_arrays(g2, (fx, fy)))
     assert abs(total) <= 1e-14
 
 
@@ -156,10 +171,10 @@ def test_summation_by_parts(grid):
                                   Grid((8, 5), (1.0, 3.0))])
 def test_laplacian_symmetry(grid):
     rng = np.random.default_rng(5)
-    f = Field(grid, rng.standard_normal(grid.shape))
-    h = Field(grid, rng.standard_normal(grid.shape))
-    lhs = float(np.sum(laplacian(f).values * h.values))
-    rhs = float(np.sum(f.values * laplacian(h).values))
+    f = rng.standard_normal(grid.shape)
+    h = rng.standard_normal(grid.shape)
+    lhs = float(np.sum(laplacian(grid, f) * h))
+    rhs = float(np.sum(f * laplacian(grid, h)))
     assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs))
 
 
@@ -169,41 +184,44 @@ def test_laplacian_symmetry(grid):
 
 def test_integral_of_constant_is_measure_times_value():
     g = Grid((6, 4), (2.0, 3.0))
-    assert integral(Field.full(g, 2.5)) == pytest.approx(2.5 * 6.0, rel=1e-15)
-    assert mean(Field.full(g, 2.5)) == pytest.approx(2.5, rel=1e-15)
+    f = np.full(g.shape, 2.5)
+    assert integral(g, f) == pytest.approx(2.5 * 6.0, rel=1e-15)
+    assert float(np.mean(f)) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_integral_of_cosine_mode_vanishes():
     g = Grid((256,), (1.0,))
-    f = Field.from_expr(g, parse("cos(pi*x)"))
-    assert abs(integral(f)) <= 1e-3  # midpoint rule; actually far smaller
+    f = g.cell_values(parse("cos(pi*x)"))
+    assert abs(integral(g, f)) <= 1e-3  # midpoint rule; actually far smaller
 
 
 def test_l2_norm_of_cosine_mode():
     g = Grid((256,), (1.0,))
-    f = Field.from_expr(g, parse("cos(pi*x)"))
-    assert l2_norm(f) == pytest.approx(math.sqrt(0.5), rel=1e-3)
+    f = g.cell_values(parse("cos(pi*x)"))
+    assert math.sqrt(integral(g, f * f)) == pytest.approx(math.sqrt(0.5),
+                                                          rel=1e-3)
 
 
 def test_grad_l2_norm_of_constant_is_zero():
     g = Grid((12,), (1.0,))
-    assert grad_l2_norm(Field.full(g, 4.2)) == 0.0
+    assert grad_sq_sum(g, np.full(g.shape, 4.2)) == 0.0
 
 
-def test_grad_l2_norm_matches_grad_sq_sum():
+def test_grad_sq_sum_equals_summation_by_parts():
+    # the discrete H^1 seminorm squared is <-lap a, a> by summation by parts
     g = Grid((9, 7), (1.0, 2.0))
     rng = np.random.default_rng(2)
     a = rng.standard_normal(g.shape)
-    assert grad_l2_norm(Field(g, a)) == pytest.approx(
-        math.sqrt(grad_sq_sum(g, a)), rel=1e-15)
+    assert grad_sq_sum(g, a) == pytest.approx(-integral(g, laplacian(g, a) * a),
+                                              rel=1e-13)
 
 
 def test_grad_l2_norm_of_cosine_mode():
     # |d/dx cos(pi x)|_L2 = pi/sqrt(2); face gradients are second order
     g = Grid((256,), (1.0,))
-    f = Field.from_expr(g, parse("cos(pi*x)"))
-    assert grad_l2_norm(f) == pytest.approx(math.pi / math.sqrt(2.0),
-                                            rel=1e-3)
+    f = g.cell_values(parse("cos(pi*x)"))
+    assert math.sqrt(grad_sq_sum(g, f)) == pytest.approx(
+        math.pi / math.sqrt(2.0), rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,31 @@ import pytest
 
 from crossdiff import poisson
 from crossdiff.exprs import parse
-from crossdiff.grid import Field, Grid, laplacian
+from crossdiff.grid import Grid, divergence_arrays, gradient_arrays
 from crossdiff.poisson import (hminus1_seminorm, poincare_ratio,
                                solve_neumann_zero_mean)
+
+
+def laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
+    return divergence_arrays(grid, gradient_arrays(grid, a))
+
+
+def dense_neg_laplacian(grid: Grid) -> np.ndarray:
+    """The negative Neumann Laplacian assembled column by column."""
+    n = grid.cell_count
+    a = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        a[:, j] = -laplacian(grid, e.reshape(grid.shape)).ravel()
+    return a
 
 
 def dense_pinned_solve(grid: Grid, w: np.ndarray) -> np.ndarray:
     """Oracle: direct solve of the KKT system [[A, 1], [1^T, 0]] where A is
     the dense negative Neumann Laplacian, forcing a zero-mean solution."""
     n = grid.cell_count
-    a = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        a[:, j] = -laplacian(Field(grid, e.reshape(grid.shape))).values.ravel()
+    a = dense_neg_laplacian(grid)
     kkt = np.zeros((n + 1, n + 1))
     kkt[:n, :n] = a
     kkt[:n, n] = 1.0
@@ -41,14 +52,14 @@ def test_cg_matches_dense_pinned_oracle(grid):
     rng = np.random.default_rng(grid.cell_count)
     w = rng.standard_normal(grid.shape)
     expected = dense_pinned_solve(grid, w)
-    sol = solve_neumann_zero_mean(grid, Field(grid, w))
-    assert float(np.max(np.abs(sol.psi.values - expected))) <= 1e-10
+    sol = solve_neumann_zero_mean(grid, w)
+    assert float(np.max(np.abs(sol.psi - expected))) <= 1e-10
 
 
 def test_constant_rhs_gives_zero_solution_without_iterations():
     g = Grid((24,), (1.0,))
-    sol = solve_neumann_zero_mean(g, Field.full(g, 5.0))
-    assert np.array_equal(sol.psi.values, np.zeros(24))
+    sol = solve_neumann_zero_mean(g, np.full(24, 5.0))
+    assert np.array_equal(sol.psi, np.zeros(24))
     assert sol.iterations == 0
     assert sol.residual_norm == 0.0
 
@@ -61,16 +72,16 @@ def test_constant_rhs_up_to_roundoff_takes_the_zero_path():
     x = g.axis_centers(0)
     w = (1.01 + 0.5 * np.cos(np.pi * x)) - (1.0 + 0.5 * np.cos(np.pi * x))
     assert np.ptp(w) != 0.0  # the noise is really there
-    sol = solve_neumann_zero_mean(g, Field(g, w))
-    assert np.array_equal(sol.psi.values, np.zeros(48))
+    sol = solve_neumann_zero_mean(g, w)
+    assert np.array_equal(sol.psi, np.zeros(48))
     assert sol.iterations == 0
 
 
 def test_solution_mean_is_zero():
     g = Grid((40,), (1.0,))
     rng = np.random.default_rng(1)
-    sol = solve_neumann_zero_mean(g, Field(g, rng.standard_normal(40)))
-    assert abs(float(np.mean(sol.psi.values))) <= 1e-12
+    sol = solve_neumann_zero_mean(g, rng.standard_normal(40))
+    assert abs(float(np.mean(sol.psi))) <= 1e-12
 
 
 def test_residual_contract_holds_on_return():
@@ -78,9 +89,9 @@ def test_residual_contract_holds_on_return():
     g = Grid((11, 13), (1.0, 1.0))
     rng = np.random.default_rng(9)
     w = rng.standard_normal(g.shape)
-    sol = solve_neumann_zero_mean(g, Field(g, w))
+    sol = solve_neumann_zero_mean(g, w)
     b = w - w.mean()
-    residual = b + laplacian(sol.psi).values
+    residual = b + laplacian(g, sol.psi)
     rel = float(np.linalg.norm(residual.ravel())
                 / np.linalg.norm(b.ravel()))
     assert sol.residual_norm == rel
@@ -90,10 +101,10 @@ def test_residual_contract_holds_on_return():
 
 def _eigen_error(n: int) -> tuple:
     g = Grid((n,), (1.0,))
-    w = Field.from_expr(g, parse("cos(pi*x)"))
+    w = g.cell_values(parse("cos(pi*x)"))
     sol = solve_neumann_zero_mean(g, w)
     exact = np.cos(math.pi * g.axis_centers(0)) / math.pi ** 2
-    return float(np.max(np.abs(sol.psi.values - exact))), sol.iterations
+    return float(np.max(np.abs(sol.psi - exact))), sol.iterations
 
 
 def test_eigenfunction_error_and_order():
@@ -114,13 +125,13 @@ def test_solve_is_deterministic_and_linear():
     g = Grid((64, 24), (1.0, 0.5))
     rng = np.random.default_rng(4)
     w1, w2 = rng.standard_normal((2,) + g.shape)
-    first = solve_neumann_zero_mean(g, Field(g, w1)).psi.values
-    again = solve_neumann_zero_mean(g, Field(g, w1.copy())).psi.values
+    first = solve_neumann_zero_mean(g, w1).psi
+    again = solve_neumann_zero_mean(g, w1.copy()).psi
     assert np.array_equal(first, again)
-    second = solve_neumann_zero_mean(g, Field(g, w2)).psi.values
-    mixed = solve_neumann_zero_mean(g, Field(g, 3.0 * w1 - 0.5 * w2))
+    second = solve_neumann_zero_mean(g, w2).psi
+    mixed = solve_neumann_zero_mean(g, 3.0 * w1 - 0.5 * w2)
     expected = 3.0 * first - 0.5 * second
-    assert np.allclose(mixed.psi.values, expected,
+    assert np.allclose(mixed.psi, expected,
                        atol=1e-12 * float(np.max(np.abs(expected))))
 
 
@@ -128,8 +139,8 @@ def test_solver_linearity():
     g = Grid((48,), (1.0,))
     rng = np.random.default_rng(6)
     w = rng.standard_normal(48)
-    one = solve_neumann_zero_mean(g, Field(g, w)).psi.values
-    two = solve_neumann_zero_mean(g, Field(g, 2.0 * w)).psi.values
+    one = solve_neumann_zero_mean(g, w).psi
+    two = solve_neumann_zero_mean(g, 2.0 * w).psi
     assert np.allclose(two, 2.0 * one, atol=1e-10)
 
 
@@ -145,12 +156,12 @@ def test_eigenfunction_order_up_to_n_4096():
 
 def test_seminorm_of_constant_is_zero():
     g = Grid((20,), (1.0,))
-    assert hminus1_seminorm(g, Field.full(g, 3.0)) == 0.0
+    assert hminus1_seminorm(g, np.full(20, 3.0)) == 0.0
 
 
 def test_seminorm_of_cosine_mode():
     g = Grid((256,), (1.0,))
-    w = Field.from_expr(g, parse("cos(pi*x)"))
+    w = g.cell_values(parse("cos(pi*x)"))
     # psi = cos(pi x)/pi^2, |grad psi| = |sin(pi x)/pi|_L2 = 1/(pi sqrt 2)
     assert hminus1_seminorm(g, w) == pytest.approx(
         1.0 / (math.pi * math.sqrt(2.0)), abs=1e-3)
@@ -160,8 +171,8 @@ def test_seminorm_is_homogeneous():
     g = Grid((40,), (1.0,))
     rng = np.random.default_rng(8)
     w = rng.standard_normal(40)
-    a = hminus1_seminorm(g, Field(g, w))
-    b = hminus1_seminorm(g, Field(g, 2.0 * w))
+    a = hminus1_seminorm(g, w)
+    b = hminus1_seminorm(g, 2.0 * w)
     assert b == pytest.approx(2.0 * a, rel=1e-10)
 
 
@@ -169,9 +180,9 @@ def test_seminorm_duality_identity():
     g = Grid((9, 6), (1.0, 1.0))
     rng = np.random.default_rng(10)
     w = rng.standard_normal(g.shape)
-    norm = hminus1_seminorm(g, Field(g, w))
-    sol = solve_neumann_zero_mean(g, Field(g, w))
-    duality = float(np.sum((w - w.mean()) * sol.psi.values)) * g.cell_volume
+    norm = hminus1_seminorm(g, w)
+    sol = solve_neumann_zero_mean(g, w)
+    duality = float(np.sum((w - w.mean()) * sol.psi)) * g.cell_volume
     assert norm ** 2 == pytest.approx(duality, rel=1e-9)
 
 
@@ -181,7 +192,7 @@ def test_seminorm_cross_check_passes_at_large_sizes(grid):
     rng = np.random.default_rng(11)
     x = grid.centers()[0]
     for w in (rng.standard_normal(grid.shape), np.cos(math.pi * x)):
-        norm = hminus1_seminorm(grid, Field(grid, w))
+        norm = hminus1_seminorm(grid, w)
         assert math.isfinite(norm) and norm > 0.0
 
 
@@ -191,11 +202,11 @@ def test_seminorm_cross_check_catches_an_inexact_solve(monkeypatch):
 
     def inexact(grid, w):
         sol = exact(grid, w)
-        sol.psi.values *= 1.0 + 1e-7
+        sol.psi *= 1.0 + 1e-7
         return sol
     monkeypatch.setattr(poisson, "solve_neumann_zero_mean", inexact)
     g = Grid((4096,), (1.0,))
-    w = Field.from_expr(g, parse("cos(pi*x)"))
+    w = g.cell_values(parse("cos(pi*x)"))
     with pytest.raises(RuntimeError, match="cross-check"):
         hminus1_seminorm(g, w)
 
@@ -227,3 +238,12 @@ def test_poincare_ratio_unit_square():
     k = poincare_ratio(g)
     # first nonzero Neumann eigenvalue of the unit square is pi^2
     assert k == pytest.approx(1.0 / math.pi ** 2, rel=0.02)
+
+
+def test_poincare_ratio_matches_dense_eigenvalues():
+    # an independent value: 1/lambda_1 from the assembled operator
+    g = Grid((6, 10), (1.0, 2.5))
+    eigenvalues = np.linalg.eigvalsh(dense_neg_laplacian(g))
+    assert abs(eigenvalues[0]) <= 1e-12 * eigenvalues[-1]  # the constants
+    assert poincare_ratio(g) == pytest.approx(1.0 / eigenvalues[1],
+                                              rel=1e-10, abs=0.0)

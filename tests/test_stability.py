@@ -266,7 +266,7 @@ def test_sweep_batch_matches_single_amplitude_sweeps():
 
 def test_identical_members_stay_bitwise_identical_at_odd_n():
     cfg = case2_config(n=33, cadence=4)
-    u0, v0 = (f.values for f in cfg.initial_fields())
+    u0, v0 = cfg.initial_fields()
     sim = Simulation(cfg, validate=False,
                      members=[(u0, v0), (1.01 * u0, v0), (u0, v0)])
     for _ in range(20):
