@@ -3,9 +3,19 @@
 The config file is the single source of truth for an experiment; the command
 line only picks the file and an output-directory override, so runs stay
 archivable and diffable.  Validation is total: every invalid field is
-reported, not just the first.  All outputs are written with fixed float
-formatting and sorted JSON keys, so identical configs reproduce
-byte-identical artifacts.
+reported, not just the first, and once, by the one owner of its rule:
+
+    load_config                  JSON syntax, which blocks a command reads,
+                                 unknown keys, expression parsing, building
+                                 the Grid and the model, output
+    SimConfig.problems           time, solver, fenergy, initial data or a
+                                 manufactured pair, the data's signs
+    stability.amplitude_problems the amplitudes of stability and sweep
+    stability.pairing_problems   stability and sweep take no manufactured pair
+    coeffs.lipschitz_problems    the coeffcheck block
+
+All outputs are written with fixed float formatting and sorted JSON keys,
+so identical configs reproduce byte-identical artifacts.
 
 Commands
     run           march one simulation; snapshots plus diagnostics CSV
@@ -35,8 +45,8 @@ import numpy as np
 
 from . import solver, stability
 from .coeffs import (CoefficientModel, build_preset,
-                     check_finite_gamma_lipschitz)
-from .exprs import (Const, EvalError, ExpressionError, Expr, ParseError, mul,
+                     check_finite_gamma_lipschitz, lipschitz_problems)
+from .exprs import (Const, EvalError, ExpressionError, Expr, ParseError,
                     parse, variable_problems, variables)
 from .grid import Grid
 from .poisson import poincare_ratio, solve_neumann_zero_mean
@@ -60,42 +70,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A loaded config: the simulation it describes (for poisson-test only
+    its grid) and the extras of its command."""
+
     command: str
-    grid: Optional[Grid] = None
-    model: Optional[CoefficientModel] = None
-    dt: float = 0.0
-    t_end: float = 0.0
-    cadence: int = 1
-    ic_u: Optional[Expr] = None
-    ic_v: Optional[Expr] = None
-    du: Optional[Expr] = None
+    sim: SimConfig
+    du: Optional[Expr] = None  # stability, sweep: the perturbation direction
     dv: Optional[Expr] = None
-    amplitude: float = 1.0
-    amplitudes: list = field(default_factory=list)
-    lin_tol: float = 1e-10
-    lin_max_iter: Optional[int] = None
-    mms_u: Optional[Expr] = None
-    mms_v: Optional[Expr] = None
-    mms_levels: list = field(default_factory=list)
-    coeff_f: Optional[Expr] = None
-    coeff_gamma: float = 1.0
-    coeff_a1: float = 1.0
-    coeff_a2: float = 1.0
-    coeff_budget: int = 20000
-    coeff_seed: int = 0
-    poisson_levels: list = field(default_factory=list)
-    fenergy_gamma: Optional[float] = None
-    fenergy_ks: Optional[float] = None
+    amplitudes: list = field(default_factory=list)  # one for stability
+    levels: list = field(default_factory=list)  # mms, poisson-test
+    # check-coeffs: keyword arguments of check_finite_gamma_lipschitz
+    coeffcheck: dict = field(default_factory=dict)
     out_dir: str = "out"
     formats: tuple = FORMATS
-
-    def to_sim_config(self) -> SimConfig:
-        return SimConfig(
-            grid=self.grid, model=self.model, dt=self.dt, t_end=self.t_end,
-            ic_u=self.ic_u, ic_v=self.ic_v, output_every=self.cadence,
-            lin_tol=self.lin_tol, lin_max_iter=self.lin_max_iter,
-            mms_u=self.mms_u, mms_v=self.mms_v,
-            f_energy_gamma=self.fenergy_gamma, f_energy_ks=self.fenergy_ks)
 
 
 # ---------------------------------------------------------------------------
@@ -107,43 +94,46 @@ def _check_keys(block: Mapping, allowed: Sequence[str], where: str,
         errors.append(f"{where}: unknown key '{key}'")
 
 
-def _num(block: Mapping, key: str, where: str, errors: list,
-         required: bool = True, default=None):
-    if key not in block:
-        if required:
-            errors.append(f"{where}.{key} is required")
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{where}.{key} must be a number")
-        return default
-    return float(value)
+def _real(value):
+    """A JSON number as a float; any other value, None included, as given,
+    for its owner to judge."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return value
+
+
+# stands in for an expression the loader rejected and reported, so that its
+# owner judges the rest of the config without reporting it missing; a
+# config holding it never loads
+_REJECTED = Const(1.0)
 
 
 def _expr(block: Mapping, key: str, where: str, errors: list,
-          required: bool = True, default: Optional[str] = None,
+          required: bool = False, default: Optional[str] = None,
           allowed_vars: Optional[frozenset] = None) -> Optional[Expr]:
-    if key not in block:
-        if required:
-            errors.append(f"{where}.{key} is required")
-            return None
+    """The expression at block[key] (or the default source); None when it
+    is absent, _REJECTED when it is reported broken."""
+    source = block.get(key)
+    if source is None and not required:
         if default is None:
             return None
         source = default
-    else:
-        source = block[key]
-    if not isinstance(source, str):
+    if source is None:
+        errors.append(f"{where}.{key} is required")
+    elif not isinstance(source, str):
         errors.append(f"{where}.{key} must be an expression string")
-        return None
-    try:
-        e = parse(source)
-    except ParseError as err:
-        errors.append(f"{where}.{key}: {err}")
-        return None
-    problems = [] if allowed_vars is None \
-        else variable_problems(f"{where}.{key}", e, allowed_vars)
-    errors.extend(problems)
-    return None if problems else e
+    else:
+        try:
+            e = parse(source)
+        except ParseError as err:
+            errors.append(f"{where}.{key}: {err}")
+        else:
+            problems = [] if allowed_vars is None \
+                else variable_problems(f"{where}.{key}", e, allowed_vars)
+            if not problems:
+                return e
+            errors.extend(problems)
+    return _REJECTED
 
 
 def _levels(block: Mapping, where: str, default: list, errors: list) -> list:
@@ -215,8 +205,10 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
             return None
 
     _check_keys(block, ("alpha",) + _MODEL_EXPR_KEYS, "model", errors)
-    alpha = _num(block, "alpha", "model", errors)
     here = len(errors)
+    alpha = _real(block.get("alpha"))
+    if not isinstance(alpha, float):
+        errors.append("model.alpha must be a number")
     parts = {}
     for key in _MODEL_EXPR_KEYS:  # a22 comes before q_lower
         if key != "q_lower" or key in block:
@@ -226,7 +218,7 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
             parts[key] = parts["a22"]
         else:
             errors.append("model.q_lower is required when a22 depends on u")
-    if alpha is None or len(errors) > here:
+    if len(errors) > here:
         return None
     try:
         return CoefficientModel(alpha=alpha, **parts)
@@ -238,11 +230,17 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
 def load_config(path) -> RunConfig:
     """Read and fully validate a JSON run configuration.
 
-    The loader owns the rules of the file itself: unknown and missing keys,
-    types and parsing.  A simulation command's config is then checked by
-    SimConfig.problems(), which owns every rule on it, whatever else
-    failed.  Raises ConfigError carrying every detected problem; OSError
-    for unreadable files.
+    The loader owns the rules of the file itself: JSON syntax, which blocks
+    a command reads, unknown keys, expression parsing, building the Grid
+    and the model, and the output block.  Every other value goes unchanged
+    (a JSON number as a float, an absent value as None) to its one owner,
+    which checks type as well as range: SimConfig.problems() the time,
+    solver and fenergy blocks and the initial data (or manufactured pair),
+    stability.amplitude_problems the amplitudes, stability.pairing_problems
+    a paired run's config, SimConfig.data_problems its largest perturbed
+    member, and coeffs.lipschitz_problems the coeffcheck block.  Raises
+    ConfigError carrying every detected problem; OSError for unreadable
+    files.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -259,9 +257,9 @@ def load_config(path) -> RunConfig:
     if command not in COMMANDS:
         errors.append(f"command must be one of {', '.join(COMMANDS)}")
         raise ConfigError(errors)
-    cfg = RunConfig(command=command)
 
-    def block(name: str, required: bool) -> Optional[Mapping]:
+    def block(name: str, required: bool = False,
+              keys: Optional[Sequence[str]] = None) -> Optional[Mapping]:
         b = raw.get(name)
         if b is None:
             if required:
@@ -270,114 +268,68 @@ def load_config(path) -> RunConfig:
         if not isinstance(b, dict):
             errors.append(f"'{name}' must be an object")
             return None
+        if keys is not None:  # grid and model check their own keys
+            _check_keys(b, keys, name, errors)
         return b
 
     needs_sim = command in ("run", "stability", "sweep", "mms")
+    paired = command in ("stability", "sweep")
     g = block("grid", needs_sim or command == "poisson-test")
-    if g is not None:
-        cfg.grid = _parse_grid(g, errors)
+    grid = None if g is None else _parse_grid(g, errors)
     m = block("model", needs_sim)
-    if m is not None:
-        cfg.model = _parse_model(m, errors)
-    t = block("time", needs_sim)
-    if t is not None:
-        _check_keys(t, ("dt", "t_end", "cadence"), "time", errors)
-        cfg.dt = _num(t, "dt", "time", errors, default=0.0)
-        cfg.t_end = _num(t, "t_end", "time", errors, default=0.0)
-        cfg.cadence = t.get("cadence", 1)
+    model = None if m is None else _parse_model(m, errors)
+    t = block("time", keys=("dt", "t_end", "cadence")) or {}
+    ic = block("initial", keys=("u", "v")) or {}
+    mm = block("mms", command == "mms", ("u", "v", "levels")) or {}
+    so = block("solver", keys=("tol", "max_iter")) or {}
+    fe = block("fenergy", keys=("gamma", "ks")) or {}
+    ic_u, ic_v = (_expr(ic, key, "initial", errors) for key in "uv")
+    if command == "mms":  # the study's data are its manufactured pair
+        ic_u = ic_v = None
+    sim = SimConfig(
+        grid=grid, model=model,
+        dt=_real(t.get("dt")), t_end=_real(t.get("t_end")),
+        ic_u=ic_u, ic_v=ic_v,
+        output_every=t.get("cadence", SimConfig.output_every),
+        lin_tol=_real(so.get("tol", SimConfig.lin_tol)),
+        lin_max_iter=so.get("max_iter"),
+        mms_u=_expr(mm, "u", "mms", errors),
+        mms_v=_expr(mm, "v", "mms", errors),
+        f_energy_gamma=_real(fe.get("gamma")),
+        f_energy_ks=_real(fe.get("ks")))
+    cfg = RunConfig(command=command, sim=sim)
 
-    ic = block("initial", command in ("stability", "sweep")
-               or (command == "run" and "mms" not in raw))
-    if ic is not None:
-        _check_keys(ic, ("u", "v"), "initial", errors)
-        cfg.ic_u = _expr(ic, "u", "initial", errors)
-        cfg.ic_v = _expr(ic, "v", "initial", errors)
-
-    st = block("stability", command in ("stability", "sweep"))
+    st = block("stability", paired, ("du", "dv", "amplitude", "amplitudes"))
     if st is not None:
-        _check_keys(st, ("du", "dv", "amplitude", "amplitudes"),
-                    "stability", errors)
-        spatial = None if cfg.grid is None else cfg.grid.coordinates
-        cfg.du = _expr(st, "du", "stability", errors, required=False,
-                       default="0", allowed_vars=spatial)
-        cfg.dv = _expr(st, "dv", "stability", errors, required=False,
-                       default="0", allowed_vars=spatial)
-        amp = _num(st, "amplitude", "stability", errors, required=False,
-                   default=1.0)
-        if amp is not None:
-            cfg.amplitude = amp
-        amps = st.get("amplitudes")
-        if command == "sweep":
-            if not (isinstance(amps, list) and amps
-                    and all(isinstance(a, (int, float))
-                            and not isinstance(a, bool) for a in amps)):
-                errors.append("stability.amplitudes must be a nonempty "
-                              "list of numbers for sweep")
-            else:
-                cfg.amplitudes = [float(a) for a in amps]
-                errors.extend(f"stability.{problem}" for problem
-                              in stability.amplitude_problems(cfg.amplitudes))
+        spatial = None if grid is None else grid.coordinates
+        cfg.du, cfg.dv = (_expr(st, key, "stability", errors, default="0",
+                                allowed_vars=spatial) for key in ("du", "dv"))
+        amps = st.get("amplitudes") if command == "sweep" \
+            else [st.get("amplitude", 1.0)]
+        cfg.amplitudes = [_real(a) for a in amps] \
+            if isinstance(amps, list) else amps
+        errors.extend(f"stability: {problem}" for problem
+                      in stability.amplitude_problems(cfg.amplitudes))
 
-    mm = block("mms", command == "mms")
-    if mm is not None:
-        _check_keys(mm, ("u", "v", "levels"), "mms", errors)
-        cfg.mms_u = _expr(mm, "u", "mms", errors)
-        cfg.mms_v = _expr(mm, "v", "mms", errors)
-        cfg.mms_levels = _levels(mm, "mms", [32, 64, 128], errors)
-
-    cc = block("coeffcheck", command == "check-coeffs")
+    cc = block("coeffcheck", command == "check-coeffs",
+               ("f", "gamma", "a1", "a2", "budget", "seed"))
     if cc is not None:
-        _check_keys(cc, ("f", "gamma", "a1", "a2", "budget", "seed"),
-                    "coeffcheck", errors)
-        cfg.coeff_f = _expr(cc, "f", "coeffcheck", errors,
-                            allowed_vars=frozenset(("y", "u", "v")))
-        gamma = _num(cc, "gamma", "coeffcheck", errors)
-        if gamma is not None:
-            if gamma <= 0.0:
-                errors.append("coeffcheck.gamma must be positive")
-            cfg.coeff_gamma = gamma
-        for name in ("a1", "a2"):
-            val = _num(cc, name, "coeffcheck", errors, required=False,
-                       default=1.0)
-            if val is not None:
-                if val <= 0.0:
-                    errors.append(f"coeffcheck.{name} must be positive")
-                setattr(cfg, f"coeff_{name}", val)
-        budget = cc.get("budget", 20000)
-        if isinstance(budget, bool) or not isinstance(budget, int) \
-                or budget < 1000:
-            errors.append("coeffcheck.budget must be an integer >= 1000")
-        else:
-            cfg.coeff_budget = budget
-        seed = cc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            errors.append("coeffcheck.seed must be an integer")
-        else:
-            cfg.coeff_seed = seed
+        cfg.coeffcheck = {"f": _expr(cc, "f", "coeffcheck", errors),
+                          "gamma": _real(cc.get("gamma"))}
+        cfg.coeffcheck.update((key, _real(cc[key]))
+                              for key in ("a1", "a2") if key in cc)
+        cfg.coeffcheck.update((key, cc[key])
+                              for key in ("budget", "seed") if key in cc)
+        errors.extend(f"coeffcheck: {problem}" for problem
+                      in lipschitz_problems(**cfg.coeffcheck))
 
-    po = block("poisson", False)
-    if po is not None:
-        _check_keys(po, ("levels",), "poisson", errors)
-        cfg.poisson_levels = _levels(po, "poisson", [64, 128, 256], errors)
-    elif command == "poisson-test":
-        cfg.poisson_levels = [64, 128, 256]
+    po = block("poisson", keys=("levels",)) or {}
+    levels = {"mms": _levels(mm, "mms", [32, 64, 128], errors),
+              "poisson-test": _levels(po, "poisson", [64, 128, 256], errors)}
+    cfg.levels = levels.get(command, [])
 
-    so = block("solver", False)
-    if so is not None:
-        _check_keys(so, ("tol", "max_iter"), "solver", errors)
-        cfg.lin_tol = _num(so, "tol", "solver", errors, required=False,
-                           default=cfg.lin_tol)
-        cfg.lin_max_iter = so.get("max_iter")
-
-    fe = block("fenergy", False)
-    if fe is not None:
-        _check_keys(fe, ("gamma", "ks"), "fenergy", errors)
-        cfg.fenergy_gamma = _num(fe, "gamma", "fenergy", errors)
-        cfg.fenergy_ks = _num(fe, "ks", "fenergy", errors)
-
-    out = block("output", False)
+    out = block("output", keys=("directory", "formats"))
     if out is not None:
-        _check_keys(out, ("directory", "formats"), "output", errors)
         directory = out.get("directory", "out")
         if not isinstance(directory, str) or not directory:
             errors.append("output.directory must be a nonempty string")
@@ -392,16 +344,16 @@ def load_config(path) -> RunConfig:
             else:
                 cfg.formats = tuple(f for f in FORMATS if f in formats)
 
-    # deep validation: a sim config must also satisfy the solver's own
-    # rules, so dispatch never fails for config reasons; the perturbed
-    # trajectory's data must satisfy the data rules
     if needs_sim:
-        sim = cfg.to_sim_config()
         errors.extend(sim.problems())
-        if not errors and command in ("stability", "sweep"):
-            eps = cfg.amplitudes[0] if command == "sweep" else cfg.amplitude
+    if paired:
+        errors.extend(stability.pairing_problems(sim))
+        # the largest perturbation's data; the run checks every member
+        if not errors:
+            member = stability.perturbed(sim, cfg.du, cfg.dv,
+                                         cfg.amplitudes[0])
             try:
-                u0, v0 = replace_initial(cfg, eps).initial_fields()
+                u0, v0 = (grid.cell_values(e) for e in member)
             except EvalError as err:
                 errors.append(f"perturbed data: {err}")
             else:
@@ -410,15 +362,6 @@ def load_config(path) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def replace_initial(cfg: RunConfig, eps: float) -> SimConfig:
-    """Sim config for the second trajectory: initial data plus eps times
-    the perturbation direction."""
-    sim = cfg.to_sim_config()
-    sim.ic_u = sim.ic_u + mul(Const(eps), cfg.du)
-    sim.ic_v = sim.ic_v + mul(Const(eps), cfg.dv)
-    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +408,14 @@ def _snapshot_rows(coords: list, u: np.ndarray, v: np.ndarray):
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> None:
-    result = solver.run(cfg.to_sim_config(), validate=False)
+    result = solver.run(cfg.sim, validate=False)
     if "csv" in cfg.formats:
         rows = [[getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
                 for row in result.diagnostics]
         _write_csv(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
-        names = ("x",) if cfg.grid.dim == 1 else ("x", "y")
-        coords = _coordinate_cells(cfg.grid)
+        grid = cfg.sim.grid
+        names = ("x",) if grid.dim == 1 else ("x", "y")
+        coords = _coordinate_cells(grid)
         for k, state in enumerate(result.states):
             _write_csv(out / f"snapshot_{k:04d}.csv", names + ("u", "v"),
                        _snapshot_rows(coords, state.u, state.v))
@@ -498,10 +442,9 @@ def _report_rows(report: stability.StabilityReport):
 
 
 def _cmd_stability(cfg: RunConfig, out: Path) -> None:
-    sim = cfg.to_sim_config()
-    pert = replace_initial(cfg, cfg.amplitude)
-    report = stability.run_pair(sim, pert.ic_u, pert.ic_v)
-    trace = stability.gronwall_trace(report, cfg.model)
+    report = stability.run_pair(cfg.sim, *stability.perturbed(
+        cfg.sim, cfg.du, cfg.dv, cfg.amplitudes[0]))
+    trace = stability.gronwall_trace(report, cfg.sim.model)
     if "csv" in cfg.formats:
         _write_csv(out / "stability.csv",
                    ("t", "E", "comp_mass", "comp_hm1", "comp_v", "D", "cumD"),
@@ -529,8 +472,8 @@ def _cmd_stability(cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
-    result = stability.perturbation_sweep(cfg.to_sim_config(), cfg.du,
-                                          cfg.dv, cfg.amplitudes)
+    result = stability.perturbation_sweep(cfg.sim, cfg.du, cfg.dv,
+                                          cfg.amplitudes)
     if "csv" in cfg.formats:
         _write_csv(out / "sweep.csv",
                    ("amplitude", "q0", "E0", "supE", "ratio", "C_hat",
@@ -549,18 +492,17 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_mms(cfg: RunConfig, out: Path) -> None:
-    base_n = cfg.mms_levels[0]
+    base, base_n = cfg.sim, cfg.levels[0]
     levels = []
-    for n in cfg.mms_levels:
-        shape = (n,) * cfg.grid.dim
-        grid = Grid(shape, cfg.grid.lengths)
+    for n in cfg.levels:
+        grid = Grid((n,) * base.grid.dim, base.grid.lengths)
         scale = (base_n / n) ** 2
-        sim = replace(cfg.to_sim_config(), grid=grid, dt=cfg.dt * scale,
+        sim = replace(base, grid=grid, dt=base.dt * scale,
                       output_every=10 ** 9)
         result = solver.run(sim, record_states=True, validate=False)
         final = result.states[-1]
-        exact_u = grid.cell_values(cfg.mms_u, final.t)
-        exact_v = grid.cell_values(cfg.mms_v, final.t)
+        exact_u = grid.cell_values(base.mms_u, final.t)
+        exact_v = grid.cell_values(base.mms_v, final.t)
         vol = grid.cell_volume
         err_u = math.sqrt(float(np.sum((final.u - exact_u) ** 2)) * vol)
         err_v = math.sqrt(float(np.sum((final.v - exact_v) ** 2)) * vol)
@@ -597,9 +539,7 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_check_coeffs(cfg: RunConfig, out: Path) -> None:
-    verdict = check_finite_gamma_lipschitz(
-        cfg.coeff_f, cfg.coeff_gamma, cfg.coeff_a1, cfg.coeff_a2,
-        budget=cfg.coeff_budget, seed=cfg.coeff_seed)
+    verdict = check_finite_gamma_lipschitz(**cfg.coeffcheck)
     payload = {
         "gamma": verdict.gamma,
         "box": list(verdict.box),
@@ -613,9 +553,9 @@ def _cmd_check_coeffs(cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
-    length = cfg.grid.lengths[0] if cfg.grid is not None else 1.0
+    length = cfg.sim.grid.lengths[0]
     levels = []
-    for n in cfg.poisson_levels:
+    for n in cfg.levels:
         grid = Grid((n,), (length,))
         x = grid.axis_centers(0)
         w = np.cos(math.pi * x / length)
@@ -625,7 +565,7 @@ def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
         levels.append((n, err, sol.iterations))
     orders = [math.log(ep / e) / math.log(2.0)
               for (_, ep, _), (_, e, _) in zip(levels, levels[1:])]
-    grid = Grid((cfg.poisson_levels[-1],), (length,))
+    grid = Grid((cfg.levels[-1],), (length,))
     ratio = poincare_ratio(grid)
     expected = (length / math.pi) ** 2
     _write_json(out / "poisson.json", {

@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import exprs
-from .exprs import (Const, Expr, Var, evaluate, mul, neg, pow_,
+from .exprs import (Const, Expr, Var, evaluate, is_number, mul, neg, pow_,
                     variable_problems)
 
 _V_ONLY = ("p", "q_lower", "r1_linear", "r2_linear")
@@ -285,8 +285,33 @@ _GROWTH_FACTOR = 9.5      # flag >= 10x growth per decade, minus sampling slack
 _GROWTH_RUN = 3           # over at least 3 consecutive scale reductions
 
 
-def check_finite_gamma_lipschitz(f: Expr, gamma: float, a1: float, a2: float,
-                                 budget: int = 20000,
+def lipschitz_problems(f: Expr, gamma: float, a1: float = 1.0,
+                       a2: float = 1.0, budget: int = 20000,
+                       seed: int = 0) -> list:
+    """The rules on the arguments of check_finite_gamma_lipschitz, one
+    message per broken argument, each starting with the argument's name.
+    Any value is judged, so a config may pass what its file gave."""
+    problems = []
+    if not isinstance(f, Expr):
+        problems.append("f must be an expression")
+    else:
+        problems += variable_problems("f", f, frozenset("yuv"))
+    if not (is_number(gamma) and gamma > 0.0):
+        problems.append("gamma must be a positive finite number")
+    for name, side in (("a1", a1), ("a2", a2)):
+        if not (is_number(side) and side > 0.0):
+            problems.append(f"{name} must be a positive finite number "
+                            "(a side of the sampled box)")
+    if isinstance(budget, bool) or not isinstance(budget, int) \
+            or budget < 1000:
+        problems.append("budget must be an integer >= 1000 (samples)")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        problems.append("seed must be a nonnegative integer")
+    return problems
+
+
+def check_finite_gamma_lipschitz(f: Expr, gamma: float, a1: float = 1.0,
+                                 a2: float = 1.0, budget: int = 20000,
                                  seed: int = 0) -> LipschitzVerdict:
     """Probe |f(p1) - f(p2)| <= C (|y1^g - y2^g| + |z1 - z2|) on
     [0,a1] x [0,a2] by sampling.
@@ -298,16 +323,11 @@ def check_finite_gamma_lipschitz(f: Expr, gamma: float, a1: float, a2: float,
     'diverging' when the per-scale max ratio grows by at least a factor 10
     per tenfold separation reduction over 3 consecutive reductions, or when
     evaluation overflows.  A heuristic: 'plausible' is not a proof.
+    Raises ValueError listing lipschitz_problems().
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be positive")
-    if not (a1 > 0.0 and a2 > 0.0):
-        raise ValueError("the box must have positive side lengths")
-    if budget < 1000:
-        raise ValueError("budget below 1000 samples is meaningless")
-    problems = variable_problems("f", f, frozenset("yuv"))
+    problems = lipschitz_problems(f, gamma, a1, a2, budget, seed)
     if problems:
-        raise ValueError(problems[0])
+        raise ValueError("; ".join(problems))
 
     def values(y, z):
         try:

@@ -599,3 +599,10 @@ def variable_problems(name: str, e: Expr, allowed: frozenset) -> list:
     if not extra:
         return []
     return [f"{name} may only use {sorted(allowed)}; found {sorted(extra)}"]
+
+
+def is_number(x) -> bool:
+    """A finite real number; True and strings are not numbers here.  The
+    rule owners judge config values with it."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)

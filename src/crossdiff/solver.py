@@ -46,7 +46,8 @@ import numpy as np
 
 from . import exprs
 from .coeffs import CoefficientModel
-from .exprs import Const, Expr, differentiate, evaluate, mul, substitute
+from .exprs import (Const, Expr, differentiate, evaluate, is_number, mul,
+                    substitute)
 from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
                    gradient_arrays, member_sums)
 
@@ -127,28 +128,33 @@ class SimConfig:
     def problems(self) -> list:
         """Every broken rule of this config, one message each.
 
-        A config built from a file whose grid or model failed to parse
-        carries None there; the checks that need it are skipped and every
-        other rule is still checked.  When nothing is wrong, warns if dt
-        exceeds the explicit cross-diffusion guideline.
+        Each rule checks type as well as range, so a config built from a
+        file may carry any value the file gave (None where it gave none).
+        A grid or model that failed to parse is None; the checks that need
+        it are skipped and every other rule is still checked.  When nothing
+        is wrong, warns if dt exceeds the explicit cross-diffusion
+        guideline.
         """
         problems = []
-        if not (isinstance(self.dt, float) and self.dt > 0.0
-                and math.isfinite(self.dt)):
+        dt_ok = is_number(self.dt) and self.dt > 0.0
+        if not dt_ok:
             problems.append("time.dt must be a positive finite number")
-        if not (isinstance(self.t_end, float) and math.isfinite(self.t_end)
-                and self.t_end >= (self.dt if self.dt > 0 else 0.0)):
+        if not (is_number(self.t_end)
+                and self.t_end >= (self.dt if dt_ok else 0.0)):
             problems.append("time.t_end must be finite and at least dt")
         if not _is_count(self.output_every):
             problems.append("time.cadence must be an integer >= 1")
-        if not (0.0 < self.lin_tol < 1.0):
+        if not (is_number(self.lin_tol) and 0.0 < self.lin_tol < 1.0):
             problems.append("solver.tol must lie in (0, 1)")
         if self.lin_max_iter is not None and not _is_count(self.lin_max_iter):
             problems.append("solver.max_iter must be an integer >= 1")
         if (self.f_energy_gamma is None) != (self.f_energy_ks is None):
             problems.append("fenergy needs both gamma and ks")
-        if self.f_energy_gamma is not None and not self.f_energy_gamma > 0.0:
-            problems.append("fenergy.gamma must be positive")
+        if self.f_energy_gamma is not None and not (
+                is_number(self.f_energy_gamma) and self.f_energy_gamma > 0.0):
+            problems.append("fenergy.gamma must be a positive number")
+        if self.f_energy_ks is not None and not is_number(self.f_energy_ks):
+            problems.append("fenergy.ks must be a finite number")
         incomplete = True
         if (self.mms_u is None) != (self.mms_v is None):
             problems.append("mms needs both u and v expressions")
@@ -357,12 +363,10 @@ class Simulation:
     ledgers clipped_total, cum_grad_u_sq and reaction_mass_total are lists
     of B floats.  members lists the (u0, v0) cell arrays, one pair per
     member; when it is omitted, cfg's own initial data form a batch of one.
+    cfg is taken as valid: its callers check it (see run).
     """
 
-    def __init__(self, cfg: SimConfig, validate: bool = True,
-                 members: Optional[Sequence] = None):
-        if validate:
-            cfg.validate()
+    def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None):
         self.cfg = cfg
         self.grid = cfg.grid
         self.model = cfg.model
@@ -549,8 +553,11 @@ class RunResult:
 def run(cfg: SimConfig, record_states: bool = True,
         validate: bool = True) -> RunResult:
     """March the configured system to t_end, recording every cadence-th
-    step boundary plus t = 0 and the final time."""
-    sim = Simulation(cfg, validate=validate)
+    step boundary plus t = 0 and the final time; cfg is validated first
+    unless the caller already has."""
+    if validate:
+        cfg.validate()
+    sim = Simulation(cfg)
     states = [sim.state()] if record_states else []
     diagnostics = [sim.diagnostics_row()]
     times = time_grid(cfg.dt, cfg.t_end)

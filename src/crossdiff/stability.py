@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .coeffs import CoefficientModel, dissipation_density
-from .exprs import Const, Expr, evaluate, mul
+from .exprs import Const, Expr, evaluate, is_number, mul
 from .grid import Grid, grad_sq_sum
 from .poisson import solve_neumann_zero_mean
 from .solver import PositivityError, SimConfig, Simulation, time_grid
@@ -89,6 +89,22 @@ def _trapezoid_cumulative(times: Sequence[float],
     return out
 
 
+def pairing_problems(cfg: SimConfig) -> list:
+    """The rule on a paired run's config beyond its own: the trajectories
+    start from explicit initial data, so a manufactured pair, which would
+    replace that data and force every member, is not allowed."""
+    if cfg.mms_u is None and cfg.mms_v is None:
+        return []
+    return ["a paired run perturbs explicit initial data; "
+            "manufactured-solution configs are not pairable"]
+
+
+def perturbed(cfg: SimConfig, du: Expr, dv: Expr, eps: float) -> tuple:
+    """(u0, v0) expressions of the trajectory perturbed by eps along the
+    direction (du, dv): cfg's initial data plus eps times the direction."""
+    return cfg.ic_u + mul(Const(eps), du), cfg.ic_v + mul(Const(eps), dv)
+
+
 def run_pair(cfg: SimConfig, ic2_u: Expr, ic2_v: Expr) -> StabilityReport:
     """Evolve (u1, v1) from cfg's initial data and (u2, v2) from (ic2_u,
     ic2_v) with identical discretization, as one batch of two; measure E, D
@@ -96,26 +112,27 @@ def run_pair(cfg: SimConfig, ic2_u: Expr, ic2_v: Expr) -> StabilityReport:
 
     The energy identity residual is computed when cfg.output_every == 1
     (dense mode) and is None otherwise.  A positivity failure is re-raised
-    tagged with the trajectory that failed.  Manufactured-solution configs
-    are rejected with ValueError.
+    tagged with the trajectory that failed.  A config that breaks the
+    pairing rule is rejected with ValueError.
     """
-    if cfg.ic_u is None or cfg.ic_v is None:
-        raise ValueError("a paired run perturbs explicit initial data; "
-                         "manufactured-solution configs are not pairable")
     return _run_batch(cfg, [(ic2_u, ic2_v)],
                       ("first trajectory", "second trajectory"))[0]
 
 
-def _run_batch(cfg: SimConfig, others: Sequence[tuple],
+def _run_batch(cfg: SimConfig, others: Iterable[tuple],
                labels: Sequence[str]) -> list:
     """Step cfg's initial data (member 0, the base) and each (ic_u, ic_v) of
     `others` as one batch; return one StabilityReport per other member,
     measured against the base at every cadence tick.
 
-    cfg is validated in full and each other member's data by the data
-    rules, with the same dt advisory.  A PositivityError is re-raised
-    naming the failing members by their `labels`.
+    cfg must pass the pairing rule and is validated in full; only then is
+    `others` read, and each other member's data checked by the data rules,
+    with the same dt advisory.  A PositivityError is re-raised naming the
+    failing members by their `labels`.
     """
+    problems = pairing_problems(cfg)
+    if problems:
+        raise ValueError("; ".join(problems))
     cfg.validate()
     grid = cfg.grid
     members = [cfg.initial_fields()]
@@ -126,7 +143,7 @@ def _run_batch(cfg: SimConfig, others: Sequence[tuple],
             raise ValueError(f"{label}: invalid data: " + "; ".join(problems))
         cfg.warn_if_dt_large(u0, v0)
         members.append((u0, v0))
-    sim = Simulation(cfg, validate=False, members=members)
+    sim = Simulation(cfg, members=members)
     vol = grid.cell_volume
     alpha = cfg.model.alpha
     dense = cfg.output_every == 1
@@ -134,7 +151,7 @@ def _run_batch(cfg: SimConfig, others: Sequence[tuple],
     times = [0.0]
     names = ("energy", "comp_mass", "comp_hm1", "comp_v", "dissipation",
              "delta_u", "psi")
-    series = [{name: [] for name in names} for _ in others]
+    series = [{name: [] for name in names} for _ in members[1:]]
     v_min = np.full(len(members), math.inf)
     v_max = np.full(len(members), -math.inf)
 
@@ -306,18 +323,17 @@ class SweepResult:
     bounded: bool    # spread <= RATIO_SPREAD_BOUND
 
 
-def amplitude_problems(amplitudes: Sequence[float]) -> list:
-    """The rules on a sweep's amplitudes, one message per broken rule:
-    a nonempty list of finite, nonnegative, strictly decreasing numbers."""
-    amps = [float(a) for a in amplitudes]
-    problems = []
-    if not amps:
-        problems.append("amplitudes must be a nonempty decreasing list")
-    if not all(math.isfinite(a) and a >= 0.0 for a in amps):
-        problems.append("amplitudes must be finite and nonnegative")
-    if any(b >= a for a, b in zip(amps, amps[1:])):
-        problems.append("amplitudes must be strictly decreasing")
-    return problems
+def amplitude_problems(amplitudes) -> list:
+    """The rule on the amplitudes of a sweep, or of a pair as a list of
+    one: a nonempty list of finite, nonnegative, strictly decreasing
+    numbers.  Any value is judged, and the first broken part is named."""
+    if not (isinstance(amplitudes, (list, tuple)) and amplitudes
+            and all(is_number(a) and a >= 0.0 for a in amplitudes)):
+        return ["amplitudes must be a nonempty list of finite, "
+                "nonnegative numbers"]
+    if any(b >= a for a, b in zip(amplitudes, amplitudes[1:])):
+        return ["amplitudes must be strictly decreasing"]
+    return []
 
 
 def perturbation_sweep(cfg: SimConfig, du_expr: Expr, dv_expr: Expr,
@@ -332,17 +348,15 @@ def perturbation_sweep(cfg: SimConfig, du_expr: Expr, dv_expr: Expr,
     All trajectories advance as one batch: the unperturbed one is stepped
     once, and each perturbed one is measured against it.
     """
-    if cfg.ic_u is None or cfg.ic_v is None:
-        raise ValueError("the sweep perturbs explicit initial data; "
-                         "manufactured-solution configs are not sweepable")
     problems = amplitude_problems(amplitudes)
     if problems:
         raise ValueError("; ".join(problems))
     amps = [float(a) for a in amplitudes]
-    others = [(cfg.ic_u + mul(Const(eps), du_expr),
-               cfg.ic_v + mul(Const(eps), dv_expr)) for eps in amps]
     labels = ["base trajectory"] + [f"amplitude {eps:g}" for eps in amps]
-    reports = _run_batch(cfg, others, labels)
+    # lazy: _run_batch reads the members only once cfg has passed the
+    # pairing rule, so a config without initial data never reaches perturbed
+    reports = _run_batch(
+        cfg, (perturbed(cfg, du_expr, dv_expr, eps) for eps in amps), labels)
     grid = cfg.grid
     vol = grid.cell_volume
     rows = []

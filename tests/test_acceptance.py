@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from crossdiff import solver
-from crossdiff.cli import load_config, main, replace_initial
+from crossdiff.cli import load_config, main
 from crossdiff.coeffs import (CoefficientModel, check_finite_gamma_lipschitz,
                               mean_power_bounds_check,
                               power_gap_inequality_check)
 from crossdiff.exprs import parse
 from crossdiff.grid import Grid
 from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
-from crossdiff.stability import energy_identity_check, run_pair
+from crossdiff.stability import energy_identity_check, perturbed, run_pair
 
 from exprgen import derivative_agreement_failures
 from test_poisson import SMALL_GRIDS, dense_pinned_solve
@@ -37,8 +37,8 @@ def shipped():
 @pytest.fixture(scope="session")
 def scenario_runs(shipped):
     """Base simulation of every shipped scenario config."""
-    return {name: solver.run(shipped[name].to_sim_config(),
-                             record_states=False, validate=False)
+    return {name: solver.run(shipped[name].sim, record_states=False,
+                             validate=False)
             for name in SCENARIOS}
 
 
@@ -46,16 +46,15 @@ def scenario_runs(shipped):
 def heat_report(shipped):
     """The shipped heat stability pair (amplitude 0.01, dense cadence)."""
     cfg = shipped["heat_stability"]
-    pert = replace_initial(cfg, cfg.amplitude)
-    return run_pair(cfg.to_sim_config(), pert.ic_u, pert.ic_v)
+    return run_pair(cfg.sim, *perturbed(cfg.sim, cfg.du, cfg.dv,
+                                        cfg.amplitudes[0]))
 
 
 @pytest.fixture(scope="session")
 def heat_tiny_report(shipped):
     """The same pair at amplitude 1e-8."""
     cfg = shipped["heat_stability"]
-    pert = replace_initial(cfg, 1e-8)
-    return run_pair(cfg.to_sim_config(), pert.ic_u, pert.ic_v)
+    return run_pair(cfg.sim, *perturbed(cfg.sim, cfg.du, cfg.dv, 1e-8))
 
 
 def test_criterion_01_poisson_dense_oracle_and_eigenmode_convergence():
@@ -200,7 +199,7 @@ def test_criterion_05_energy_identity(heat_report):
 
 def test_criterion_06_uniqueness_of_discrete_solutions(shipped,
                                                        heat_tiny_report):
-    sim = shipped["heat_stability"].to_sim_config()
+    sim = shipped["heat_stability"].sim
     identical = run_pair(sim, sim.ic_u, sim.ic_v)
     print(f"criterion 6: identical data sup E = {identical.sup_e!r} "
           f"(exactly 0.0); amplitude 1e-8 sup E = "

@@ -8,8 +8,8 @@ import pytest
 
 from crossdiff import solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
-from crossdiff.coeffs import CoefficientModel
-from crossdiff.exprs import evaluate
+from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
+from crossdiff.exprs import evaluate, parse
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -45,10 +45,10 @@ def plot_lines(path):
 
 def test_minimal_model_defaults_q_lower_to_a22(tmp_path):
     cfg = load_config(write_config(tmp_path, heat_run_config(tmp_path)))
-    assert evaluate(cfg.model.q_lower, {"v": 3.0}) == 1.0
-    assert evaluate(cfg.model.a12, {"u": 2.0, "v": 3.0}) == 0.0
+    assert evaluate(cfg.sim.model.q_lower, {"v": 3.0}) == 1.0
+    assert evaluate(cfg.sim.model.a12, {"u": 2.0, "v": 3.0}) == 0.0
     assert cfg.formats == ("csv", "json", "gnuplot")
-    assert cfg.cadence == 2
+    assert cfg.sim.output_every == 2
 
 
 def test_q_lower_required_when_a22_depends_on_u(tmp_path):
@@ -62,11 +62,11 @@ def test_preset_accepts_case_string_and_int(tmp_path):
     payload = heat_run_config(tmp_path)
     payload["model"] = {"preset": "case2", "chi": 0.25, "l": 0.5}
     cfg = load_config(write_config(tmp_path, payload))
-    assert cfg.model.alpha == 1.0
-    assert evaluate(cfg.model.a12, {"u": 2.0, "v": 3.0}) == -3.0
+    assert cfg.sim.model.alpha == 1.0
+    assert evaluate(cfg.sim.model.a12, {"u": 2.0, "v": 3.0}) == -3.0
     payload["model"] = {"preset": 2, "chi": 0.25, "l": 0.5}
     cfg2 = load_config(write_config(tmp_path, payload))
-    assert cfg2.model == cfg.model
+    assert cfg2.sim.model == cfg.sim.model
 
 
 def test_preset_rejects_low_beta(tmp_path):
@@ -106,7 +106,7 @@ def test_schema_errors_are_collected_not_first_only(tmp_path):
     text = "\n".join(err.value.errors)
     assert "grid.dim" in text
     assert "model.p is required" in text
-    assert "time.dt must be a number" in text
+    assert "time.dt must be a positive finite number" in text
     assert "initial.u" in text
     assert len(err.value.errors) >= 4
 
@@ -169,6 +169,81 @@ def test_deep_validation_covers_perturbed_trajectory(tmp_path):
     # v + 1.0 * (-1) hits zero: the perturbed trajectory must be rejected
     with pytest.raises(ConfigError, match="perturbed data"):
         load_config(write_config(tmp_path, payload))
+
+
+def _lipschitz_error(block):
+    """The ValueError message of the probe itself on a coeffcheck block."""
+    args = {key: value for key, value in block.items() if key != "f"}
+    with pytest.raises(ValueError) as err:
+        check_finite_gamma_lipschitz(parse(block["f"]), **args)
+    return f"coeffcheck: {err.value}"
+
+
+@pytest.mark.parametrize("command, blocks, expected", [
+    ("run", {"time": {"dt": "fast", "t_end": 1e-2}},
+     ["time.dt must be a positive finite number"]),
+    ("run", {"time": {"dt": 1e-3, "t_end": "later"},
+             "fenergy": {"gamma": "x", "ks": 1.0}},
+     ["time.t_end must be finite and at least dt",
+      "fenergy.gamma must be a positive number"]),
+    ("run", {"initial": None},
+     ["initial data (or a manufactured pair) is required"]),
+    ("stability", {"initial": None},
+     ["initial data (or a manufactured pair) is required"]),
+    ("run", {"initial": {"u": "2*", "v": "1"}},
+     ["initial.u: expected a number, variable or '(' (offset 2)"]),
+    # None: the probe's own message on the same arguments
+    ("check-coeffs", {"coeffcheck": {"f": "y^0.5", "gamma": -1}}, None),
+    ("check-coeffs", {"coeffcheck": {"f": "y^0.5", "gamma": 1.5,
+                                     "budget": 10}}, None),
+    ("check-coeffs", {"coeffcheck": {"f": "x*y", "gamma": 1.5}}, None),
+], ids=["dt", "t_end-and-fenergy", "run-without-initial",
+        "stability-without-initial", "unparsable-initial",
+        "coeffcheck-gamma", "coeffcheck-budget", "coeffcheck-f"])
+def test_each_broken_field_is_reported_once(tmp_path, command, blocks,
+                                            expected):
+    payload = heat_run_config(tmp_path)
+    if command == "check-coeffs":
+        payload = {"output": payload["output"]}
+    if command == "stability":
+        payload["stability"] = {"du": "0.01*cos(pi*x)"}
+    payload["command"] = command
+    for name, value in blocks.items():
+        if value is None:
+            del payload[name]
+        else:
+            payload[name] = value
+    if expected is None:
+        expected = [_lipschitz_error(payload["coeffcheck"])]
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert err.value.errors == expected
+
+
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_paired_commands_reject_a_manufactured_pair_at_load(tmp_path, capsys,
+                                                           command):
+    # the manufactured pair would replace the base member's initial data and
+    # force both members: run anyway, stability reports E0 = 2.05 here,
+    # against 5.1e-6 without the mms block
+    payload = {
+        "command": command,
+        "grid": {"dim": 1, "n": 16, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 1e-3, "t_end": 1e-2},
+        "initial": {"u": "1", "v": "1"},
+        "stability": {"du": "0.01*cos(pi*x)", "amplitude": 1.0,
+                      "amplitudes": [1.0, 0.5]},
+        "mms": {"u": "2 + exp(-t)*cos(pi*x)", "v": "2"},
+        "output": {"directory": str(tmp_path / "paired")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert err["kind"] == "config"
+    assert err["details"] == ["a paired run perturbs explicit initial data; "
+                              "manufactured-solution configs are not "
+                              "pairable"]
+    assert not (tmp_path / "paired").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +315,8 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
     path = write_config(tmp_path, payload)
     assert main([str(path)]) == 0
     cfg = load_config(path)
-    result = solver.run(cfg.to_sim_config(), validate=False)
-    coords = [c.ravel() for c in cfg.grid.centers()]
+    result = solver.run(cfg.sim, validate=False)
+    coords = [c.ravel() for c in cfg.sim.grid.centers()]
     for k, state in enumerate(result.states):
         lines = (tmp_path / "out" / f"snapshot_{k:04d}.csv").read_text(
             encoding="utf-8").splitlines()[1:]

@@ -64,7 +64,7 @@ def test_field_from_expression_and_validation():
     cfg = SimConfig(grid=g, model=build_preset(1, {"chi": 1.0}), dt=1.0,
                     t_end=1.0)
     with pytest.raises(ValueError, match="grid shape"):
-        Simulation(cfg, validate=False, members=[(np.zeros(7), np.ones(7))])
+        Simulation(cfg, members=[(np.zeros(7), np.ones(7))])
     assert SimConfig.data_problems(ones, ones) == []
     for bad in (np.full(16, math.nan), np.full(16, math.inf)):
         assert SimConfig.data_problems(bad, ones) \

@@ -33,7 +33,7 @@ def stepper(grid, model, u, v):
     """A one-member Simulation from the given cell values; the config's own
     initial data and time span are unused."""
     cfg = SimConfig(grid=grid, model=model, dt=1.0, t_end=1.0)
-    return Simulation(cfg, validate=False, members=[
+    return Simulation(cfg, members=[
         (np.broadcast_to(u, grid.shape), np.broadcast_to(v, grid.shape))])
 
 
@@ -105,8 +105,8 @@ def test_batched_step_equals_single_member_steps():
     x = g.axis_centers(0)
     data = [(1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * x)),
             (1.2 + 0.1 * np.cos(2 * math.pi * x), np.full(40, 0.8))]
-    batch = Simulation(cfg, validate=False, members=data)
-    singles = [Simulation(cfg, validate=False, members=[d]) for d in data]
+    batch = Simulation(cfg, members=data)
+    singles = [Simulation(cfg, members=[d]) for d in data]
     for _ in range(20):
         batch.step(cfg.dt)
         for sim in singles:

@@ -267,8 +267,7 @@ def test_sweep_batch_matches_single_amplitude_sweeps():
 def test_identical_members_stay_bitwise_identical_at_odd_n():
     cfg = case2_config(n=33, cadence=4)
     u0, v0 = cfg.initial_fields()
-    sim = Simulation(cfg, validate=False,
-                     members=[(u0, v0), (1.01 * u0, v0), (u0, v0)])
+    sim = Simulation(cfg, members=[(u0, v0), (1.01 * u0, v0), (u0, v0)])
     for _ in range(20):
         sim.step(cfg.dt)
         assert np.array_equal(sim.u[0], sim.u[2])
@@ -305,5 +304,5 @@ def test_sweep_argument_validation():
         perturbation_sweep(cfg, du, dv, [1e-2, math.nan])
     mms_cfg = replace(cfg, ic_u=None, ic_v=None,
                       mms_u=parse("2 + exp(-t)*cos(pi*x)"), mms_v=parse("2"))
-    with pytest.raises(ValueError, match="sweepable"):
+    with pytest.raises(ValueError, match="not pairable"):
         perturbation_sweep(mms_cfg, du, dv, [1e-2])
