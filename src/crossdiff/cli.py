@@ -408,7 +408,7 @@ def _snapshot_rows(coords: list, u: np.ndarray, v: np.ndarray):
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> None:
-    result = solver.run(cfg.sim, validate=False)
+    result = solver.run(cfg.sim)
     if "csv" in cfg.formats:
         rows = [[getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
                 for row in result.diagnostics]
@@ -499,7 +499,11 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> None:
         scale = (base_n / n) ** 2
         sim = replace(base, grid=grid, dt=base.dt * scale,
                       output_every=10 ** 9)
-        result = solver.run(sim, record_states=True, validate=False)
+        try:
+            result = solver.run(sim)
+        except (ValueError, RuntimeError, ArithmeticError) as err:
+            err.args = (f"level n = {n}: {err}",)
+            raise
         final = result.states[-1]
         exact_u = grid.cell_values(base.mms_u, final.t)
         exact_v = grid.cell_values(base.mms_v, final.t)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -123,24 +123,6 @@ class CoefficientModel:
             problems.append("A22(u,v) drops below q_lower(v) on the sample box")
         if problems:
             raise ValueError("; ".join(problems))
-
-
-def reaction_mismatch(m: CoefficientModel, r1_direct: Optional[Expr] = None,
-                      r2_direct: Optional[Expr] = None, u_max: float = 10.0,
-                      v_max: float = 10.0, samples: int = 64,
-                      seed: int = 0) -> float:
-    """Max |split reaction - directly supplied reaction| over random samples."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, u_max, samples)
-    v = rng.uniform(0.0, v_max, samples)
-    worst = 0.0
-    if r1_direct is not None:
-        direct = evaluate(r1_direct, {"u": u, "v": v})
-        worst = max(worst, float(np.max(np.abs(m.r1_values(u, v) - direct))))
-    if r2_direct is not None:
-        direct = evaluate(r2_direct, {"u": u, "v": v})
-        worst = max(worst, float(np.max(np.abs(m.r2_values(u, v) - direct))))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -114,50 +114,41 @@ FACE_SLICES = {
 }
 
 
+def _face_shape(shape: tuple, dim: int, axis: int) -> tuple:
+    """The shape of the faces normal to `axis` of cell data of `shape`."""
+    k = len(shape) - dim + axis
+    return shape[:k] + (shape[k] + 1,) + shape[k + 1:]
+
+
 def gradient_arrays(grid: Grid, a: np.ndarray) -> FaceData:
-    h, s = grid.spacing, a.shape
-    if grid.dim == 1:
-        ((hi, lo, inner, _, _),) = FACE_SLICES[1]
-        g = np.zeros(s[:-1] + (s[-1] + 1,))
-        g[inner] = (a[hi] - a[lo]) / h[0]
-        return (g,)
-    (xhi, xlo, xin, _, _), (yhi, ylo, yin, _, _) = FACE_SLICES[2]
-    gx = np.zeros(s[:-2] + (s[-2] + 1, s[-1]))
-    gx[xin] = (a[xhi] - a[xlo]) / h[0]
-    gy = np.zeros(s[:-1] + (s[-1] + 1,))
-    gy[yin] = (a[yhi] - a[ylo]) / h[1]
-    return (gx, gy)
+    faces = []
+    for axis, (h, (hi, lo, inner, _, _)) in enumerate(
+            zip(grid.spacing, FACE_SLICES[grid.dim])):
+        g = np.zeros(_face_shape(a.shape, grid.dim, axis))
+        g[inner] = (a[hi] - a[lo]) / h
+        faces.append(g)
+    return tuple(faces)
 
 
 def divergence_arrays(grid: Grid, fluxes: FaceData) -> np.ndarray:
-    h = grid.spacing
-    if grid.dim == 1:
-        ((hi, lo, _, _, _),) = FACE_SLICES[1]
-        f = fluxes[0]
-        return (f[hi] - f[lo]) / h[0]
-    (xhi, xlo, _, _, _), (yhi, ylo, _, _, _) = FACE_SLICES[2]
-    fx, fy = fluxes
-    return (fx[xhi] - fx[xlo]) / h[0] + (fy[yhi] - fy[ylo]) / h[1]
+    """Sum over the axes, left to right, of the flux differences."""
+    total = None
+    for h, f, (hi, lo, _, _, _) in zip(grid.spacing, fluxes,
+                                       FACE_SLICES[grid.dim]):
+        term = (f[hi] - f[lo]) / h
+        total = term if total is None else total + term
+    return total
 
 
 def face_average_arrays(grid: Grid, a: np.ndarray) -> FaceData:
     """Arithmetic mean onto faces; boundary faces copy the adjacent cell."""
-    s = a.shape
-    if grid.dim == 1:
-        ((hi, lo, inner, first, last),) = FACE_SLICES[1]
-        m = np.empty(s[:-1] + (s[-1] + 1,))
+    faces = []
+    for axis, (hi, lo, inner, first, last) in enumerate(FACE_SLICES[grid.dim]):
+        m = np.empty(_face_shape(a.shape, grid.dim, axis))
         m[inner] = 0.5 * (a[hi] + a[lo])
         m[first], m[last] = a[first], a[last]
-        return (m,)
-    (xhi, xlo, xin, xfirst, xlast), (yhi, ylo, yin, yfirst, ylast) = \
-        FACE_SLICES[2]
-    mx = np.empty(s[:-2] + (s[-2] + 1, s[-1]))
-    mx[xin] = 0.5 * (a[xhi] + a[xlo])
-    mx[xfirst], mx[xlast] = a[xfirst], a[xlast]
-    my = np.empty(s[:-1] + (s[-1] + 1,))
-    my[yin] = 0.5 * (a[yhi] + a[ylo])
-    my[yfirst], my[ylast] = a[yfirst], a[ylast]
-    return (mx, my)
+        faces.append(m)
+    return tuple(faces)
 
 
 def member_sums(x: np.ndarray) -> list:

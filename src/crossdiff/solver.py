@@ -24,6 +24,13 @@ and one CG solve of the block-diagonal system.  Every per-member quantity
 (mass shift, ledgers, clip budget) is reduced per row, bitwise as it would
 be for that member alone.
 
+Ticks and validation: Simulation.march is the one time loop.  It steps
+time_grid(dt, t_end) and yields at t = 0, after every output_every-th step
+and after the final, possibly shortened, step; run and the stability
+harness record at exactly those ticks.  Every entry point that steps a
+config validates it first (run here, _run_batch in stability); Simulation
+itself never does.
+
 Conservation: fluxes vanish on boundary faces, so the flux divergence sums
 to zero and the only mass sources are reactions, forcing and clipping.
 After each CG solve each member is shifted by a constant so the analytic
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -96,9 +103,7 @@ class DiagnosticsRow:
     clipped_mass: float
 
 
-DIAGNOSTICS_COLUMNS = ("t", "mass_u", "mass_v", "min_u", "max_u", "min_v",
-                       "max_v", "max_grad_v", "cum_grad_u_sq", "f_energy",
-                       "clipped_mass")
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def _is_count(n) -> bool:
@@ -355,7 +360,7 @@ def _cells(values, shape) -> np.ndarray:
 
 class Simulation:
     """Mutable stepper over a batch of members; run() and the stability
-    harness drive it.
+    harness drive it through march().
 
     The members share the grid, the model, the time grid and any
     manufactured forcing; only their data differ.  u and v have shape
@@ -363,7 +368,8 @@ class Simulation:
     ledgers clipped_total, cum_grad_u_sq and reaction_mass_total are lists
     of B floats.  members lists the (u0, v0) cell arrays, one pair per
     member; when it is omitted, cfg's own initial data form a batch of one.
-    cfg is taken as valid: its callers check it (see run).
+    A Simulation never validates: every entry point that steps a config
+    (run, and the stability harness's batch driver) validates it first.
     """
 
     def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None):
@@ -392,6 +398,17 @@ class Simulation:
         else:
             self.forcing_u = self.forcing_v = None
         self._max_iter = cfg.lin_max_iter or max(200, 10 * self.grid.cell_count)
+
+    def march(self):
+        """Step cfg's time grid from t = 0 to t_end, yielding the time at
+        every tick: t = 0, after every output_every-th step, and after the
+        final step.  This is the one tick rule of every entry point."""
+        times = time_grid(self.cfg.dt, self.cfg.t_end)
+        yield self.t
+        for k, t_next in enumerate(times):
+            self.step(t_next - self.t, t_next)
+            if (k + 1) % self.cfg.output_every == 0 or k + 1 == len(times):
+                yield self.t
 
     def state(self, i: int = 0) -> SimState:
         return SimState(self.t, self.u[i].copy(), self.v[i].copy())
@@ -467,17 +484,13 @@ class Simulation:
 
         u_faces = face_average_arrays(g, u)
         v_faces = face_average_arrays(g, v_new)
-        mob = tuple(
-            np.broadcast_to(np.asarray(m.p_values(vf), dtype=float), uf.shape)
-            * np.power(uf, m.alpha)
-            for uf, vf in zip(u_faces, v_faces))
+        mob = tuple(m.a11_values(uf, vf) for uf, vf in zip(u_faces, v_faces))
 
         a12 = _cells(m.a12_values(u, v_new), u.shape)
         a12_faces = face_average_arrays(g, a12)
         cross = tuple(af * gf for af, gf
                       in zip(a12_faces, gradient_arrays(g, v_new)))
-        reaction = u * _cells(m.q1_values(v_new), u.shape) \
-            + _cells(evaluate(m.r1_tilde, {"u": u, "v": v_new}), u.shape)
+        reaction = m.r1_values(u, v_new)
         if self.forcing_u is not None:
             reaction = reaction + g.cell_values(self.forcing_u, t_next)
         rhs = u + dt * (divergence_arrays(g, cross) + reaction)
@@ -550,25 +563,15 @@ class RunResult:
     reaction_mass_total: float
 
 
-def run(cfg: SimConfig, record_states: bool = True,
-        validate: bool = True) -> RunResult:
-    """March the configured system to t_end, recording every cadence-th
-    step boundary plus t = 0 and the final time; cfg is validated first
-    unless the caller already has."""
-    if validate:
-        cfg.validate()
+def run(cfg: SimConfig) -> RunResult:
+    """Validate cfg, then march it to t_end, recording the state and the
+    diagnostics at every tick of Simulation.march."""
+    cfg.validate()
     sim = Simulation(cfg)
-    states = [sim.state()] if record_states else []
-    diagnostics = [sim.diagnostics_row()]
-    times = time_grid(cfg.dt, cfg.t_end)
-    t_prev = 0.0
-    for k, t_next in enumerate(times):
-        sim.step(t_next - t_prev, t_next)
-        t_prev = t_next
-        if (k + 1) % cfg.output_every == 0 or k + 1 == len(times):
-            if record_states:
-                states.append(sim.state())
-            diagnostics.append(sim.diagnostics_row())
+    states, diagnostics = [], []
+    for _ in sim.march():
+        states.append(sim.state())
+        diagnostics.append(sim.diagnostics_row())
     return RunResult(states, diagnostics, sim.clipped_total[0],
                      sim.reaction_mass_total[0])
 
@@ -583,9 +586,9 @@ def f_energy(g: Grid, u: np.ndarray, v: np.ndarray, gamma_param: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         ulnu = np.where(u > 0.0, u * np.log(np.maximum(u, 1e-300)), 0.0)
     grad_sq = np.zeros(g.shape)
-    for axis, gf in enumerate(gradient_arrays(g, v)):
-        centered = 0.5 * (np.take(gf, range(0, g.shape[axis]), axis=axis)
-                          + np.take(gf, range(1, g.shape[axis] + 1), axis=axis))
+    for gf, (hi, lo, _, _, _) in zip(gradient_arrays(g, v),
+                                     FACE_SLICES[g.dim]):
+        centered = 0.5 * (gf[lo] + gf[hi])
         grad_sq = grad_sq + centered * centered
     vol = g.cell_volume
     return (float(np.sum(ulnu)) * vol

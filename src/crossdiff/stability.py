@@ -34,10 +34,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .coeffs import CoefficientModel, dissipation_density
-from .exprs import Const, Expr, evaluate, is_number, mul
+from .exprs import Const, Expr, is_number, mul
 from .grid import Grid, grad_sq_sum
 from .poisson import solve_neumann_zero_mean
-from .solver import PositivityError, SimConfig, Simulation, time_grid
+from .solver import PositivityError, SimConfig, Simulation
 
 FIT_FLOOR_FRACTION = 1e-2   # fit lambda_hat only where E > this fraction of E(0)
 RATIO_SPREAD_BOUND = 4.0    # acceptance bound for the sweep ratio spread
@@ -123,12 +123,14 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
                labels: Sequence[str]) -> list:
     """Step cfg's initial data (member 0, the base) and each (ic_u, ic_v) of
     `others` as one batch; return one StabilityReport per other member,
-    measured against the base at every cadence tick.
+    measured against the base at every tick of Simulation.march, the same
+    ticks as solver.run.
 
-    cfg must pass the pairing rule and is validated in full; only then is
-    `others` read, and each other member's data checked by the data rules,
-    with the same dt advisory.  A PositivityError is re-raised naming the
-    failing members by their `labels`.
+    This is the entry point that validates every paired run: cfg must pass
+    the pairing rule and is validated in full; only then is `others` read,
+    and each other member's data checked by the data rules, with the same
+    dt advisory.  A PositivityError is re-raised naming the failing members
+    by their `labels`.
     """
     problems = pairing_problems(cfg)
     if problems:
@@ -148,7 +150,7 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
     alpha = cfg.model.alpha
     dense = cfg.output_every == 1
 
-    times = [0.0]
+    times = []
     names = ("energy", "comp_mass", "comp_hm1", "comp_v", "dissipation",
              "delta_u", "psi")
     series = [{name: [] for name in names} for _ in members[1:]]
@@ -177,20 +179,14 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
         np.minimum(v_min, flat.min(axis=1), out=v_min)
         np.maximum(v_max, flat.max(axis=1), out=v_max)
 
-    tick()
-    step_times = time_grid(cfg.dt, cfg.t_end)
-    t_prev = 0.0
-    for k, t_next in enumerate(step_times):
-        try:
-            sim.step(t_next - t_prev, t_next)
-        except PositivityError as err:
-            failing = " and ".join(labels[i] for i in err.members)
-            err.args = (f"{failing}: {err.args[0]}",) + err.args[1:]
-            raise
-        t_prev = t_next
-        if (k + 1) % cfg.output_every == 0 or k + 1 == len(step_times):
-            times.append(t_next)
+    try:
+        for t in sim.march():
+            times.append(t)
             tick()
+    except PositivityError as err:
+        failing = " and ".join(labels[i] for i in err.members)
+        err.args = (f"{failing}: {err.args[0]}",) + err.args[1:]
+        raise
 
     reports = []
     for j, rec in enumerate(series, start=1):
@@ -277,7 +273,7 @@ def gronwall_trace(report: StabilityReport,
 
     v_lo, v_hi = report.v_range
     vv = np.linspace(v_lo, v_hi, 257)
-    c0 = float(np.min(np.broadcast_to(evaluate(model.p, {"v": vv}),
+    c0 = float(np.min(np.broadcast_to(model.p_values(vv),
                                       vv.shape))) / (1.0 + model.alpha)
 
     weight = 0.375 * c0

@@ -37,9 +37,7 @@ def shipped():
 @pytest.fixture(scope="session")
 def scenario_runs(shipped):
     """Base simulation of every shipped scenario config."""
-    return {name: solver.run(shipped[name].sim, record_states=False,
-                             validate=False)
-            for name in SCENARIOS}
+    return {name: solver.run(shipped[name].sim) for name in SCENARIOS}
 
 
 @pytest.fixture(scope="session")
@@ -124,7 +122,7 @@ def test_criterion_03_conservation_clip_ledger_positivity(scenario_runs):
                            t_end=0.25, ic_u=parse("1 + 0.5*cos(pi*x)"),
                            ic_v=parse("1 + 0.2*cos(pi*x)"), output_every=50,
                            lin_tol=1e-11)
-    result = solver.run(cfg, record_states=False)
+    result = solver.run(cfg)
     mass0 = result.diagnostics[0].mass_u
     drift = max(abs(row.mass_u - mass0) for row in result.diagnostics)
     assert drift <= 1e-12 * mass0

@@ -315,7 +315,7 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
     path = write_config(tmp_path, payload)
     assert main([str(path)]) == 0
     cfg = load_config(path)
-    result = solver.run(cfg.sim, validate=False)
+    result = solver.run(cfg.sim)
     coords = [c.ravel() for c in cfg.sim.grid.centers()]
     for k, state in enumerate(result.states):
         lines = (tmp_path / "out" / f"snapshot_{k:04d}.csv").read_text(
@@ -451,6 +451,45 @@ def test_mms_command_orders(tmp_path):
     assert 1.5 <= summary["spatial_order_u"] <= 2.5
     assert 0.75 <= summary["temporal_order_u"] <= 1.25
     assert len(plot_lines(out / "plot.gp")) == 1
+
+
+def test_mms_validates_each_level_and_names_it(tmp_path, capsys):
+    # u* is positive at the 32 cell centres, but its last cell at n = 64
+    # (x = 1 - 1/128) has u* = 0.9995 - cos(pi/128) < 0
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 0.002, "t_end": 0.02},
+        "mms": {"u": "0.9995 + exp(-t)*cos(pi*x)",
+                "v": "2 + 0.5*exp(-t)*cos(pi*x)",
+                "levels": [32, 64, 128]},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert err["kind"] == "config"
+    assert err["message"] == ("level n = 64: invalid configuration: "
+                              "initial u must be nonnegative")
+
+
+def test_mms_numeric_failure_names_its_level(tmp_path, capsys):
+    # x^2 is no Neumann eigenmode, so one CG iteration cannot solve a step
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 2e-3, "t_end": 0.02},
+        "mms": {"u": "2 + exp(-t)*x*x",
+                "v": "2 + 0.5*exp(-t)*x*x",
+                "levels": [8, 16]},
+        "solver": {"max_iter": 1, "tol": 1e-12},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    err = stderr_payload(capsys)
+    assert err["kind"] == "numeric"
+    assert err["message"].startswith("level n = 8: step 1 (t = 0.002): ")
 
 
 def test_check_coeffs_command(tmp_path):

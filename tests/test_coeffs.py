@@ -1,6 +1,7 @@
 """Coefficient models, presets, power inequalities, Lipschitz probe."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from crossdiff.coeffs import (CoefficientModel, build_preset,
                               check_finite_gamma_lipschitz,
                               dissipation_density, mean_power_bounds_check,
-                              power_gap_inequality_check, reaction_mismatch)
-from crossdiff.exprs import Const, Var, evaluate, parse
+                              power_gap_inequality_check)
+from crossdiff.exprs import Const, Expr, Var, evaluate, parse
 
 # ---------------------------------------------------------------------------
 # presets
@@ -85,6 +86,24 @@ def test_presets_satisfy_structural_invariants():
     for m in presets:
         m.check_positivity()  # p > 0, q_lower > 0, A22 >= q_lower, sampled
         assert m.gamma == 1.0 + m.alpha / 2.0
+
+
+def reaction_mismatch(m: CoefficientModel, r1_direct: Optional[Expr] = None,
+                      r2_direct: Optional[Expr] = None, u_max: float = 10.0,
+                      v_max: float = 10.0, samples: int = 64,
+                      seed: int = 0) -> float:
+    """Max |split reaction - directly supplied reaction| over random samples."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, u_max, samples)
+    v = rng.uniform(0.0, v_max, samples)
+    worst = 0.0
+    if r1_direct is not None:
+        direct = evaluate(r1_direct, {"u": u, "v": v})
+        worst = max(worst, float(np.max(np.abs(m.r1_values(u, v) - direct))))
+    if r2_direct is not None:
+        direct = evaluate(r2_direct, {"u": u, "v": v})
+        worst = max(worst, float(np.max(np.abs(m.r2_values(u, v) - direct))))
+    return worst
 
 
 def test_reaction_split_matches_direct_expressions():

@@ -267,6 +267,46 @@ def test_batched_kernels_equal_member_kernels_bitwise(grid):
         assert sums[i] == float(np.sum(a))
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("grid", [Grid((37,), (1.3,)),
+                                  Grid((9, 14), (0.7, 2.1))])
+def test_kernels_equal_written_out_axis_formulas_bitwise(grid, batch):
+    # the reference spells out each axis; the divergence sums x, then y
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(batch + grid.shape) + 2.0
+    h = grid.spacing
+    if grid.dim == 1:
+        hi, lo = np.s_[..., 1:], np.s_[..., :-1]
+        pad = [(0, 0)] * len(batch) + [(1, 1)]
+        want_grad = (np.pad((a[hi] - a[lo]) / h[0], pad),)
+        mean = np.concatenate([a[..., :1], 0.5 * (a[hi] + a[lo]),
+                               a[..., -1:]], axis=-1)
+        want_avg = (mean,)
+    else:
+        xhi, xlo = np.s_[..., 1:, :], np.s_[..., :-1, :]
+        yhi, ylo = np.s_[..., 1:], np.s_[..., :-1]
+        none = [(0, 0)] * len(batch)
+        want_grad = (np.pad((a[xhi] - a[xlo]) / h[0], none + [(1, 1), (0, 0)]),
+                     np.pad((a[yhi] - a[ylo]) / h[1], none + [(0, 0), (1, 1)]))
+        want_avg = (
+            np.concatenate([a[..., :1, :], 0.5 * (a[xhi] + a[xlo]),
+                            a[..., -1:, :]], axis=-2),
+            np.concatenate([a[..., :1], 0.5 * (a[yhi] + a[ylo]),
+                            a[..., -1:]], axis=-1))
+    for got, want in zip(gradient_arrays(grid, a), want_grad, strict=True):
+        assert np.array_equal(got, want)
+    for got, want in zip(face_average_arrays(grid, a), want_avg, strict=True):
+        assert np.array_equal(got, want)
+    flux = tuple(rng.standard_normal(f.shape) for f in want_grad)
+    if grid.dim == 1:
+        want_div = (flux[0][..., 1:] - flux[0][..., :-1]) / h[0]
+    else:
+        fx, fy = flux
+        want_div = ((fx[..., 1:, :] - fx[..., :-1, :]) / h[0]
+                    + (fy[..., 1:] - fy[..., :-1]) / h[1])
+    assert np.array_equal(divergence_arrays(grid, flux), want_div)
+
+
 @pytest.mark.parametrize("n", [7, 33, 128, 257, 1000, 4097])
 def test_member_sums_equal_separate_sums_bitwise(n):
     grid = Grid((n,), (1.0,))

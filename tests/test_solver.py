@@ -322,14 +322,6 @@ def test_run_records_on_cadence_plus_final():
     assert times == sorted(times)
 
 
-def test_run_without_state_recording():
-    cfg = SimConfig(grid=Grid((16,), (1.0,)), model=HEAT, dt=0.1, t_end=0.3,
-                    ic_u=parse("1 + 0.1*cos(pi*x)"), ic_v=parse("1"))
-    result = run(cfg, record_states=False)
-    assert result.states == []
-    assert len(result.diagnostics) == 4
-
-
 def test_run_annotates_errors_with_step_index():
     m = make_model(r2_tilde="-10")
     cfg = SimConfig(grid=Grid((8,), (1.0,)), model=m, dt=0.2, t_end=0.4,

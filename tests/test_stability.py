@@ -10,7 +10,7 @@ from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import parse
 from crossdiff.grid import Grid
 from crossdiff.poisson import poincare_ratio
-from crossdiff.solver import PositivityError, SimConfig, Simulation
+from crossdiff.solver import PositivityError, SimConfig, Simulation, run
 from crossdiff.stability import (GronwallTrace, energy_identity_check,
                                  gronwall_trace, perturbation_sweep, run_pair)
 
@@ -133,6 +133,16 @@ def test_case2_pair_dissipation_is_nonnegative_and_accumulates():
     assert report.v_range[0] > 0.0
     assert report.times[0] == 0.0 and report.times[-1] == cfg.t_end
     assert report.energy_identity_residual is None  # coarse cadence
+
+
+def test_run_and_pair_tick_at_the_same_times():
+    # 11 steps, the last one shortened to 0.05; cadence 4 does not divide 11
+    cfg = SimConfig(grid=Grid((16,), (1.0,)), model=HEAT, dt=0.1, t_end=1.05,
+                    ic_u=parse("1 + 0.1*cos(pi*x)"), ic_v=parse("1"),
+                    output_every=4)
+    run_times = [row.t for row in run(cfg).diagnostics]
+    pair = run_pair(cfg, parse("1 + 0.2*cos(pi*x)"), parse("1"))
+    assert pair.times == run_times == [0.0, 0.4, 0.8, 1.05]
 
 
 def test_run_pair_tags_the_failing_trajectory():
