@@ -33,6 +33,7 @@ output directories resolve under $CROSSDIFF_OUTPUT_ROOT when that is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -491,20 +492,31 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
         emit_plots(out)
 
 
+@contextlib.contextmanager
+def _naming_level(n: int):
+    """Prefix a failure, config or numeric, with its refinement level."""
+    try:
+        yield
+    except (ValueError, RuntimeError, ArithmeticError) as err:
+        err.args = (f"level n = {n}: {err}",)
+        raise
+
+
 def _cmd_mms(cfg: RunConfig, out: Path) -> None:
     base, base_n = cfg.sim, cfg.levels[0]
+    sims = [replace(base, grid=Grid((n,) * base.grid.dim, base.grid.lengths),
+                    dt=base.dt * (base_n / n) ** 2, output_every=10 ** 9)
+            for n in cfg.levels]
+    for n, sim in zip(cfg.levels, sims):  # every level before any steps
+        with _naming_level(n):
+            sim.validate()
     levels = []
-    for n in cfg.levels:
-        grid = Grid((n,) * base.grid.dim, base.grid.lengths)
-        scale = (base_n / n) ** 2
-        sim = replace(base, grid=grid, dt=base.dt * scale,
-                      output_every=10 ** 9)
-        try:
-            result = solver.run(sim)
-        except (ValueError, RuntimeError, ArithmeticError) as err:
-            err.args = (f"level n = {n}: {err}",)
-            raise
-        final = result.states[-1]
+    for n, sim in zip(cfg.levels, sims):
+        with _naming_level(n):
+            stepper = solver.Simulation(sim)
+            for _ in stepper.march():
+                pass
+        final, grid = stepper.state(), sim.grid
         exact_u = grid.cell_values(base.mms_u, final.t)
         exact_v = grid.cell_values(base.mms_v, final.t)
         vol = grid.cell_volume

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from . import exprs
-from .exprs import (Const, Expr, Var, evaluate, is_number, mul, neg, pow_,
+from .exprs import (Const, Expr, Var, compile, is_number, mul, neg, pow_,
                     variable_problems)
 
 _V_ONLY = ("p", "q_lower", "r1_linear", "r2_linear")
@@ -46,7 +46,9 @@ class CoefficientModel:
 
     p, q_lower, r1_linear and r2_linear depend on v alone; a12, a22 and the
     R~ parts may use u and v.  gamma = 1 + alpha/2 is the Lipschitz weight
-    the degenerate diffusion exponent dictates.
+    the degenerate diffusion exponent dictates.  Each coefficient is
+    compiled once, at its first evaluation; a constant one evaluates to a
+    float.
     """
 
     alpha: float
@@ -71,6 +73,7 @@ class CoefficientModel:
                                              allowed)]
         if problems:
             raise ValueError("; ".join(problems))
+        object.__setattr__(self, "_programs", {})
 
     @property
     def gamma(self) -> float:
@@ -78,29 +81,39 @@ class CoefficientModel:
 
     # pointwise evaluations (scalars or numpy arrays)
 
+    def _evaluate(self, name: str, bindings: dict):
+        program = self._programs.get(name)
+        if program is None:
+            program = self._programs[name] = compile(getattr(self, name))
+        return program(bindings)
+
     def p_values(self, v):
-        return evaluate(self.p, {"v": v})
+        return self._evaluate("p", {"v": v})
 
     def a11_values(self, u, v):
         return self.p_values(v) * np.power(u, self.alpha)
 
     def a12_values(self, u, v):
-        return evaluate(self.a12, {"u": u, "v": v})
+        return self._evaluate("a12", {"u": u, "v": v})
 
     def a22_values(self, u, v):
-        return evaluate(self.a22, {"u": u, "v": v})
+        return self._evaluate("a22", {"u": u, "v": v})
 
     def q1_values(self, v):
-        return evaluate(self.r1_linear, {"v": v})
+        return self._evaluate("r1_linear", {"v": v})
 
     def q2_values(self, v):
-        return evaluate(self.r2_linear, {"v": v})
+        return self._evaluate("r2_linear", {"v": v})
 
     def r1_values(self, u, v):
-        return u * self.q1_values(v) + evaluate(self.r1_tilde, {"u": u, "v": v})
+        return u * self.q1_values(v) \
+            + self._evaluate("r1_tilde", {"u": u, "v": v})
+
+    def r2_tilde_values(self, u, v):
+        return self._evaluate("r2_tilde", {"u": u, "v": v})
 
     def r2_values(self, u, v):
-        return u * self.q2_values(v) + evaluate(self.r2_tilde, {"u": u, "v": v})
+        return u * self.q2_values(v) + self.r2_tilde_values(u, v)
 
     def check_positivity(self, u_max: float = 10.0, v_max: float = 10.0,
                          samples: int = 257) -> None:
@@ -111,7 +124,7 @@ class CoefficientModel:
         problems = []
         if np.any(np.asarray(self.p_values(vs)) <= 0.0):
             problems.append(f"p(v) is not positive on (0, {v_max}]")
-        q = np.asarray(evaluate(self.q_lower, {"v": vs}))
+        q = np.asarray(self._evaluate("q_lower", {"v": vs}))
         if np.any(q <= 0.0):
             problems.append(f"q_lower(v) is not positive on (0, {v_max}]")
         # samples on the open grid (us rows, vs columns), never materialised
@@ -311,17 +324,19 @@ def check_finite_gamma_lipschitz(f: Expr, gamma: float, a1: float = 1.0,
     if problems:
         raise ValueError("; ".join(problems))
 
+    program = compile(f)
+
     def values(y, z):
         try:
-            out = evaluate(f, {"y": y, "u": y, "v": z})
+            out = program({"y": y, "u": y, "v": z})
         except exprs.EvalError:
             # domain failure somewhere in the batch: evaluate pointwise and
             # mark failing pairs, which the overflow path reports as diverging
             out = np.empty(np.shape(y))
             for i in range(out.size):
                 try:
-                    out.flat[i] = evaluate(
-                        f, {"y": y.flat[i], "u": y.flat[i], "v": z.flat[i]})
+                    out.flat[i] = program(
+                        {"y": y.flat[i], "u": y.flat[i], "v": z.flat[i]})
                 except exprs.EvalError:
                     out.flat[i] = np.nan
             return out

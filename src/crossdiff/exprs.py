@@ -13,6 +13,13 @@ e ^ 1, ...).  parse() and differentiate() build nodes only through those
 constructors, so ``parse(to_string(e)) == e`` holds structurally for every
 expression the library produces.
 
+compile() turns an expression into a Program, run on a bindings mapping,
+with one slot per distinct subexpression: each is evaluated once per call,
+in left-to-right post-order, so a domain error names the first failing
+node in that order.  A constant expression evaluates to a Python float.
+Compile once and call the Program to evaluate an expression repeatedly;
+evaluate() compiles on every call.
+
 Grammar (also in docs/expression-grammar.md)::
 
     expr    = term , { ("+" | "-") , term } ;
@@ -451,65 +458,154 @@ def _is_integral(c: float) -> bool:
     return float(c).is_integer()
 
 
+def _ln(x, _, node):
+    if np.any(x <= 0.0):
+        raise EvalError("ln of a non-positive value", node)
+    return np.log(x)
+
+
+def _sqrt(x, _, node):
+    if np.any(x < 0.0):
+        raise EvalError("sqrt of a negative value", node)
+    return np.sqrt(x)
+
+
+def _pow(x, c, node):
+    if c < 0.0 and np.any(x == 0.0):
+        raise EvalError("zero base with a negative exponent", node)
+    if not _is_integral(c) and np.any(x < 0.0):
+        raise EvalError("negative base with a fractional exponent", node)
+    return np.power(x, c)
+
+
+def _div(x, y, node):
+    if np.any(y == 0.0):
+        raise EvalError("division by zero", node)
+    return x / y
+
+
+# op -> f(first operand, second operand or unary op's own, node); each
+# applies the numpy operation of its node and raises on a domain failure
+_OPS = {
+    "neg": lambda x, _, node: -x,
+    "exp": lambda x, _, node: np.exp(x),
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "abs": lambda x, _, node: np.abs(x),
+    "sign": lambda x, _, node: np.sign(x),
+    "sin": lambda x, _, node: np.sin(x),
+    "cos": lambda x, _, node: np.cos(x),
+    "add": lambda x, y, node: x + y,
+    "sub": lambda x, y, node: x - y,
+    "mul": lambda x, y, node: x * y,
+    "div": _div,
+    "pow": _pow,
+}
+
+
+class Program:
+    """An expression compiled by compile(): call it on a bindings mapping.
+
+    len() is the number of slots, one per distinct subtree.
+    """
+
+    __slots__ = ("_slots", "_code", "_result")
+
+    def __init__(self, slots: list, code: tuple, result: int):
+        self._slots = slots    # constants filled in, every other slot None
+        self._code = code      # (slot, op, a, b, node, slots dead after)
+        # op None loads the variable node.name
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __call__(self, bindings: Mapping[str, Scalar]) -> Scalar:
+        s = self._slots.copy()
+        if self._code:
+            with np.errstate(all="ignore"):
+                for slot, op, a, b, node, dead in self._code:
+                    if op is None:
+                        try:
+                            s[slot] = bindings[node.name]
+                        except KeyError:
+                            raise EvalError(f"unbound variable '{node.name}'",
+                                            node) from None
+                    else:
+                        s[slot] = op(s[a], s[b], node)
+                    for d in dead:
+                        s[d] = None
+        return s[self._result]
+
+
+def compile(e: Union[Expr, Program]) -> Program:
+    """Compile e into a Program with one slot per distinct subtree; a
+    Program is returned as it is.
+
+    Structurally equal subtrees share a slot, so each is evaluated once per
+    call.  The instructions run in the tree's left-to-right post-order, so
+    the first failing node is the one a recursive walk would reach first,
+    and a slot is dropped right after its last reader, as a walk drops its
+    temporaries.  Keys are built bottom-up from the children's slots and
+    memoised by node identity: hashing an Expr walks its whole subtree.
+    """
+    if isinstance(e, Program):
+        return e
+    if type(e) is Const:  # the common constant coefficient: nothing to run
+        return Program([e.value], (), 0)
+    keys: dict = {}     # structural key -> slot
+    seen: dict = {}     # id(inner node) -> slot
+    slots: list = []    # per slot: its constant, or None
+    code: list = []     # (slot, op, a, b, node, dead), in post-order
+    last: dict = {}     # slot -> the instruction that reads it last
+
+    def visit(node: Expr) -> int:
+        kind = type(node)
+        if kind is Const:
+            # the sign keeps -0.0 apart from 0.0, which == would merge
+            key = (node.value, math.copysign(1.0, node.value))
+        elif kind is Var:
+            key = node.name
+        else:
+            slot = seen.get(id(node))
+            if slot is not None:
+                return slot
+            # a unary op reads its one operand twice; pow reads its exponent
+            # from the constant's slot
+            a = visit(node.arg if kind is Unary else node.lhs)
+            b = a if kind is Unary else visit(node.rhs)
+            key = (node.op, a, b)
+        slot = keys.get(key)
+        if slot is None:
+            slot = keys[key] = len(slots)
+            slots.append(node.value if kind is Const else None)
+            if kind is Var:
+                code.append((slot, None, None, None, node, []))
+            elif kind is not Const:
+                last[a] = last[b] = len(code)
+                code.append((slot, _OPS[node.op], a, b, node, []))
+        if kind is Unary or kind is Binary:
+            seen[id(node)] = slot
+        return slot
+
+    result = visit(e)
+    del visit  # the closure refers to itself: free the compile state now
+    for read, k in last.items():
+        if slots[read] is None and read != result:
+            code[k][5].append(read)
+    return Program(slots, tuple(code), result)
+
+
 def evaluate(e: Expr, bindings: Mapping[str, Scalar]) -> Scalar:
     """Evaluate over IEEE doubles; scalars and numpy arrays both work.
 
     Domain rules: ln needs a positive argument, sqrt a nonnegative one,
     division a nonzero denominator; b^c needs b >= 0 for fractional c and
     b != 0 for negative c (0^0 = 1, 0^c = 0 for c > 0 follow IEEE pow).
-    Violations raise EvalError naming the offending node.
+    Violations raise EvalError naming the offending node.  Compiles e on
+    every call; compile() once to evaluate the same expression repeatedly.
     """
-    with np.errstate(all="ignore"):
-        return _eval(e, bindings)
-
-
-def _eval(e: Expr, b: Mapping[str, Scalar]) -> Scalar:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return b[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{e.name}'", e) from None
-    if isinstance(e, Unary):
-        arg = _eval(e.arg, b)
-        if e.op == "neg":
-            return -arg
-        if e.op == "exp":
-            return np.exp(arg)
-        if e.op == "ln":
-            if np.any(arg <= 0.0):
-                raise EvalError("ln of a non-positive value", e)
-            return np.log(arg)
-        if e.op == "sqrt":
-            if np.any(arg < 0.0):
-                raise EvalError("sqrt of a negative value", e)
-            return np.sqrt(arg)
-        if e.op == "abs":
-            return np.abs(arg)
-        if e.op == "sign":
-            return np.sign(arg)
-        if e.op == "sin":
-            return np.sin(arg)
-        return np.cos(arg)
-    lhs = _eval(e.lhs, b)
-    if e.op == "pow":
-        c = e.rhs.value
-        if c < 0.0 and np.any(lhs == 0.0):
-            raise EvalError("zero base with a negative exponent", e)
-        if not _is_integral(c) and np.any(lhs < 0.0):
-            raise EvalError("negative base with a fractional exponent", e)
-        return np.power(lhs, c)
-    rhs = _eval(e.rhs, b)
-    if e.op == "add":
-        return lhs + rhs
-    if e.op == "sub":
-        return lhs - rhs
-    if e.op == "mul":
-        return lhs * rhs
-    if np.any(rhs == 0.0):
-        raise EvalError("division by zero", e)
-    return lhs / rhs
+    return compile(e)(bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,15 @@ class Grid:
         """The names of the spatial coordinates: x, and y in 2D."""
         return frozenset("xy"[:self.dim])
 
-    def cell_values(self, e: exprs.Expr, t: float = 0.0) -> np.ndarray:
-        """e evaluated at the cell centres at time t, as a read-only array
-        of the grid shape (a constant e is broadcast, not copied)."""
-        values = exprs.evaluate(e, {"t": t, **dict(zip("xy", self.centers()))})
+    def cell_values(self, e: exprs.Expr | exprs.Program,
+                    t: float = 0.0) -> np.ndarray:
+        """e, an expression or its compiled Program, evaluated at the cell
+        centres at time t, as an array of the grid shape; a value that does
+        not vary over the cells is broadcast, read-only, not copied."""
+        values = exprs.compile(e)(
+            {"t": t, **dict(zip("xy", self.centers()))})
+        if isinstance(values, np.ndarray) and values.shape == self.shape:
+            return values
         return np.broadcast_to(np.asarray(values, dtype=float), self.shape)
 
 

@@ -28,8 +28,9 @@ Ticks and validation: Simulation.march is the one time loop.  It steps
 time_grid(dt, t_end) and yields at t = 0, after every output_every-th step
 and after the final, possibly shortened, step; run and the stability
 harness record at exactly those ticks.  Every entry point that steps a
-config validates it first (run here, _run_batch in stability); Simulation
-itself never does.
+config validates it first (run here, _run_batch in stability, the CLI's
+MMS study every level before the first steps); Simulation itself never
+does.
 
 Conservation: fluxes vanish on boundary faces, so the flux divergence sums
 to zero and the only mass sources are reactions, forcing and clipping.
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import exprs
 from .coeffs import CoefficientModel
-from .exprs import (Const, Expr, differentiate, evaluate, is_number, mul,
+from .exprs import (Const, Expr, compile, differentiate, is_number, mul,
                     substitute)
 from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
                    gradient_arrays, member_sums)
@@ -188,12 +189,12 @@ class SimConfig:
             return problems
         # sampled sign conditions on the actual cells this run will use
         try:
-            u0, v0 = self.initial_fields()
+            pair = self.initial_pair()
+            u0, v0 = (self.grid.cell_values(p) for p in pair)
             problems += self.data_problems(u0, v0)
             if self.mms_u is not None and not problems and any(
-                    np.any(self.grid.cell_values(e, frac * self.t_end) <= 0.0)
-                    for frac in (0.25, 0.5, 0.75, 1.0)
-                    for e in (self.mms_u, self.mms_v)):
+                    np.any(self.grid.cell_values(p, frac * self.t_end) <= 0.0)
+                    for frac in (0.25, 0.5, 0.75, 1.0) for p in pair):
                 problems.append("manufactured solutions must stay positive "
                                 "on [0, t_end]")
         except exprs.EvalError as err:
@@ -222,16 +223,19 @@ class SimConfig:
             problems.append("initial v must be positive")
         return problems
 
-    def initial_fields(self) -> tuple:
-        """(u0, v0) on the cells, read-only: the initial data, or the
-        manufactured pair at t = 0."""
+    def initial_pair(self) -> tuple:
+        """The initial data, or the manufactured pair, compiled."""
         pair = (self.ic_u, self.ic_v) if self.mms_u is None \
             else (self.mms_u, self.mms_v)
-        return tuple(self.grid.cell_values(e) for e in pair)
+        return tuple(compile(e) for e in pair)
+
+    def initial_fields(self) -> tuple:
+        """(u0, v0) on the cells: initial_pair() at t = 0."""
+        return tuple(self.grid.cell_values(p) for p in self.initial_pair())
 
     def warn_if_dt_large(self, u0: np.ndarray, v0: np.ndarray) -> None:
         """Advisory explicit-term bound dt <= h^2 / max |A12 grad v| at t=0."""
-        a12 = np.broadcast_to(self.model.a12_values(u0, v0), self.grid.shape)
+        a12 = _cells(self.model.a12_values(u0, v0), self.grid.shape)
         worst = 0.0
         for a12_f, dv_f in zip(face_average_arrays(self.grid, a12),
                                gradient_arrays(self.grid, v0)):
@@ -355,6 +359,10 @@ def step_operator(grid: Grid, mob: tuple, dt: float,
 
 
 def _cells(values, shape) -> np.ndarray:
+    """values as an array of `shape`: an array of that shape as it is, a
+    scalar (a constant coefficient) broadcast."""
+    if isinstance(values, np.ndarray) and values.shape == shape:
+        return values
     return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
@@ -369,7 +377,8 @@ class Simulation:
     of B floats.  members lists the (u0, v0) cell arrays, one pair per
     member; when it is omitted, cfg's own initial data form a batch of one.
     A Simulation never validates: every entry point that steps a config
-    (run, and the stability harness's batch driver) validates it first.
+    (run, the stability harness's batch driver and the CLI's MMS study)
+    validates it first.
     """
 
     def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None):
@@ -393,10 +402,15 @@ class Simulation:
         self.cum_grad_u_sq = [0.0] * count
         self.reaction_mass_total = [0.0] * count  # sum_k dt integral(R1+S1)
         if cfg.mms_u is not None:
-            self.forcing_u, self.forcing_v = mms_forcing(
-                cfg.mms_u, cfg.mms_v, cfg.model)
+            self.forcing_u, self.forcing_v = (compile(s) for s in mms_forcing(
+                cfg.mms_u, cfg.mms_v, cfg.model))
         else:
             self.forcing_u = self.forcing_v = None
+        # a constant A12 or A22 has the same face means at every step
+        self._a12_faces, self._a22_faces = (
+            face_average_arrays(self.grid, _cells(e.value, self.u.shape))
+            if isinstance(e, Const) else None
+            for e in (cfg.model.a12, cfg.model.a22))
         self._max_iter = cfg.lin_max_iter or max(200, 10 * self.grid.cell_count)
 
     def march(self):
@@ -452,12 +466,11 @@ class Simulation:
     def _step_v(self, dt: float, t_next: float) -> np.ndarray:
         g, m = self.grid, self.model
         u, v = self.u, self.v
-        a22 = _cells(m.a22_values(u, v), u.shape)
-        mob = face_average_arrays(g, a22)
-        q2 = _cells(m.q2_values(v), u.shape)
+        mob = self._a22_faces or face_average_arrays(
+            g, _cells(m.a22_values(u, v), u.shape))
+        q2 = m.q2_values(v)
         c_abs = u * np.maximum(-q2, 0.0) / v
-        explicit = u * np.maximum(q2, 0.0) \
-            + _cells(evaluate(m.r2_tilde, {"u": u, "v": v}), u.shape)
+        explicit = u * np.maximum(q2, 0.0) + m.r2_tilde_values(u, v)
         if self.forcing_v is not None:
             explicit = explicit + g.cell_values(self.forcing_v, t_next)
         rhs = v + dt * explicit
@@ -486,8 +499,8 @@ class Simulation:
         v_faces = face_average_arrays(g, v_new)
         mob = tuple(m.a11_values(uf, vf) for uf, vf in zip(u_faces, v_faces))
 
-        a12 = _cells(m.a12_values(u, v_new), u.shape)
-        a12_faces = face_average_arrays(g, a12)
+        a12_faces = self._a12_faces or face_average_arrays(
+            g, _cells(m.a12_values(u, v_new), u.shape))
         cross = tuple(af * gf for af, gf
                       in zip(a12_faces, gradient_arrays(g, v_new)))
         reaction = m.r1_values(u, v_new)

@@ -8,13 +8,16 @@ Two vocabularies:
 * ``smooth_expr`` draws from a guarded vocabulary whose members are smooth
   with moderate derivatives on u, v, x, t in [0.1, 10]; suitable for
   comparing symbolic derivatives against central finite differences.
+
+``reference_evaluate`` is a plain recursive walk of the tree, the reference
+the compiled evaluator is compared against.
 """
 
 import numpy as np
 
-from crossdiff.exprs import (Const, Var, abs_, add, cos, differentiate, div,
-                             evaluate, exp, ln, mul, neg, pow_, sign, sin,
-                             sqrt, sub)
+from crossdiff.exprs import (Binary, Const, EvalError, Unary, Var, abs_, add,
+                             cos, differentiate, div, evaluate, exp, ln, mul,
+                             neg, pow_, sign, sin, sqrt, sub)
 
 ALL_VARS = ("x", "y", "t", "u", "v")
 SMOOTH_VARS = ("x", "t", "u", "v")
@@ -122,3 +125,60 @@ def derivative_agreement_failures(seed: int, pairs: int,
         if abs(sym - fd) > tol * (1.0 + max(abs(sym), abs(fd))):
             failures.append((e, point, var, sym, fd))
     return failures
+
+
+def reference_evaluate(e, bindings):
+    """Evaluate e by walking the tree, each node after its operands, left
+    to right, with the domain rules of exprs.evaluate."""
+    with np.errstate(all="ignore"):
+        return _walk(e, bindings)
+
+
+def _walk(e, b):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return b[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable '{e.name}'", e) from None
+    if isinstance(e, Unary):
+        arg = _walk(e.arg, b)
+        if e.op == "neg":
+            return -arg
+        if e.op == "exp":
+            return np.exp(arg)
+        if e.op == "ln":
+            if np.any(arg <= 0.0):
+                raise EvalError("ln of a non-positive value", e)
+            return np.log(arg)
+        if e.op == "sqrt":
+            if np.any(arg < 0.0):
+                raise EvalError("sqrt of a negative value", e)
+            return np.sqrt(arg)
+        if e.op == "abs":
+            return np.abs(arg)
+        if e.op == "sign":
+            return np.sign(arg)
+        if e.op == "sin":
+            return np.sin(arg)
+        return np.cos(arg)
+    assert isinstance(e, Binary)
+    lhs = _walk(e.lhs, b)
+    if e.op == "pow":
+        c = e.rhs.value
+        if c < 0.0 and np.any(lhs == 0.0):
+            raise EvalError("zero base with a negative exponent", e)
+        if not float(c).is_integer() and np.any(lhs < 0.0):
+            raise EvalError("negative base with a fractional exponent", e)
+        return np.power(lhs, c)
+    rhs = _walk(e.rhs, b)
+    if e.op == "add":
+        return lhs + rhs
+    if e.op == "sub":
+        return lhs - rhs
+    if e.op == "mul":
+        return lhs * rhs
+    if np.any(rhs == 0.0):
+        raise EvalError("division by zero", e)
+    return lhs / rhs

@@ -473,6 +473,29 @@ def test_mms_validates_each_level_and_names_it(tmp_path, capsys):
                               "initial u must be nonnegative")
 
 
+def test_mms_validates_every_level_before_stepping_any(tmp_path, capsys,
+                                                       monkeypatch):
+    # the repro above: n = 64 breaks a rule, so n = 32 must not step first
+    steps = []
+    monkeypatch.setattr(solver.Simulation, "step",
+                        lambda sim, *args: steps.append(sim.grid.shape))
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 0.002, "t_end": 0.02},
+        "mms": {"u": "0.9995 + exp(-t)*cos(pi*x)",
+                "v": "2 + 0.5*exp(-t)*cos(pi*x)",
+                "levels": [32, 64, 128]},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert err["kind"] == "config"
+    assert err["message"].startswith("level n = 64: ")
+    assert steps == []
+
+
 def test_mms_numeric_failure_names_its_level(tmp_path, capsys):
     # x^2 is no Neumann eigenmode, so one CG iteration cannot solve a step
     payload = {

@@ -6,6 +6,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from crossdiff import coeffs, exprs
 from crossdiff.coeffs import (CoefficientModel, build_preset,
                               check_finite_gamma_lipschitz,
                               dissipation_density, mean_power_bounds_check,
@@ -280,6 +281,21 @@ def test_lipschitz_domain_failure_reports_diverging():
     verdict = check_finite_gamma_lipschitz(parse("ln(y)"), 1.5, 1.0, 1.0)
     assert verdict.verdict == "diverging"
     assert verdict.witness_pair is not None
+
+
+def test_lipschitz_compiles_f_once_per_call(monkeypatch):
+    # sqrt(y - 0.5) fails on part of every batch, so each scan falls back
+    # to evaluating its pairs one by one, with the same program
+    f = parse("sqrt(y - 0.5)")
+    compiled = []
+
+    def counting_compile(e):
+        compiled.append(e)
+        return exprs.compile(e)
+    monkeypatch.setattr(coeffs, "compile", counting_compile)
+    verdict = check_finite_gamma_lipschitz(f, 1.5, 1.0, 1.0, budget=1000)
+    assert verdict.verdict == "diverging"
+    assert compiled == [f]
 
 
 def test_lipschitz_witness_attains_estimate():

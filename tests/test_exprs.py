@@ -1,15 +1,19 @@
 """Expression language: parsing, printing, evaluation, differentiation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from crossdiff.coeffs import build_preset
 from crossdiff.exprs import (Binary, Const, EvalError, ExpressionError,
-                             ParseError, Unary, Var, abs_, differentiate,
-                             evaluate, mul, parse, pow_, sign, sqrt,
-                             substitute, to_string, variables)
-from exprgen import derivative_agreement_failures, random_ast
+                             ParseError, Unary, Var, abs_, compile,
+                             differentiate, evaluate, mul, parse, pow_, sign,
+                             sqrt, substitute, to_string, variables)
+from crossdiff.solver import mms_forcing
+from exprgen import (derivative_agreement_failures, random_ast,
+                     reference_evaluate)
 
 # ---------------------------------------------------------------------------
 # parsing: structure
@@ -171,6 +175,115 @@ def test_eval_is_deterministic():
     e = parse("exp(0.1*u) * sin(v) - u/(2 + v^2)")
     b = {"u": 1.234, "v": 5.678}
     assert evaluate(e, b) == evaluate(e, b)
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the reference walk
+
+# cell values that break every domain rule somewhere: zeros of both signs,
+# negatives, values that overflow exp and powers
+_SAMPLE_POOL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300,
+                         700.0, -1e3, 2.0, 1e200])
+
+
+def _outcome(evaluator, e, bindings):
+    try:
+        return "value", evaluator(e, bindings)
+    except EvalError as err:
+        return "error", str(err), err.node
+
+
+def _random_bindings(rng, scalar: bool) -> dict:
+    if scalar:
+        return {name: float(rng.choice(_SAMPLE_POOL)) for name in "xytuv"}
+    return {name: rng.choice(_SAMPLE_POOL, size=9) for name in "xytuv"}
+
+
+def _same_value(got, want) -> bool:
+    """Bitwise equal: same type, same values with NaN equal to NaN, same
+    sign of every zero."""
+    return type(got) is type(want) \
+        and np.array_equal(got, want, equal_nan=True) \
+        and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_compiled_evaluation_matches_the_reference_walk():
+    rng = np.random.default_rng(1234)
+    kinds = {"value": 0, "error": 0}
+    for case in range(600):
+        e = random_ast(rng, depth=5)
+        if case % 3 == 0:  # derivatives repeat subtrees, which share slots
+            e = differentiate(e, str(rng.choice(["x", "u", "v"])))
+        bindings = _random_bindings(rng, scalar=case % 4 == 0)
+        if case % 10 == 0:
+            del bindings[str(rng.choice(list(bindings)))]
+        want = _outcome(reference_evaluate, e, bindings)
+        got = _outcome(evaluate, e, bindings)
+        kinds[want[0]] += 1
+        assert got[0] == want[0], (to_string(e), got, want)
+        if want[0] == "error":
+            # the same message, naming a node equal to the walk's
+            assert got[1:] == want[1:], to_string(e)
+        else:
+            assert _same_value(got[1], want[1]), to_string(e)
+    assert min(kinds.values()) >= 100  # both outcomes are exercised
+
+
+def test_compile_shares_distinct_subtrees():
+    u = Var("u")
+    square = pow_(u, Const(2.0))
+    e = mul(square, sqrt(square)) + square  # u, 2.0, u^2, sqrt, *, +
+    program = compile(e)
+    assert len(program) == 6
+    assert program({"u": np.array([3.0])})[0] == 9.0 * 3.0 + 9.0
+    # -0.0 and 0.0 are equal as nodes, but not as constants
+    assert len(compile(Binary("add", Const(-0.0), Const(0.0)))) == 3
+    assert compile(program) is program
+
+
+def test_constant_expressions_evaluate_to_floats():
+    assert type(evaluate(Const(1.0), {})) is float
+    assert type(compile(parse("2*pi"))({"u": np.ones(3)})) is float
+
+
+@pytest.mark.parametrize("amplitude, sizes", [
+    ("0.5", (57, 28)),    # mms_case2: u*'s 0.5 and the preset's l = 0.5 merge
+    ("0.45", (58, 28)),
+])
+def test_mms_case2_forcings_compile_to_their_distinct_subtrees(amplitude,
+                                                                sizes):
+    model = build_preset(2, {"chi": 0.05, "l": 0.5})
+    s1, s2 = mms_forcing(parse(f"2 + {amplitude}*exp(-t)*cos(pi*x)"),
+                         parse("2 + 0.25*exp(-t)*cos(pi*x)"), model)
+    assert _tree_size(s1) == 287 and _tree_size(s2) == 55
+    assert (len(compile(s1)), len(compile(s2))) == sizes
+
+
+def _tree_size(e) -> int:
+    if isinstance(e, Unary):
+        return 1 + _tree_size(e.arg)
+    if isinstance(e, Binary):
+        return 1 + _tree_size(e.lhs) + _tree_size(e.rhs)
+    return 1
+
+
+def test_compiled_evaluation_drops_each_slot_after_its_last_use():
+    model = build_preset(2, {"chi": 0.05, "l": 0.5})
+    s1, _ = mms_forcing(parse("2 + 0.5*exp(-t)*cos(pi*x)"),
+                        parse("2 + 0.25*exp(-t)*cos(pi*x)"), model)
+    n = 4096
+    bindings = {"t": 0.05, "x": (np.arange(n) + 0.5) / n}
+    program = compile(s1)
+    program(bindings)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        program(bindings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 57 slots; holding every one until the end peaks at about 43 arrays
+    assert (peak - base) / (8 * n) <= 12
 
 
 # ---------------------------------------------------------------------------
