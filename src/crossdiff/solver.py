@@ -6,7 +6,9 @@ Each step advances the pair (u, v) by the splitting
     u step:  (I - dt div(M11 grad)) u' = u + dt (div(A12(u, v') grad v')
                                               + R1(u, v') + S1)
 
-solved with matrix-free CG.  The v diffusion uses face-averaged cell values
+solved with matrix-free CG on one StepOperator per Simulation, which both
+solves reassemble in place; that invalidates its last apply, and each apply
+overwrites the one before.  The v diffusion uses face-averaged cell values
 of A22(u, v); the absorbing part of the v reaction (q2 <= 0, as in -u v) is
 taken implicitly through the ratio form u q2(v) v'/v with the diagonal
 C = u max(-q2(v), 0)/v >= 0, which keeps v positive for positive data.  The
@@ -261,10 +263,12 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     one member this is the stop ||r|| <= tol ||b||.  The recurrence residual
     triggers the check and is refreshed from the true one if roundoff made
     them drift apart.  Returns (x, iterations, ||r|| / min_i ||b_i||), a
-    bound on every member's relative residual.  A zero right-hand side
-    returns zeros immediately with zero iterations, and a non-finite one
-    raises ConvergenceError at once.  apply_a may return the same array on
-    every call: its result is consumed before the next call.
+    bound on every member's relative residual.  At max_iter the true
+    residual is checked too, and if it misses the stop, ConvergenceError
+    carries it on that scale.  A zero right-hand side returns zeros with
+    zero iterations, and a non-finite one raises ConvergenceError at once.
+    apply_a may return the same array on every call: its result is consumed
+    before the next call.
     """
     norm_b = math.sqrt(float(np.vdot(b, b)))  # bitwise np.linalg.norm(b)
     if not math.isfinite(norm_b):
@@ -282,19 +286,19 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     iterations = 0
     target = tol * norm_b
     while True:
-        if math.sqrt(rs) <= target:
+        if math.sqrt(rs) <= target or iterations >= max_iter:
             true_r = b - apply_a(x)
             true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
             if true_norm <= target:
                 return x, iterations, true_norm / norm_b
+            if iterations >= max_iter:
+                raise ConvergenceError(
+                    f"CG did not reach tol {tol:g} in {max_iter} iterations "
+                    f"(residual {true_norm / norm_b:.3e})",
+                    x, true_norm / norm_b, iterations)
             r = true_r
             p = r.copy()
             rs = float(np.vdot(r, r))
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"CG did not reach tol {tol:g} in {max_iter} iterations "
-                f"(residual {math.sqrt(rs) / norm_b:.3e})",
-                x, math.sqrt(rs) / norm_b, iterations)
         ap = apply_a(p)
         p_ap = float(np.vdot(p, ap))
         if not p_ap > 0.0:
@@ -311,51 +315,53 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
         iterations += 1
 
 
-def step_operator(grid: Grid, mob: tuple, dt: float,
-                  c: Optional[np.ndarray] = None) -> Callable:
-    """The implicit step matrix x -> x + dt c x - dt div(mob grad x).
+class StepOperator:
+    """The step matrix x -> x + dt c x - dt div(M grad x) of a batch shape.
 
-    mob holds one face-mobility array per axis; c (the v step's absorption
-    diagonal) may be omitted.  The arrays may carry a leading member axis,
-    (B, *faces); x then has shape (B, *grid.shape), and the members do not
-    couple.  Each call performs the same floating-point
-    operations, in the same order, as
-
-        x + dt * c * x
-          - dt * divergence_arrays(grid, mob * gradient_arrays(grid, x))
-
-    so the result is bitwise identical, but the face slices are taken once
-    and every call writes into the same preallocated arrays: the returned
-    array is overwritten by the next call.
+    An apply is diag x - sum over axes of D(w G x): G x = x[hi] - x[lo],
+    D f = f[hi] - f[lo], diag = 1 + dt c (or 1), w = (dt/h^2) M; it equals
+    the grid kernels' composition to roundoff, not bitwise.  On the flat
+    cells w[k] weighs the face of cells k and k + s, s the axis's stride,
+    and is zero where k is last along the axis, so no flux wraps between
+    rows or members.  Buffers are allocated once; assemble() invalidates
+    the last apply, and each apply overwrites the one before.
     """
-    axes = []
-    for h, m, (hi, lo, inner, _, _) in zip(grid.spacing, mob,
-                                          FACE_SLICES[grid.dim]):
-        flux = np.zeros(m.shape)  # boundary faces carry no flux
-        axes.append((h, hi, lo, flux[inner], m[inner], flux[hi], flux[lo]))
-    shape = mob[0].shape[:mob[0].ndim - grid.dim] + grid.shape
-    div = np.empty(shape)
-    part = np.empty(shape)
-    out = np.empty(shape)
-    dtc = None if c is None else dt * c
 
-    def apply_a(x):
-        for axis, (h, x_hi, x_lo, f_in, m_in, f_hi, f_lo) in enumerate(axes):
-            np.subtract(x[x_hi], x[x_lo], out=f_in)
-            np.divide(f_in, h, out=f_in)
-            np.multiply(m_in, f_in, out=f_in)
-            target = div if axis == 0 else part
-            np.subtract(f_hi, f_lo, out=target)
-            np.divide(target, h, out=target)
-            if axis:
-                np.add(div, part, out=div)
-        np.multiply(div, dt, out=div)
-        if dtc is None:
-            return np.subtract(x, div, out=out)
-        np.multiply(dtc, x, out=out)
-        np.add(x, out, out=out)
-        return np.subtract(out, div, out=out)
-    return apply_a
+    def __init__(self, grid: Grid, shape: tuple):
+        cells = math.prod(shape)
+        self._out, self._diag = np.empty(shape), np.empty(shape)
+        self._flat, self._part = self._out.reshape(-1), np.empty(cells)
+        self._absorbs = False
+        self._weights, self._axes = [], []  # per axis, to assemble, apply
+        for axis, (h, (_, lo, inner, _, _)) in enumerate(
+                zip(grid.spacing, FACE_SLICES[grid.dim])):
+            s = math.prod(grid.shape[axis + 1:])
+            w, flux = np.zeros(shape), np.zeros(cells + s)
+            self._weights.append((inner, h * h, w[lo]))
+            self._axes.append((s, w.reshape(-1)[:-s], flux[s:-s], flux[s:],
+                               flux[:-s]))
+
+    def assemble(self, mob: tuple, dt: float,
+                 c: Optional[np.ndarray] = None) -> None:
+        """Set w from the face mobilities mob and dt, and diag from c."""
+        for (inner, h2, w), m in zip(self._weights, mob):
+            np.multiply(m[inner], dt / h2, out=w)
+        self._absorbs = c is not None
+        if self._absorbs:
+            np.add(np.multiply(c, dt, out=self._diag), 1.0, out=self._diag)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._absorbs:
+            np.multiply(self._diag, x, out=self._out)
+        else:
+            np.copyto(self._out, x)
+        out, part, x = self._flat, self._part, x.reshape(-1)
+        for s, w, f_in, f_hi, f_lo in self._axes:
+            np.subtract(x[s:], x[:-s], out=f_in)
+            np.multiply(f_in, w, out=f_in)
+            np.subtract(f_hi, f_lo, out=part)
+            np.subtract(out, part, out=out)
+        return self._out
 
 
 def _cells(values, shape) -> np.ndarray:
@@ -412,6 +418,7 @@ class Simulation:
             if isinstance(e, Const) else None
             for e in (cfg.model.a12, cfg.model.a22))
         self._max_iter = cfg.lin_max_iter or max(200, 10 * self.grid.cell_count)
+        self.operator = StepOperator(self.grid, self.u.shape)
 
     def march(self):
         """Step cfg's time grid from t = 0 to t_end, yielding the time at
@@ -453,11 +460,12 @@ class Simulation:
         self.v = v_new
         self.t = t_next
 
-    def _solve(self, name: str, apply_a: Callable, rhs: np.ndarray,
-               x0: np.ndarray) -> np.ndarray:
-        """The step CG; a failure names the solve."""
+    def _solve(self, name: str, rhs: np.ndarray, x0: np.ndarray, mob: tuple,
+               dt: float, c: Optional[np.ndarray] = None) -> np.ndarray:
+        """CG on the operator assembled from mob, dt and c; errors name it."""
+        self.operator.assemble(mob, dt, c)
         try:
-            return conjugate_gradient(apply_a, rhs, x0, self.cfg.lin_tol,
+            return conjugate_gradient(self.operator, rhs, x0, self.cfg.lin_tol,
                                       self._max_iter)[0]
         except ConvergenceError as err:
             err.args = (f"{name} solve: {err.args[0]}",) + err.args[1:]
@@ -475,7 +483,7 @@ class Simulation:
             explicit = explicit + g.cell_values(self.forcing_v, t_next)
         rhs = v + dt * explicit
 
-        v_new = self._solve("v", step_operator(g, mob, dt, c_abs), rhs, v)
+        v_new = self._solve("v", rhs, v, mob, dt, c_abs)
         # analytic mass balance: sum v' = sum rhs - dt sum(C v'); restore it
         cells = g.cell_count
         shift = [(r - dt * c - s) / cells for r, c, s in zip(
@@ -508,7 +516,7 @@ class Simulation:
             reaction = reaction + g.cell_values(self.forcing_u, t_next)
         rhs = u + dt * (divergence_arrays(g, cross) + reaction)
 
-        u_new = self._solve("u", step_operator(g, mob, dt), rhs, u)
+        u_new = self._solve("u", rhs, u, mob, dt)
         # flux divergences carry no net mass; reactions and forcing do
         reaction_mass = [dt * s * vol for s in member_sums(reaction)]
         cells = g.cell_count

@@ -1,16 +1,23 @@
 """Time integration: stepping oracles, conservation, positivity, MMS."""
 
+import dataclasses
+import inspect
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crossdiff import solver
+from crossdiff.cli import load_config
 from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import evaluate, parse
-from crossdiff.grid import Grid, divergence_arrays, gradient_arrays
+from crossdiff.grid import (FACE_SLICES, Grid, divergence_arrays,
+                            gradient_arrays)
 from crossdiff.solver import (ConvergenceError, PositivityError, SimConfig,
-                              Simulation, conjugate_gradient, f_energy,
-                              mms_forcing, run, step_operator, time_grid)
+                              Simulation, StepOperator, conjugate_gradient,
+                              f_energy, mms_forcing, run, time_grid)
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -21,6 +28,8 @@ def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
         r1_tilde=parse(r1_tilde), r2_linear=parse(r2_linear),
         r2_tilde=parse(r2_tilde))
 
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 HEAT = make_model()  # alpha = 0, p = 1, A12 = 0, A22 = 1, R = 0
 
@@ -41,41 +50,151 @@ def stepper(grid, model, u, v):
 # step operator and CG
 
 
-@pytest.mark.parametrize("grid", [Grid((37,), (1.3,)),
-                                  Grid((9, 14), (0.7, 2.1))])
-def test_step_operator_matches_grid_calculus_bitwise(grid):
+def operator(grid, mob, dt, c=None):
+    """A StepOperator for the cells of mob's batch, assembled."""
+    shape = mob[0].shape[:mob[0].ndim - grid.dim] + grid.shape
+    op = StepOperator(grid, shape)
+    op.assemble(mob, dt, c)
+    return op
+
+
+def folded(grid, mob, dt, c, x):
+    """The step matrix written out as the operator folds it:
+    diag x - sum over axes of D(w G x), with w = (dt/h^2) M on the interior
+    faces, zero flux on the boundary faces and diag = 1 + dt c."""
+    out = x.copy() if c is None else (1.0 + dt * c) * x
+    for h, m, (hi, lo, inner, _, _) in zip(grid.spacing, mob,
+                                          FACE_SLICES[grid.dim]):
+        flux = np.zeros(m.shape)
+        flux[inner] = (x[hi] - x[lo]) * (m[inner] * (dt / (h * h)))
+        out = out - (flux[hi] - flux[lo])
+    return out
+
+
+def random_operator_data(grid, rng, lead=()):
+    faces = gradient_arrays(grid, np.zeros(lead + grid.shape))
+    mob = tuple(rng.uniform(0.1, 3.0, f.shape) for f in faces)
+    return mob, rng.uniform(0.0, 2.0, lead + grid.shape)
+
+
+GRIDS = [Grid((37,), (1.3,)), Grid((9, 14), (0.7, 2.1))]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_step_operator_matches_folded_formula_bitwise(grid):
     rng = np.random.default_rng(grid.cell_count)
     dt = 0.0137
-    faces = gradient_arrays(grid, np.zeros(grid.shape))
-    mob = tuple(rng.uniform(0.1, 3.0, f.shape) for f in faces)
-    c = rng.uniform(0.0, 2.0, grid.shape)
-    v_apply = step_operator(grid, mob, dt, c)
-    u_apply = step_operator(grid, mob, dt)
+    mob, c = random_operator_data(grid, rng)
+    v_apply = operator(grid, mob, dt, c)
+    u_apply = operator(grid, mob, dt)
     for _ in range(3):  # the result arrays are reused from call to call
         x = rng.standard_normal(grid.shape)
-        flux = tuple(m * g for m, g in zip(mob, gradient_arrays(grid, x)))
-        div = divergence_arrays(grid, flux)
-        assert np.array_equal(v_apply(x), x + dt * c * x - dt * div)
-        assert np.array_equal(u_apply(x), x - dt * div)
+        assert np.array_equal(v_apply(x), folded(grid, mob, dt, c, x))
+        assert np.array_equal(u_apply(x), folded(grid, mob, dt, None, x))
 
 
-@pytest.mark.parametrize("grid", [Grid((37,), (1.3,)),
-                                  Grid((9, 14), (0.7, 2.1))])
-def test_batched_step_operator_equals_member_operators_bitwise(grid):
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_step_operator_matches_grid_calculus_to_roundoff(grid):
+    # Both x + dt c x - dt div(M grad x), from the grid kernels, and the
+    # folded operator evaluate one exact sum of the terms x, dt c x and, per
+    # axis and face of a cell, (dt/h^2) M x_hi and (dt/h^2) M x_lo.  Each
+    # term passes through at most 8 roundings in either evaluation (the
+    # grid path: difference, /h, *M, face difference, /h, axis sum, *dt,
+    # final subtraction), so each result is within gamma_8 S of the exact
+    # value (Higham, Accuracy and Stability, 2nd ed., section 3.1), where
+    # S sums the terms' magnitudes, and the two differ by at most
+    # 2 gamma_8 S.  gamma_10 covers the roundoff of computing S itself.
+    rng = np.random.default_rng(grid.cell_count + 1)
     dt = 0.0137
-    faces = gradient_arrays(grid, np.zeros((3,) + grid.shape))
-    mob = tuple(rng.uniform(0.1, 3.0, f.shape) for f in faces)
-    c = rng.uniform(0.0, 2.0, (3,) + grid.shape)
+    mob, c = random_operator_data(grid, rng)
+    eps = np.finfo(float).eps / 2.0  # unit roundoff
+    gamma = 10 * eps / (1.0 - 10 * eps)
+    for absorbing in (c, None):
+        op = operator(grid, mob, dt, absorbing)
+        for _ in range(3):
+            x = rng.standard_normal(grid.shape)
+            diffusion = dt * divergence_arrays(grid, tuple(
+                m * g for m, g in zip(mob, gradient_arrays(grid, x))))
+            if absorbing is None:
+                kernels, size = x - diffusion, np.abs(x)
+            else:
+                kernels = x + dt * absorbing * x - diffusion
+                size = np.abs(x) + dt * absorbing * np.abs(x)
+            for h, m, (hi, lo, inner, _, _) in zip(grid.spacing, mob,
+                                                  FACE_SLICES[grid.dim]):
+                terms = np.zeros(m.shape)
+                terms[inner] = dt / (h * h) * m[inner] * (
+                    np.abs(x[hi]) + np.abs(x[lo]))
+                size = size + terms[hi] + terms[lo]
+            assert np.all(np.abs(op(x) - kernels) <= 2.0 * gamma * size)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("k", [0.7, -3.25, 1e-300])
+def test_step_operator_maps_a_constant_to_diag_times_it_exactly(grid, k):
+    rng = np.random.default_rng(5)
+    dt = 0.0137
+    mob, c = random_operator_data(grid, rng, (2,))
+    x = np.full((2,) + grid.shape, k)
+    assert np.array_equal(operator(grid, mob, dt, c)(x), (1.0 + dt * c) * k)
+    assert np.array_equal(operator(grid, mob, dt)(x), x)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_v_then_u_assembly_equals_fresh_operators_bitwise(grid):
+    # one step: the v solve assembles with a diagonal, then the u solve
+    # reassembles the same buffers without one
+    rng = np.random.default_rng(6)
+    dt = 0.0137
+    mob_v, c = random_operator_data(grid, rng, (3,))
+    mob_u, _ = random_operator_data(grid, rng, (3,))
     x = rng.standard_normal((3,) + grid.shape)
-    v_batch = step_operator(grid, mob, dt, c)(x)
-    u_batch = step_operator(grid, mob, dt)(x)
-    for i in range(3):
-        member_mob = tuple(m[i] for m in mob)
-        assert np.array_equal(v_batch[i],
-                              step_operator(grid, member_mob, dt, c[i])(x[i]))
-        assert np.array_equal(u_batch[i],
-                              step_operator(grid, member_mob, dt)(x[i]))
+    op = StepOperator(grid, x.shape)
+    op.assemble(mob_v, dt, c)
+    v_result = op(x).copy()
+    op.assemble(mob_u, dt)
+    u_result = op(x)
+    assert np.array_equal(v_result, operator(grid, mob_v, dt, c)(x))
+    assert np.array_equal(u_result, operator(grid, mob_u, dt)(x))
+    assert op(x) is u_result  # every apply returns the same buffer
+
+
+def test_steps_after_the_first_allocate_no_operator_arrays():
+    g = Grid((24, 20), (1.0, 1.2))
+    cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0)
+    x, y = g.centers()
+    sim = Simulation(cfg, members=[
+        (1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * y)),
+        (np.full(g.shape, 1.2), 1.0 + 0.1 * np.cos(math.pi * x))])
+    sim.step(cfg.dt)
+    op = sim.operator
+    buffers = {id(a) for a in vars(op).values() if isinstance(a, np.ndarray)}
+    smallest = min(sim.u[0, 1:].nbytes, sim.u[0, :, 1:].nbytes)  # w arrays
+    lines, first = inspect.getsourcelines(StepOperator)
+    code = range(first, first + len(lines))
+    cell_bytes = sim.u.nbytes
+    x = sim.u.copy()
+    tracemalloc.start()
+    try:
+        sim.step(cfg.dt)
+        held = tracemalloc.take_snapshot()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        op(x)
+        transient = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sim.operator is op and buffers == {
+        id(a) for a in vars(op).values() if isinstance(a, np.ndarray)}
+    # nothing array-sized that the operator's code allocated in the second
+    # step is alive (numpy keeps a few bytes of shape caches) ...
+    assert not [stat for stat in held.statistics("lineno")
+                if stat.traceback[0].filename == inspect.getfile(StepOperator)
+                and stat.traceback[0].lineno in code
+                and stat.size >= smallest]
+    # ... and an apply allocates nothing of cell size (assemble may: numpy
+    # buffers its strided 2-D multiply, up to 64 KiB per operand)
+    assert transient < cell_bytes
 
 
 def test_batched_cg_bounds_every_member_relative_residual():
@@ -84,7 +203,7 @@ def test_batched_cg_bounds_every_member_relative_residual():
     g = Grid((96,), (1.0,))
     rng = np.random.default_rng(4)
     mob = (rng.uniform(0.5, 2.0, (3, 97)),)
-    apply_a = step_operator(g, mob, 0.05)
+    apply_a = operator(g, mob, 0.05)
     b = rng.standard_normal((3, 96))
     b[1] *= 1e-6
     tol = 1e-8
@@ -125,7 +244,7 @@ def test_batched_step_equals_single_member_steps():
 def test_nonconvergence_carries_best_iterate():
     g = Grid((128,), (1.0,))
     rng = np.random.default_rng(12)
-    apply_a = step_operator(g, (rng.uniform(0.5, 2.0, (1, 129)),), 1.0)
+    apply_a = operator(g, (rng.uniform(0.5, 2.0, (1, 129)),), 1.0)
     b = rng.standard_normal((1, 128))
     with pytest.raises(ConvergenceError) as err:
         conjugate_gradient(apply_a, b, np.zeros((1, 128)), 1e-14, 2)
@@ -134,10 +253,31 @@ def test_nonconvergence_carries_best_iterate():
     assert math.isfinite(err.value.residual_norm)
 
 
+def test_failed_solve_reports_the_true_residual_of_its_best_iterate(
+        monkeypatch):
+    # at tol 1e-16 the first v solve of case2_run_1d stalls at roundoff;
+    # after 5 iterations its recurrence residual reads 7% below the true one
+    cfg = load_config(CONFIG_DIR / "case2_run_1d.json").sim
+    solves = []
+
+    def recording(apply_a, b, x0, tol, max_iter):
+        solves.append((apply_a, b))
+        return conjugate_gradient(apply_a, b, x0, tol, max_iter)
+
+    monkeypatch.setattr(solver, "conjugate_gradient", recording)
+    with pytest.raises(ConvergenceError) as err:
+        run(dataclasses.replace(cfg, lin_tol=1e-16, lin_max_iter=5))
+    apply_a, b = solves[-1]
+    true = np.linalg.norm(b - apply_a(err.value.best)) / np.linalg.norm(b)
+    assert err.value.iterations == 5
+    assert err.value.residual_norm == pytest.approx(true, rel=1e-12)
+    assert f"(residual {true:.3e})" in str(err.value)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_cg_refuses_a_non_finite_right_hand_side(bad):
     g = Grid((16,), (1.0,))
-    apply_a = step_operator(g, (np.ones((2, 17)),), 0.1)
+    apply_a = operator(g, (np.ones((2, 17)),), 0.1)
     b = np.ones((2, 16))
     b[1, 3] = bad
     with pytest.raises(ConvergenceError, match="not finite") as err:
