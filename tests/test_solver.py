@@ -159,6 +159,22 @@ def test_v_then_u_assembly_equals_fresh_operators_bitwise(grid):
     assert op(x) is u_result  # every apply returns the same buffer
 
 
+@pytest.mark.parametrize("grid", GRIDS)
+def test_batched_step_operator_equals_member_operators_bitwise(grid):
+    rng = np.random.default_rng(3)
+    dt = 0.0137
+    mob, c = random_operator_data(grid, rng, (3,))
+    x = rng.standard_normal((3,) + grid.shape)
+    v_batch = operator(grid, mob, dt, c)(x)
+    u_batch = operator(grid, mob, dt)(x)
+    for i in range(3):
+        member_mob = tuple(m[i] for m in mob)
+        assert np.array_equal(v_batch[i],
+                              operator(grid, member_mob, dt, c[i])(x[i]))
+        assert np.array_equal(u_batch[i],
+                              operator(grid, member_mob, dt)(x[i]))
+
+
 def test_steps_after_the_first_allocate_no_operator_arrays():
     g = Grid((24, 20), (1.0, 1.2))
     cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0)
