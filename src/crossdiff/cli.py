@@ -368,18 +368,18 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """rows: sequences of strings, as _formatted makes from Python numbers."""
     # rows stream through a 1 MiB buffer: few write calls, and freeing it
     # raises glibc's trim threshold as the one-string writer's text did
     with path.open("w", encoding="utf-8", buffering=1 << 20) as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        f.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _formatted(rows):
+    """Rows of Python numbers (not numpy scalars) as strings."""
+    return (map(repr, row) for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -398,16 +398,9 @@ def _resolve_out_dir(out_dir: str) -> Path:
 # ---------------------------------------------------------------------------
 # commands
 
-def _coordinate_cells(grid: Grid) -> list:
-    """The coordinate columns of a snapshot, one formatted string per cell
-    in row-major order."""
-    columns = [c.ravel().tolist() for c in grid.centers()]
-    return [",".join(_fmt(x) for x in cell) for cell in zip(*columns)]
-
-
-def _snapshot_rows(coords: list, u: np.ndarray, v: np.ndarray):
-    """Rows of Python floats: numpy scalars would print as np.float64(...)."""
-    return zip(coords, u.ravel().tolist(), v.ravel().tolist())
+def _column(a: np.ndarray):
+    """The cells of a in row-major order, formatted."""
+    return map(repr, a.ravel().tolist())
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> None:
@@ -415,13 +408,14 @@ def _cmd_run(cfg: RunConfig, out: Path) -> None:
     if "csv" in cfg.formats:
         rows = [[getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
                 for row in result.diagnostics]
-        _write_csv(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
+        _write_csv(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS,
+                   _formatted(rows))
         grid = cfg.sim.grid
         names = ("x",) if grid.dim == 1 else ("x", "y")
-        coords = _coordinate_cells(grid)
+        coords = list(map(",".join, zip(*map(_column, grid.centers()))))
         for k, state in enumerate(result.states):
             _write_csv(out / f"snapshot_{k:04d}.csv", names + ("u", "v"),
-                       _snapshot_rows(coords, state.u, state.v))
+                       zip(coords, _column(state.u), _column(state.v)))
     if "json" in cfg.formats:
         last = result.diagnostics[-1]
         _write_json(out / "summary.json", {
@@ -451,11 +445,11 @@ def _cmd_stability(cfg: RunConfig, out: Path) -> None:
     if "csv" in cfg.formats:
         _write_csv(out / "stability.csv",
                    ("t", "E", "comp_mass", "comp_hm1", "comp_v", "D", "cumD"),
-                   _report_rows(report))
+                   _formatted(_report_rows(report)))
         _write_csv(out / "gronwall.csv",
                    ("t", "balance", "balance_dissipative"),
-                   zip(trace.times, trace.balance,
-                       trace.balance_dissipative))
+                   _formatted(zip(trace.times, trace.balance,
+                                  trace.balance_dissipative)))
     if "json" in cfg.formats:
         _write_json(out / "summary.json", {
             "E0": report.e0,
@@ -481,8 +475,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
         _write_csv(out / "sweep.csv",
                    ("amplitude", "q0", "E0", "supE", "ratio", "C_hat",
                     "lambda_hat"),
-                   [(r.amplitude, r.q0, r.e0, r.sup_e, r.ratio, r.c_hat,
-                     r.lambda_hat) for r in result.rows])
+                   _formatted((r.amplitude, r.q0, r.e0, r.sup_e, r.ratio,
+                               r.c_hat, r.lambda_hat) for r in result.rows))
     if "json" in cfg.formats:
         _write_json(out / "summary.json", {
             "ratio_min": result.ratio_min,
@@ -543,7 +537,7 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> None:
         _write_csv(out / "convergence.csv",
                    ("n", "h", "dt", "l2_error_u", "l2_error_v",
                     "order_u_space", "order_v_space", "order_u_time",
-                    "order_v_time"), rows)
+                    "order_v_time"), _formatted(rows))
     if "json" in cfg.formats:
         last = orders[-1]
         _write_json(out / "summary.json", {

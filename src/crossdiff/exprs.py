@@ -504,23 +504,35 @@ _OPS = {
 
 
 class Program:
-    """An expression compiled by compile(): call it on a bindings mapping.
+    """Expressions compiled by compile(): call it on a bindings mapping for
+    the value, or the tuple of values when a tuple was compiled.
 
     len() is the number of slots, one per distinct subtree.
     """
 
     __slots__ = ("_slots", "_code", "_result")
 
-    def __init__(self, slots: list, code: tuple, result: int):
-        self._slots = slots    # constants filled in, every other slot None
-        self._code = code      # (slot, op, a, b, node, slots dead after)
-        # op None loads the variable node.name
-        self._result = result
+    def __init__(self, slots: list, code: list, result):
+        # code: (slot, op, a, b, node, dead), op None loading the variable
+        # node.name; the empty list dead gets the slots that it reads last
+        kept = set(result) if isinstance(result, tuple) else {result}
+        last = {}
+        for k, (_, op, a, b, _, _) in enumerate(code):
+            if op is not None:
+                last[a] = last[b] = k
+        for read, k in last.items():
+            if slots[read] is None and read not in kept:
+                code[k][5].append(read)
+        self._code = tuple(code)
+        # constants filled in (those nothing reads left out), others None
+        self._slots = [v if k in last or k in kept else None
+                       for k, v in enumerate(slots)]
+        self._result = result  # a slot, or a tuple of slots
 
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __call__(self, bindings: Mapping[str, Scalar]) -> Scalar:
+    def __call__(self, bindings: Mapping[str, Scalar]):
         s = self._slots.copy()
         if self._code:
             with np.errstate(all="ignore"):
@@ -535,15 +547,37 @@ class Program:
                         s[slot] = op(s[a], s[b], node)
                     for d in dead:
                         s[d] = None
-        return s[self._result]
+        # a result tuple is built from a list: one from a generator is resized
+        r = self._result
+        return tuple([s[k] for k in r]) if isinstance(r, tuple) else s[r]
+
+    def bind(self, bindings: Mapping[str, Scalar]) -> "Program":
+        """This program with the variables in bindings fixed: each
+        instruction whose operands depend only on them runs once, in
+        post-order (the first to fail raises its EvalError), and its slot
+        becomes a constant, the same object in every call's result.  Given
+        the other variables it returns bitwise what this program returns."""
+        s = self._slots.copy()
+        rest = []  # the instructions left for the call
+        with np.errstate(all="ignore"):
+            for slot, op, a, b, node, _ in self._code:
+                if op is None and node.name in bindings:
+                    s[slot] = bindings[node.name]
+                elif op is not None and s[a] is not None \
+                        and s[b] is not None:
+                    s[slot] = op(s[a], s[b], node)
+                else:
+                    rest.append((slot, op, a, b, node, []))
+        return Program(s, rest, self._result)
 
 
-def compile(e: Union[Expr, Program]) -> Program:
-    """Compile e into a Program with one slot per distinct subtree; a
-    Program is returned as it is.
+def compile(e: Union[Expr, tuple, Program]) -> Program:
+    """Compile e, an expression or a tuple of them, into a Program with one
+    slot per distinct subtree; a Program is returned as it is.
 
-    Structurally equal subtrees share a slot, so each is evaluated once per
-    call.  The instructions run in the tree's left-to-right post-order, so
+    Structurally equal subtrees share a slot, also across the expressions
+    of a tuple, so each is evaluated once per call.  The instructions run
+    in the left-to-right post-order of the tree (of each tree in turn), so
     the first failing node is the one a recursive walk would reach first,
     and a slot is dropped right after its last reader, as a walk drops its
     temporaries.  Keys are built bottom-up from the children's slots and
@@ -552,12 +586,11 @@ def compile(e: Union[Expr, Program]) -> Program:
     if isinstance(e, Program):
         return e
     if type(e) is Const:  # the common constant coefficient: nothing to run
-        return Program([e.value], (), 0)
+        return Program([e.value], [], 0)
     keys: dict = {}     # structural key -> slot
     seen: dict = {}     # id(inner node) -> slot
     slots: list = []    # per slot: its constant, or None
     code: list = []     # (slot, op, a, b, node, dead), in post-order
-    last: dict = {}     # slot -> the instruction that reads it last
 
     def visit(node: Expr) -> int:
         kind = type(node)
@@ -582,18 +615,14 @@ def compile(e: Union[Expr, Program]) -> Program:
             if kind is Var:
                 code.append((slot, None, None, None, node, []))
             elif kind is not Const:
-                last[a] = last[b] = len(code)
                 code.append((slot, _OPS[node.op], a, b, node, []))
         if kind is Unary or kind is Binary:
             seen[id(node)] = slot
         return slot
 
-    result = visit(e)
+    result = tuple(map(visit, e)) if isinstance(e, tuple) else visit(e)
     del visit  # the closure refers to itself: free the compile state now
-    for read, k in last.items():
-        if slots[read] is None and read != result:
-            code[k][5].append(read)
-    return Program(slots, tuple(code), result)
+    return Program(slots, code, result)
 
 
 def evaluate(e: Expr, bindings: Mapping[str, Scalar]) -> Scalar:

@@ -8,14 +8,16 @@ Each step advances the pair (u, v) by the splitting
 
 solved with matrix-free CG on one StepOperator per Simulation, which both
 solves reassemble in place; that invalidates its last apply, and each apply
-overwrites the one before.  The v diffusion uses face-averaged cell values
-of A22(u, v); the absorbing part of the v reaction (q2 <= 0, as in -u v) is
+overwrites the one before.  CG updates its iterates in place through one
+workspace per solve.  The v diffusion uses face-averaged cell values of
+A22(u, v); the absorbing part of the v reaction (q2 <= 0, as in -u v) is
 taken implicitly through the ratio form u q2(v) v'/v with the diagonal
 C = u max(-q2(v), 0)/v >= 0, which keeps v positive for positive data.  The
 u mobility is lagged: M11 on a face is p(v'_face) (u_face)^alpha with
 arithmetic face means, so the degenerate diffusion is linearly implicit
 while cross-diffusion and reaction stay explicit.  S1, S2 are optional
-manufactured-solution forcings, built symbolically by mms_forcing.
+manufactured-solution forcings, built symbolically by mms_forcing, compiled
+together and bound to the cell centres once per Simulation.
 
 Batches: the state carries a leading member axis, u and v having shape
 (B, *grid.shape) with one row per trajectory.  The members share the grid,
@@ -281,13 +283,13 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
         norm_b = float(np.min(member_norms[member_norms > 0.0]))
     x = np.array(x0, dtype=float, copy=True)
     r = b - apply_a(x)
-    p = r.copy()
+    p, scratch = r.copy(), np.empty_like(r)
     rs = float(np.vdot(r, r))
     iterations = 0
     target = tol * norm_b
     while True:
         if math.sqrt(rs) <= target or iterations >= max_iter:
-            true_r = b - apply_a(x)
+            true_r = np.subtract(b, apply_a(x), out=scratch)
             true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
             if true_norm <= target:
                 return x, iterations, true_norm / norm_b
@@ -296,8 +298,8 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                     f"CG did not reach tol {tol:g} in {max_iter} iterations "
                     f"(residual {true_norm / norm_b:.3e})",
                     x, true_norm / norm_b, iterations)
-            r = true_r
-            p = r.copy()
+            r, scratch = true_r, r
+            np.copyto(p, r)
             rs = float(np.vdot(r, r))
         ap = apply_a(p)
         p_ap = float(np.vdot(p, ap))
@@ -306,8 +308,8 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                 "CG broke down: operator is not positive definite on the "
                 "search space", x, math.sqrt(rs) / norm_b, iterations)
         alpha = rs / p_ap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, ap, out=scratch)
         rs_next = float(np.vdot(r, r))
         p *= rs_next / rs
         p += r
@@ -329,7 +331,7 @@ class StepOperator:
 
     def __init__(self, grid: Grid, shape: tuple):
         cells = math.prod(shape)
-        self._out, self._diag = np.empty(shape), np.empty(shape)
+        self._out, self._diag = np.empty(shape), np.empty(cells)
         self._flat, self._part = self._out.reshape(-1), np.empty(cells)
         self._absorbs = False
         self._weights, self._axes = [], []  # per axis, to assemble, apply
@@ -337,30 +339,33 @@ class StepOperator:
                 zip(grid.spacing, FACE_SLICES[grid.dim])):
             s = math.prod(grid.shape[axis + 1:])
             w, flux = np.zeros(shape), np.zeros(cells + s)
-            self._weights.append((inner, h * h, w[lo]))
+            self._weights.append((inner, h * h, w[lo], w.reshape(-1)))
             self._axes.append((s, w.reshape(-1)[:-s], flux[s:-s], flux[s:],
                                flux[:-s]))
 
     def assemble(self, mob: tuple, dt: float,
                  c: Optional[np.ndarray] = None) -> None:
         """Set w from the face mobilities mob and dt, and diag from c."""
-        for (inner, h2, w), m in zip(self._weights, mob):
-            np.multiply(m[inner], dt / h2, out=w)
+        # a strided copy, then a contiguous multiply: a strided multiply
+        # would make numpy allocate iterator buffers
+        for (inner, h2, w, flat), m in zip(self._weights, mob):
+            np.copyto(w, m[inner])
+            np.multiply(flat, dt / h2, out=flat)
         self._absorbs = c is not None
         if self._absorbs:
-            np.add(np.multiply(c, dt, out=self._diag), 1.0, out=self._diag)
+            np.add(np.multiply(c.reshape(-1), dt, out=self._diag), 1.0,
+                   out=self._diag)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._absorbs:
-            np.multiply(self._diag, x, out=self._out)
-        else:
-            np.copyto(self._out, x)
         out, part, x = self._flat, self._part, x.reshape(-1)
+        acc = x  # without diag the first axis subtracts straight from x
+        if self._absorbs:
+            acc = np.multiply(self._diag, x, out=out)
         for s, w, f_in, f_hi, f_lo in self._axes:
             np.subtract(x[s:], x[:-s], out=f_in)
             np.multiply(f_in, w, out=f_in)
             np.subtract(f_hi, f_lo, out=part)
-            np.subtract(out, part, out=out)
+            acc = np.subtract(acc, part, out=out)
         return self._out
 
 
@@ -407,11 +412,10 @@ class Simulation:
         self.clipped_total = [0.0] * count
         self.cum_grad_u_sq = [0.0] * count
         self.reaction_mass_total = [0.0] * count  # sum_k dt integral(R1+S1)
-        if cfg.mms_u is not None:
-            self.forcing_u, self.forcing_v = (compile(s) for s in mms_forcing(
-                cfg.mms_u, cfg.mms_v, cfg.model))
-        else:
-            self.forcing_u = self.forcing_v = None
+        # (S1, S2) with every slot that depends only on the cells computed
+        self._forcing = None if cfg.mms_u is None else compile(mms_forcing(
+            cfg.mms_u, cfg.mms_v, cfg.model)).bind(
+                dict(zip("xy", self.grid.centers())))
         # a constant A12 or A22 has the same face means at every step
         self._a12_faces, self._a22_faces = (
             face_average_arrays(self.grid, _cells(e.value, self.u.shape))
@@ -441,8 +445,10 @@ class Simulation:
         if t_next is None:
             t_next = self.t + dt
         try:
-            v_new = self._step_v(dt, t_next)
-            self._step_u(dt, t_next, v_new)
+            s1, s2 = (None, None) if self._forcing is None \
+                else self._forcing({"t": t_next})
+            v_new = self._step_v(dt, s2)
+            self._step_u(dt, v_new, s1)
         except (RuntimeError, ValueError) as err:  # solves, positivity, domains
             if err.args and isinstance(err.args[0], str):
                 err.args = (f"step {self.steps + 1} (t = {t_next:g}): "
@@ -471,7 +477,7 @@ class Simulation:
             err.args = (f"{name} solve: {err.args[0]}",) + err.args[1:]
             raise
 
-    def _step_v(self, dt: float, t_next: float) -> np.ndarray:
+    def _step_v(self, dt: float, s2) -> np.ndarray:
         g, m = self.grid, self.model
         u, v = self.u, self.v
         mob = self._a22_faces or face_average_arrays(
@@ -479,8 +485,8 @@ class Simulation:
         q2 = m.q2_values(v)
         c_abs = u * np.maximum(-q2, 0.0) / v
         explicit = u * np.maximum(q2, 0.0) + m.r2_tilde_values(u, v)
-        if self.forcing_v is not None:
-            explicit = explicit + g.cell_values(self.forcing_v, t_next)
+        if s2 is not None:
+            explicit = explicit + s2
         rhs = v + dt * explicit
 
         v_new = self._solve("v", rhs, v, mob, dt, c_abs)
@@ -497,7 +503,7 @@ class Simulation:
                 tuple(failing.tolist()))
         return v_new
 
-    def _step_u(self, dt: float, t_next: float, v_new: np.ndarray) -> None:
+    def _step_u(self, dt: float, v_new: np.ndarray, s1) -> None:
         g, m = self.grid, self.model
         u = self.u
         vol = g.cell_volume
@@ -512,8 +518,8 @@ class Simulation:
         cross = tuple(af * gf for af, gf
                       in zip(a12_faces, gradient_arrays(g, v_new)))
         reaction = m.r1_values(u, v_new)
-        if self.forcing_u is not None:
-            reaction = reaction + g.cell_values(self.forcing_u, t_next)
+        if s1 is not None:
+            reaction = reaction + s1
         rhs = u + dt * (divergence_arrays(g, cross) + reaction)
 
         u_new = self._solve("u", rhs, u, mob, dt)

@@ -515,6 +515,28 @@ def test_mms_numeric_failure_names_its_level(tmp_path, capsys):
     assert err["message"].startswith("level n = 8: step 1 (t = 0.002): ")
 
 
+def test_mms_forcing_failing_on_the_cells_names_its_level(tmp_path, capsys):
+    # S1 holds |x - 17/32|^-0.5, which depends on the cells alone; 17/32 is
+    # a cell centre at n = 16, not at n = 8, so the n = 16 level fails as
+    # its Simulation binds the forcing to the cells, before any step
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 2e-3, "t_end": 0.02},
+        "mms": {"u": "2 + abs(x - 0.53125)^1.5",
+                "v": "2 + 0.5*exp(-t)*cos(pi*x)",
+                "levels": [8, 16]},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    err = stderr_payload(capsys)
+    assert err["kind"] == "numeric"
+    assert err["message"] == (
+        "level n = 16: zero base with a negative exponent in "
+        "'(abs((x - 0.53125)) ^ (-0.5))'")
+
+
 def test_check_coeffs_command(tmp_path):
     payload = {
         "command": "check-coeffs",

@@ -11,6 +11,7 @@ from crossdiff.exprs import (Binary, Const, EvalError, ExpressionError,
                              ParseError, Unary, Var, abs_, compile,
                              differentiate, evaluate, mul, parse, pow_, sign,
                              sqrt, substitute, to_string, variables)
+from crossdiff.grid import Grid
 from crossdiff.solver import mms_forcing
 from exprgen import (derivative_agreement_failures, random_ast,
                      reference_evaluate)
@@ -284,6 +285,113 @@ def test_compiled_evaluation_drops_each_slot_after_its_last_use():
         tracemalloc.stop()
     # 57 slots; holding every one until the end peaks at about 43 arrays
     assert (peak - base) / (8 * n) <= 12
+
+
+# ---------------------------------------------------------------------------
+# several roots in one program, and variables bound once
+
+CASE2 = build_preset(2, {"chi": 0.05, "l": 0.5})
+
+
+def test_a_tuple_compiles_to_one_program_equal_to_its_parts():
+    s1, s2 = mms_forcing(parse("2 + 0.45*exp(-t)*cos(pi*x)"),
+                         parse("2 + 0.25*exp(-t)*cos(pi*x)"), CASE2)
+    pair = compile((s1, s2))
+    assert len(pair) < len(compile(s1)) + len(compile(s2))
+    bindings = {"t": 0.05, "x": (np.arange(128) + 0.5) / 128}
+    got = pair(bindings)
+    assert type(got) is tuple and len(got) == 2
+    for value, e in zip(got, (s1, s2)):
+        assert _same_value(value, compile(e)(bindings))
+
+
+def test_tuple_programs_match_their_parts_on_random_trees():
+    # the first failing part raises, as evaluating the parts in turn would
+    rng = np.random.default_rng(2468)
+    kinds = {"value": 0, "error": 0}
+    for case in range(400):
+        e1 = random_ast(rng, depth=5)
+        # a derivative shares subtrees with e1, and the slots are shared
+        e2 = differentiate(e1, "x") if case % 2 else random_ast(rng, depth=5)
+        bindings = _random_bindings(rng, scalar=case % 4 == 0)
+        first = _outcome(evaluate, e1, bindings)
+        want = first if first[0] == "error" \
+            else _outcome(evaluate, e2, bindings)
+        got = _outcome(evaluate, (e1, e2), bindings)
+        kinds[want[0]] += 1
+        assert got[0] == want[0], (to_string(e1), to_string(e2))
+        if want[0] == "error":
+            assert got[1:] == want[1:]
+        else:
+            assert _same_value(got[1][0], first[1])
+            assert _same_value(got[1][1], want[1])
+    assert min(kinds.values()) >= 100
+
+
+def test_binding_variables_keeps_every_outcome():
+    # bind runs the nodes of x and y alone; any of them that fails would
+    # fail the full evaluation too, and otherwise the bound program meets
+    # the same first failure, or the same values, on t, u and v
+    rng = np.random.default_rng(1357)
+    kinds = {"value": 0, "error": 0, "bind": 0}
+    for case in range(600):
+        e = random_ast(rng, depth=5)
+        if case % 3 == 0:
+            e = differentiate(e, str(rng.choice(["x", "y", "t"])))
+        bindings = _random_bindings(rng, scalar=case % 4 == 0)
+        if case % 10 == 0:
+            del bindings[str(rng.choice(["t", "u", "v"]))]
+        program = compile(e)
+        want = _outcome(lambda _, b: program(b), e, bindings)
+        try:
+            bound = program.bind({k: bindings[k] for k in "xy"})
+        except EvalError as err:
+            assert want[0] == "error" and variables(err.node) <= {"x", "y"}
+            kinds["bind"] += 1
+            continue
+        rest = {k: bindings[k] for k in "tuv" if k in bindings}
+        got = _outcome(lambda _, b: bound(b), e, rest)
+        kinds[want[0]] += 1
+        assert got[0] == want[0], to_string(e)
+        if want[0] == "error":
+            assert got[1:] == want[1:], to_string(e)
+        else:
+            assert _same_value(got[1], want[1]), to_string(e)
+    assert min(kinds.values()) >= 50
+
+
+@pytest.mark.parametrize("grid, u, v", [
+    (Grid((32,), (1.0,)), "2 + 0.45*exp(-t)*cos(pi*x)",
+     "2 + 0.25*exp(-t)*cos(pi*x)"),
+    (Grid((128,), (1.0,)), "2 + 0.45*exp(-t)*cos(pi*x)",
+     "2 + 0.25*exp(-t)*cos(pi*x)"),
+    (Grid((12, 9), (1.0, 0.8)), "2 + 0.45*exp(-t)*cos(pi*x)*cos(pi*y)",
+     "2 + 0.25*sin(t)*cos(pi*y)"),
+    (Grid((32,), (1.0,)), "2 + 0.5*cos(pi*x)", "3 - 0.5*x*x"),  # no t
+    (Grid((12, 9), (1.0, 0.8)), "2", "3"),  # constant forcings
+])
+def test_forcings_bound_to_the_cells_equal_the_unbound_ones(grid, u, v):
+    forcings = compile(mms_forcing(parse(u), parse(v), CASE2))
+    cells = dict(zip("xy", grid.centers()))
+    bound = forcings.bind(cells)
+    for t in (0.0, 0.013, 0.5, 2.0):
+        got, want = bound({"t": t}), forcings({"t": t, **cells})
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert _same_value(g, w)
+
+
+def test_bind_raises_for_the_first_failing_node_of_the_bound_variables():
+    x = (np.arange(8) + 0.5) / 8
+    # in post-order ln(t - 5) fails first; bind runs only the nodes of x,
+    # of which sqrt(x - 0.5) fails before ln(x - 0.9)
+    e = parse("ln(t - 5) + sqrt(x - 0.5) * ln(x - 0.9)")
+    with pytest.raises(EvalError) as err:
+        compile(e)({"t": 1.0, "x": x})
+    assert err.value.node == parse("ln(t - 5)")
+    with pytest.raises(EvalError, match="sqrt of a negative value") as err:
+        compile(e).bind({"x": x})
+    assert err.value.node == parse("sqrt(x - 0.5)")
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,32 @@ def test_steps_after_the_first_allocate_no_operator_arrays():
                 if stat.traceback[0].filename == inspect.getfile(StepOperator)
                 and stat.traceback[0].lineno in code
                 and stat.size >= smallest]
-    # ... and an apply allocates nothing of cell size (assemble may: numpy
-    # buffers its strided 2-D multiply, up to 64 KiB per operand)
+    # ... and an apply allocates nothing of cell size (nor does assemble:
+    # see the next test)
     assert transient < cell_bytes
+
+
+def test_assemble_allocates_nothing_and_keeps_the_folded_weights():
+    # at 128^2 numpy buffered a strided multiply into the weights with
+    # 128.5 KiB of iterator buffers per call
+    g = Grid((128, 128), (1.0, 1.0))
+    rng = np.random.default_rng(10)
+    dt = 1e-4
+    mob, c = random_operator_data(g, rng, (1,))
+    op = StepOperator(g, c.shape)
+    x = rng.standard_normal(c.shape)
+    for absorbing in (c, None):
+        op.assemble(mob, dt, absorbing)
+        tracemalloc.start()
+        try:
+            op.assemble(mob, dt, absorbing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        # the weights are m[inner] * (dt / h^2), as a multiply straight
+        # from the mobilities makes them
+        assert np.array_equal(op(x), folded(g, mob, dt, absorbing, x))
 
 
 def test_batched_cg_bounds_every_member_relative_residual():
@@ -299,6 +322,117 @@ def test_cg_refuses_a_non_finite_right_hand_side(bad):
     with pytest.raises(ConvergenceError, match="not finite") as err:
         conjugate_gradient(apply_a, b, np.zeros_like(b), 1e-10, 200)
     assert err.value.iterations == 0
+
+
+def textbook_cg(apply_a, b, x0, tol, max_iter):
+    """conjugate_gradient's iteration written out with a fresh array for
+    every update, with its stop rule and its restart from the true residual.
+    Returns (x, iterations, ||r|| / min_i ||b_i||, converged, restarts)."""
+    norm_b = np.linalg.norm(b)
+    if len(b) > 1:
+        norms = np.linalg.norm(b.reshape(len(b), -1), axis=1)
+        norm_b = float(np.min(norms[norms > 0.0]))
+    x = x0.astype(float)
+    r = b - apply_a(x)
+    p = r.copy()
+    rs = float(np.vdot(r, r))
+    restarts = 0
+    for k in range(max_iter + 1):
+        if math.sqrt(rs) <= tol * norm_b or k == max_iter:
+            true_r = b - apply_a(x)
+            true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
+            if true_norm <= tol * norm_b or k == max_iter:
+                return (x, k, true_norm / norm_b, true_norm <= tol * norm_b,
+                        restarts)
+            r, p, rs = true_r, true_r.copy(), float(np.vdot(true_r, true_r))
+            restarts += 1
+        ap = apply_a(p).copy()
+        alpha = rs / float(np.vdot(p, ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_next = float(np.vdot(r, r))
+        p = r + rs_next / rs * p
+        rs = rs_next
+
+
+def assert_cg_matches_textbook(apply_a, b, tol, max_iter) -> int:
+    """conjugate_gradient equals textbook_cg bitwise, returning or raising;
+    returns the textbook loop's restart count."""
+    x0 = np.zeros_like(b)
+    want_x, want_k, want_rel, converged, restarts = textbook_cg(
+        apply_a, b, x0, tol, max_iter)
+    if converged:
+        x, k, rel = conjugate_gradient(apply_a, b, x0, tol, max_iter)
+    else:
+        with pytest.raises(ConvergenceError) as err:
+            conjugate_gradient(apply_a, b, x0, tol, max_iter)
+        x, k, rel = err.value.best, err.value.iterations, \
+            err.value.residual_norm
+    assert np.array_equal(x, want_x) and k == want_k and rel == want_rel
+    return restarts
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("absorbing", [True, False])
+def test_cg_matches_the_textbook_loop_bitwise(grid, members, absorbing):
+    rng = np.random.default_rng(members)
+    mob, c = random_operator_data(grid, rng, (members,))
+    apply_a = operator(grid, mob, 0.05, c if absorbing else None)
+    b = rng.standard_normal(c.shape)
+    assert_cg_matches_textbook(apply_a, b, 1e-11, 500)
+    assert_cg_matches_textbook(apply_a, b, 1e-11, 3)  # stopped at max_iter
+
+
+@pytest.mark.parametrize("members, dt", [(1, 1.0), (3, 10.0)])
+def test_cg_matches_the_textbook_loop_after_restarts(members, dt):
+    # at tol 1e-12 the recurrence residual of these ill-conditioned solves
+    # drifts below the true one, so CG restarts from the true residual
+    g = Grid((32,), (1.0,))
+    rng = np.random.default_rng(32 + members)
+    mob = (rng.uniform(0.1, 3.0, (members, 33)),)
+    b = rng.standard_normal((members, 32))
+    assert assert_cg_matches_textbook(operator(g, mob, dt), b, 1e-12,
+                                      400) >= 1
+
+
+def test_cg_peak_memory_does_not_grow_with_its_iterations():
+    g = Grid((128, 128), (1.0, 1.0))
+    rng = np.random.default_rng(9)
+    mob, c = random_operator_data(g, rng, (1,))
+    apply_a = operator(g, mob, 1e-3, c)
+    b = rng.standard_normal(c.shape)
+    x0 = np.zeros_like(b)
+    applies, after_apply, worst = [0], [0], [0]  # no growing record
+
+    def probe(v):
+        # from the second apply on: the most allocated, since the last
+        # apply, beyond what it left
+        if applies[0] >= 2:
+            worst[0] = max(worst[0], tracemalloc.get_traced_memory()[1]
+                           - after_apply[0])
+        result = apply_a(v)
+        applies[0] += 1
+        tracemalloc.reset_peak()
+        after_apply[0] = tracemalloc.get_traced_memory()[0]
+        return result
+
+    conjugate_gradient(apply_a, b, x0, 1e-10, 1000)
+    peaks, iterations = [], []
+    for tol in (1e-2, 1e-12):
+        applies[0] = 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            iterations.append(conjugate_gradient(probe, b, x0, tol, 1000)[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert iterations[1] >= 5 * iterations[0]
+    # x, r, p and one scratch array, whatever the iteration count ...
+    assert peaks[1] <= peaks[0] + 1024 and peaks[1] < 4 * b.nbytes + 4096
+    # ... and an iteration allocates no array
+    assert worst[0] < 1024
 
 
 # ---------------------------------------------------------------------------
