@@ -14,34 +14,28 @@ stability estimate for the triple
 """
 
 from .coeffs import (CoefficientModel, LipschitzVerdict, build_preset,
-                     check_finite_gamma_lipschitz, dissipation_density,
-                     mean_power_bounds_check, power_gap_inequality_check)
+                     check_finite_gamma_lipschitz, dissipation_density)
 from .exprs import (EvalError, ExpressionError, Expr, ParseError,
                     differentiate, evaluate, parse, substitute, to_string)
 from .grid import Grid
-from .poisson import (PoissonSolution, hminus1_seminorm, poincare_ratio,
-                      solve_neumann_zero_mean)
+from .poisson import PoissonSolution, poincare_ratio, solve_neumann_zero_mean
 from .solver import (ConvergenceError, PositivityError, RunResult, SimConfig,
                      SimState, Simulation, f_energy, mms_forcing, run)
 from .stability import (GronwallTrace, StabilityReport, SweepResult,
-                        energy_identity_check, gronwall_trace,
-                        perturbation_sweep, run_pair)
+                        gronwall_trace, perturbation_sweep, run_pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientModel", "LipschitzVerdict", "build_preset",
     "check_finite_gamma_lipschitz", "dissipation_density",
-    "mean_power_bounds_check", "power_gap_inequality_check",
     "EvalError", "ExpressionError", "Expr", "ParseError", "differentiate",
     "evaluate", "parse", "substitute", "to_string",
     "Grid",
-    "PoissonSolution", "hminus1_seminorm", "poincare_ratio",
-    "solve_neumann_zero_mean",
+    "PoissonSolution", "poincare_ratio", "solve_neumann_zero_mean",
     "ConvergenceError", "PositivityError", "RunResult", "SimConfig", "SimState", "Simulation",
     "f_energy", "mms_forcing", "run",
     "GronwallTrace", "StabilityReport", "SweepResult",
-    "energy_identity_check", "gronwall_trace", "perturbation_sweep",
-    "run_pair",
+    "gronwall_trace", "perturbation_sweep", "run_pair",
     "__version__",
 ]

@@ -26,8 +26,9 @@ Commands
     poisson-test  eigenfunction error, observed order and Poincare ratio
 
 Exit codes: 0 success, 1 configuration, 2 numerics, 3 input/output.  On
-failure a machine-readable JSON error report goes to stderr.  Relative
-output directories resolve under $CROSSDIFF_OUTPUT_ROOT when that is set.
+failure a machine-readable JSON error report goes to stderr, and each
+warning of a run is one JSON line there too.  Relative output directories
+resolve under $CROSSDIFF_OUTPUT_ROOT when that is set.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -676,6 +678,15 @@ def _emit_error(code: int, kind: str, message: str,
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+def _emit_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """warnings.showwarning as one JSON line, without the source location,
+    so that stderr does not depend on the checkout or its line numbers."""
+    payload = {"warning": {"kind": category.__name__,
+                           "message": str(message)}}
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+
+
 def dispatch(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
@@ -706,17 +717,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output-dir", default=None,
                         help="override the configured output directory")
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        _emit_error(1, "config", str(err), err.errors)
-        return 1
-    except OSError as err:
-        _emit_error(3, "io", str(err))
-        return 3
-    if args.output_dir is not None:
-        cfg.out_dir = args.output_dir
-    return dispatch(cfg)
+    with warnings.catch_warnings():
+        warnings.showwarning = _emit_warning
+        try:
+            cfg = load_config(args.config)
+        except ConfigError as err:
+            _emit_error(1, "config", str(err), err.errors)
+            return 1
+        except OSError as err:
+            _emit_error(3, "io", str(err))
+            return 3
+        if args.output_dir is not None:
+            cfg.out_dir = args.output_dir
+        return dispatch(cfg)
 
 
 if __name__ == "__main__":

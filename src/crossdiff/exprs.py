@@ -524,9 +524,7 @@ class Program:
             if slots[read] is None and read not in kept:
                 code[k][5].append(read)
         self._code = tuple(code)
-        # constants filled in (those nothing reads left out), others None
-        self._slots = [v if k in last or k in kept else None
-                       for k, v in enumerate(slots)]
+        self._slots = slots  # constants filled in, others None
         self._result = result  # a slot, or a tuple of slots
 
     def __len__(self) -> int:
@@ -568,7 +566,13 @@ class Program:
                     s[slot] = op(s[a], s[b], node)
                 else:
                     rest.append((slot, op, a, b, node, []))
-        return Program(s, rest, self._result)
+        # keep only the constants that the rest or the result still reads
+        r = self._result
+        read = set(r) if isinstance(r, tuple) else {r}
+        read.update(x for _, op, a, b, _, _ in rest if op is not None
+                    for x in (a, b))
+        return Program([v if k in read else None for k, v in enumerate(s)],
+                       rest, r)
 
 
 def compile(e: Union[Expr, tuple, Program]) -> Program:

@@ -13,11 +13,13 @@ iteration and no tolerance: the forward error is at roundoff level, and the
 relative residual is a small multiple of eps times the condition number of
 the Laplacian.
 
-hminus1_seminorm returns ||grad psi||_L2, the discrete H^-1 seminorm of w;
-by summation by parts it equals sqrt(<w - mean(w), psi>), and both routes
-are computed and cross-checked.  poincare_ratio is the best constant K with
-||f||^2 <= K ||grad f||^2 over mean-zero fields, 1/lambda_1 for the
-smallest nonzero eigenvalue lambda_1 of the same spectrum.
+Every solve also returns ||grad psi||^2, the square of the discrete H^-1
+seminorm of w.  By summation by parts it equals <w - mean(w), psi>, and
+each nonconstant solve computes both routes and cross-checks them against a
+roundoff model, so every caller gets a checked value.  poincare_ratio is
+the best constant K with ||f||^2 <= K ||grad f||^2 over mean-zero fields,
+1/lambda_1 for the smallest nonzero eigenvalue lambda_1 of the same
+spectrum.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class PoissonSolution:
     psi: np.ndarray
     residual_norm: float  # true ||w - mean(w) + lap(psi)|| / ||w - mean(w)||
     iterations: int       # always 0: the solve is direct
+    grad_sq: float        # ||grad psi||^2 = <w - mean(w), psi>, cross-checked
 
 
 @functools.lru_cache(maxsize=8)
@@ -92,11 +95,21 @@ def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
     yields psi = 0 with a zero residual.  The reported residual is the true
     relative residual of the returned psi, from one application of the
     5-point operator.
+
+    The gradient route G = ||grad psi||^2 is cross-checked against the
+    duality route P = <b, psi>, b = w - mean(w), and a RuntimeError is
+    raised when they disagree by more than this roundoff model allows.  For
+    the computed psi, summation by parts gives G - P = -<r, psi> exactly,
+    r = b + lap(psi).  The DCT solve is backward stable: ||r|| <= c eps
+    (lambda_max ||psi|| + ||b||) with lambda_max <= sum 4/h^2 and c growing
+    like log2 N for N terms.  Since lambda_1 ||psi||^2 <= G, the
+    lambda_max ||psi||^2 part is at most eps cond(-lap) G.  Forming G and P
+    rounds each by at most (5 + log2 N) eps times G and ||b|| ||psi||.
     """
     b = w - np.mean(w)
     norm_b = float(np.linalg.norm(b.ravel()))
     if norm_b <= 1e-13 * np.linalg.norm(w.ravel()):
-        return PoissonSolution(np.zeros(grid.shape), 0.0, 0)
+        return PoissonSolution(np.zeros(grid.shape), 0.0, 0, 0.0)
     lam, twiddles = _spectrum(grid)
     coeffs = b
     for axis, twiddle in enumerate(twiddles):
@@ -107,37 +120,20 @@ def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
     psi -= psi.mean()
     residual = b + divergence_arrays(grid, gradient_arrays(grid, psi))
     rel = float(np.linalg.norm(residual.ravel())) / norm_b
-    return PoissonSolution(psi, rel, 0)
 
-
-def hminus1_seminorm(grid: Grid, w: np.ndarray) -> float:
-    """Discrete H^-1 seminorm of w: ||grad psi|| for the zero-mean solve.
-
-    Cross-checks the gradient route G = ||grad psi||^2 against the duality
-    route P = <b, psi>, b = w - mean(w), and raises RuntimeError when they
-    disagree by more than this roundoff model allows.  For the computed psi,
-    summation by parts gives G - P = -<r, psi> exactly, r = b + lap(psi).
-    The DCT solve is backward stable: ||r|| <= c eps (lambda_max ||psi|| +
-    ||b||) with lambda_max <= sum 4/h^2 and c growing like log2 N for N
-    terms.  Since lambda_1 ||psi||^2 <= G, the lambda_max ||psi||^2 part is
-    at most eps cond(-lap) G.  Forming G and P rounds each by at most
-    (5 + log2 N) eps times G and ||b|| ||psi||.
-    """
-    psi = solve_neumann_zero_mean(grid, w).psi
     grad_sq = grad_sq_sum(grid, psi)
-    b = w - np.mean(w)
     vol = grid.cell_volume
     duality_sq = float(np.sum(b * psi)) * vol
-    norm_b = math.sqrt(float(np.sum(b * b)) * vol)
-    norm_psi = math.sqrt(float(np.sum(psi * psi)) * vol)
+    norm_psi_sq = float(np.sum(psi * psi)) * vol
     lam_max = sum(4.0 / (h * h) for h in grid.spacing)
     c = 5.0 + math.log2(grid.cell_count * (grid.dim + 1))
-    slack = c * EPS * (lam_max * norm_psi ** 2 + norm_b * norm_psi + grad_sq)
+    slack = c * EPS * (lam_max * norm_psi_sq + grad_sq
+                       + norm_b * math.sqrt(vol * norm_psi_sq))
     if abs(grad_sq - duality_sq) > slack:
         raise RuntimeError(
             f"H^-1 cross-check failed: gradient route {grad_sq:.15e} vs "
             f"duality route {duality_sq:.15e}")
-    return math.sqrt(grad_sq)
+    return PoissonSolution(psi, rel, 0, grad_sq)
 
 
 def poincare_ratio(grid: Grid) -> float:

@@ -20,9 +20,13 @@ dense-cadence mode the exact discrete energy identity
         = sum_k < du^{k+1} - du^k, (dpsi^k + dpsi^{k+1})/2 >,
 
 which holds algebraically for the discrete zero-mean operator (the mean
-shifts pair to zero against the zero-mean dpsi).  dpsi is solved directly
-from du, never by differencing two large solves, so the result is accurate
-relative to the perturbation size rather than the solution size.
+shifts pair to zero against the zero-mean dpsi).  The sum is accumulated
+tick by tick from the last (du, dpsi) of each member, so no history is
+kept.  dpsi is solved directly from du, never by differencing two large
+solves, so the result is accurate relative to the perturbation size rather
+than the solution size; each solve cross-checks ||grad dpsi||^2 against the
+duality <du - mean(du), dpsi> (poisson.solve_neumann_zero_mean), so every
+tick of every pair runs that check.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import numpy as np
 
 from .coeffs import CoefficientModel, dissipation_density
 from .exprs import Const, Expr, is_number, mul
-from .grid import Grid, grad_sq_sum
 from .poisson import solve_neumann_zero_mean
 from .solver import PositivityError, SimConfig, Simulation
 
@@ -151,9 +154,12 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
     dense = cfg.output_every == 1
 
     times = []
-    names = ("energy", "comp_mass", "comp_hm1", "comp_v", "dissipation",
-             "delta_u", "psi")
+    names = ("energy", "comp_mass", "comp_hm1", "comp_v", "dissipation")
     series = [{name: [] for name in names} for _ in members[1:]]
+    # dense cadence: each member's (du, dpsi) at the last tick, and the
+    # trapezoidal duality sum of the energy identity up to it
+    last = [None] * len(series)
+    duality = [0.0] * len(series)
     v_min = np.full(len(members), math.inf)
     v_max = np.full(len(members), -math.inf)
 
@@ -164,17 +170,19 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
             dv = v[0] - v[j]
             sol = solve_neumann_zero_mean(grid, du)
             mass_sq = (float(np.sum(du)) * vol) ** 2
-            hm1_sq = grad_sq_sum(grid, sol.psi)
             v_sq = float(np.sum(dv * dv)) * vol
             rec["comp_mass"].append(mass_sq)
-            rec["comp_hm1"].append(hm1_sq)
+            rec["comp_hm1"].append(sol.grad_sq)
             rec["comp_v"].append(v_sq)
-            rec["energy"].append(mass_sq + hm1_sq + v_sq)
+            rec["energy"].append(mass_sq + sol.grad_sq + v_sq)
             rec["dissipation"].append(float(np.sum(
                 dissipation_density(u[0], u[j], alpha))) * vol)
             if dense:
-                rec["delta_u"].append(du)
-                rec["psi"].append(sol.psi)
+                if last[j - 1] is not None:
+                    du_prev, psi_prev = last[j - 1]
+                    duality[j - 1] += float(np.sum(
+                        (du - du_prev) * 0.5 * (psi_prev + sol.psi))) * vol
+                last[j - 1] = du, sol.psi
         flat = v.reshape(len(v), -1)
         np.minimum(v_min, flat.min(axis=1), out=v_min)
         np.maximum(v_max, flat.max(axis=1), out=v_max)
@@ -193,13 +201,12 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
         energy = rec["energy"]
         e0 = energy[0]
         sup_e = max(energy)
-        residual = None
-        if dense:
-            residual = _identity_residual(grid, rec["delta_u"],
-                                          rec["psi"])[2]
+        hm1 = rec["comp_hm1"]
+        residual = (abs(0.5 * hm1[-1] - 0.5 * hm1[0] - duality[j - 1])
+                    if dense else None)
         reports.append(StabilityReport(
             times=list(times), energy=energy, comp_mass=rec["comp_mass"],
-            comp_hm1=rec["comp_hm1"], comp_v=rec["comp_v"],
+            comp_hm1=hm1, comp_v=rec["comp_v"],
             dissipation=rec["dissipation"],
             cum_dissipation=_trapezoid_cumulative(times, rec["dissipation"]),
             e0=e0, sup_e=sup_e,
@@ -210,36 +217,6 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
                      float(max(v_max[0], v_max[j]))),
         ))
     return reports
-
-
-def _identity_residual(grid: Grid, delta_us: Sequence[np.ndarray],
-                       psis: Sequence[np.ndarray]) -> tuple:
-    """(lhs, rhs, |lhs - rhs|) of the discrete energy identity: lhs is
-    1/2 ||grad dpsi||^2 at the ends, rhs the trapezoidal duality sum."""
-    vol = grid.cell_volume
-    lhs = 0.5 * grad_sq_sum(grid, psis[-1]) - 0.5 * grad_sq_sum(grid, psis[0])
-    rhs = 0.0
-    for k in range(len(delta_us) - 1):
-        rhs += float(np.sum((delta_us[k + 1] - delta_us[k])
-                            * 0.5 * (psis[k] + psis[k + 1]))) * vol
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def energy_identity_check(grid: Grid, delta_us: Sequence[np.ndarray]):
-    """Discrete energy identity on a sequence of du snapshots at every step
-    boundary (dense cadence): returns (lhs, rhs, |lhs - rhs|).
-
-    lhs = 1/2 ||grad dpsi||^2 at the ends, rhs the trapezoidal duality sum;
-    the sequence need not come from a PDE.  Raises ValueError when fewer
-    than two snapshots are supplied (cadence too coarse: dense mode with
-    every step boundary recorded is required).
-    """
-    if len(delta_us) < 2:
-        raise ValueError("energy identity needs du at every step boundary; "
-                         "rerun with dense cadence (output cadence 1)")
-    delta_us = [np.asarray(du, dtype=float) for du in delta_us]
-    psis = [solve_neumann_zero_mean(grid, du).psi for du in delta_us]
-    return _identity_residual(grid, delta_us, psis)
 
 
 # ---------------------------------------------------------------------------

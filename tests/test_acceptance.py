@@ -12,16 +12,16 @@ import pytest
 
 from crossdiff import solver
 from crossdiff.cli import load_config, main
-from crossdiff.coeffs import (CoefficientModel, check_finite_gamma_lipschitz,
-                              mean_power_bounds_check,
-                              power_gap_inequality_check)
+from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
 from crossdiff.exprs import parse
 from crossdiff.grid import Grid
 from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
-from crossdiff.stability import energy_identity_check, perturbed, run_pair
+from crossdiff.stability import perturbed, run_pair
 
 from exprgen import derivative_agreement_failures
+from test_coeffs import mean_power_bounds_check, power_gap_inequality_check
 from test_poisson import SMALL_GRIDS, dense_pinned_solve
+from test_stability import energy_identity_check
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIOS = ("case2_run_1d", "case4_run_1d", "case2_run_2d",

@@ -10,6 +10,7 @@ from crossdiff import solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
 from crossdiff.exprs import evaluate, parse
+from test_poisson import off_spectrum
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -610,6 +611,45 @@ def test_config_error_exits_1_with_details(tmp_path, capsys):
     assert err["code"] == 1
     assert err["kind"] == "config"
     assert any("time.dt" in d for d in err["details"])
+
+
+def test_a_warning_is_one_json_line_without_a_source_path(tmp_path, capsys):
+    payload = {
+        "command": "run",
+        "grid": {"dim": 1, "n": 64, "L": 1.0},
+        "model": {"preset": "case2", "chi": 5.0, "l": 1.0},
+        "time": {"dt": 1e-2, "t_end": 1e-2},
+        "initial": {"u": "1", "v": "1 + 0.5*cos(pi*x)"},
+        "output": {"directory": str(tmp_path / "warn")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    err = capsys.readouterr().err
+    message = ("dt = 0.01 exceeds the explicit cross-diffusion guideline "
+               "h^2/max|A12 grad v| = 2.82464e-05; expect instability or "
+               "positivity loss")
+    assert err == json.dumps({"warning": {"kind": "RuntimeWarning",
+                                          "message": message}},
+                             sort_keys=True) + "\n"
+    assert ".py:" not in err
+
+
+def test_a_failed_hminus1_cross_check_exits_2(tmp_path, capsys, monkeypatch):
+    # every tick of a dense pair solves for dpsi and checks its duality
+    off_spectrum(monkeypatch)
+    payload = {
+        "command": "stability",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 1e-3, "t_end": 5e-3, "cadence": 1},
+        "initial": {"u": "1.5", "v": "1"},
+        "stability": {"du": "cos(pi*x)", "amplitude": 0.01},
+        "output": {"directory": str(tmp_path / "pair")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["code"] == 2 and err["kind"] == "numeric"
+    assert err["message"].startswith("H^-1 cross-check failed")
 
 
 def test_runtime_positivity_failure_exits_2(tmp_path, capsys):

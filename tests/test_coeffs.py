@@ -9,9 +9,40 @@ import pytest
 from crossdiff import coeffs, exprs
 from crossdiff.coeffs import (CoefficientModel, build_preset,
                               check_finite_gamma_lipschitz,
-                              dissipation_density, mean_power_bounds_check,
-                              power_gap_inequality_check)
+                              dissipation_density)
 from crossdiff.exprs import Const, Expr, Var, evaluate, parse
+
+
+def r2_values(m: CoefficientModel, u, v):
+    """R2 = u q2(v) + R~2(u, v) from the model's parts."""
+    return u * m.q2_values(v) + m.r2_tilde_values(u, v)
+
+
+def power_gap_inequality_check(u1, u2, alpha: float, rel_tol: float = 1e-12):
+    """Check (u1^(1+a/2) - u2^(1+a/2))^2 <= (1+a/2)^2/(1+a) * D.
+
+    The constant is sharp (Cauchy-Schwarz in the segment parametrization of
+    the power gap against the dissipation density).  Returns (lhs, rhs,
+    holds), elementwise for array input.
+    """
+    half = 1.0 + 0.5 * alpha
+    gap = np.power(u1, half) - np.power(u2, half)
+    lhs = gap * gap
+    rhs = (half * half / (1.0 + alpha)) * dissipation_density(u1, u2, alpha)
+    holds = lhs <= rhs + rel_tol * (1.0 + np.abs(rhs))
+    return lhs, rhs, holds
+
+
+def mean_power_bounds_check(u1, u2, alpha: float, m_bound: float,
+                            rel_tol: float = 1e-12):
+    """Check (u1^(1+a) - u2^(1+a))^2 <= (1+a) M^a * D for 0 <= u_i <= M.
+    Returns elementwise booleans."""
+    e = 1.0 + alpha
+    gap = np.power(u1, e) - np.power(u2, e)
+    lhs = gap * gap
+    rhs = e * (m_bound ** alpha) * dissipation_density(u1, u2, alpha)
+    return lhs <= rhs + rel_tol * (1.0 + np.abs(rhs))
+
 
 # ---------------------------------------------------------------------------
 # presets
@@ -28,7 +59,7 @@ def test_case2_preset_shape():
     assert evaluate(m.r1_linear, {"v": v}) == v                # q1 = l v
     assert evaluate(m.r1_tilde, {"u": u, "v": v}) == 0.0
     assert m.r1_values(u, v) == pytest.approx(u * v)           # R1 = l u v
-    assert m.r2_values(u, v) == pytest.approx(-u * v)          # R2 = -u v
+    assert r2_values(m, u, v) == pytest.approx(-u * v)         # R2 = -u v
 
 
 def test_case4_preset_reaction_split():
@@ -103,7 +134,8 @@ def reaction_mismatch(m: CoefficientModel, r1_direct: Optional[Expr] = None,
         worst = max(worst, float(np.max(np.abs(m.r1_values(u, v) - direct))))
     if r2_direct is not None:
         direct = evaluate(r2_direct, {"u": u, "v": v})
-        worst = max(worst, float(np.max(np.abs(m.r2_values(u, v) - direct))))
+        worst = max(worst,
+                    float(np.max(np.abs(r2_values(m, u, v) - direct))))
     return worst
 
 

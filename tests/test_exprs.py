@@ -381,6 +381,52 @@ def test_forcings_bound_to_the_cells_equal_the_unbound_ones(grid, u, v):
             assert _same_value(g, w)
 
 
+def _unread_constants(program) -> list:
+    """The slots holding a constant that neither an instruction of the
+    program nor its result reads."""
+    r = program._result
+    read = set(r) if isinstance(r, tuple) else {r}
+    for _, op, a, b, _, _ in program._code:
+        if op is not None:
+            read.update((a, b))
+    return [k for k, v in enumerate(program._slots)
+            if v is not None and k not in read]
+
+
+def test_bound_programs_keep_no_unread_constant():
+    # a fresh compile reads every constant it holds; bind turns the nodes
+    # of x and y into constants and keeps only those that are still read
+    rng = np.random.default_rng(2468)
+    bound_any = 0
+    for case in range(300):
+        e = random_ast(rng, depth=5)
+        if case % 3 == 0:
+            e = differentiate(e, str(rng.choice(["x", "y", "t"])))
+        program = compile(e)
+        assert _unread_constants(program) == [], to_string(e)
+        bindings = _random_bindings(rng, scalar=case % 4 == 0)
+        try:
+            bound = program.bind({k: bindings[k] for k in "xy"})
+        except EvalError:
+            continue
+        assert _unread_constants(bound) == [], to_string(e)
+        bound_any += len(bound._code) < len(program._code)
+        got = _outcome(lambda _, b: bound(b), e, bindings)
+        want = _outcome(lambda _, b: program(b), e, bindings)
+        assert got[0] == want[0], to_string(e)
+        if want[0] == "value":
+            assert _same_value(got[1], want[1]), to_string(e)
+    assert bound_any >= 50
+    grid = Grid((16, 8), (1.0, 0.5))
+    forcings = compile(mms_forcing(
+        parse("2 + 0.45*exp(-t)*cos(pi*x)*cos(pi*y)"),
+        parse("2 + 0.25*sin(t)*cos(pi*y)"), CASE2))
+    bound = forcings.bind(dict(zip("xy", grid.centers())))
+    assert _unread_constants(forcings) == _unread_constants(bound) == []
+    assert sum(v is not None for v in bound._slots) \
+        < len(forcings) - len(bound._code)
+
+
 def test_bind_raises_for_the_first_failing_node_of_the_bound_variables():
     x = (np.arange(8) + 0.5) / 8
     # in post-order ln(t - 5) fails first; bind runs only the nodes of x,

@@ -1,4 +1,4 @@
-"""Zero-mean Neumann Poisson solve, H^-1 seminorm, Poincare ratio."""
+"""Zero-mean Neumann Poisson solve, its H^-1 cross-check, Poincare ratio."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from crossdiff import poisson
 from crossdiff.exprs import parse
-from crossdiff.grid import Grid, divergence_arrays, gradient_arrays
-from crossdiff.poisson import (hminus1_seminorm, poincare_ratio,
-                               solve_neumann_zero_mean)
+from crossdiff.grid import (Grid, divergence_arrays, grad_sq_sum,
+                            gradient_arrays)
+from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
 
 
 def laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -54,6 +54,7 @@ def test_cg_matches_dense_pinned_oracle(grid):
     expected = dense_pinned_solve(grid, w)
     sol = solve_neumann_zero_mean(grid, w)
     assert float(np.max(np.abs(sol.psi - expected))) <= 1e-10
+    assert sol.grad_sq == grad_sq_sum(grid, sol.psi)
 
 
 def test_constant_rhs_gives_zero_solution_without_iterations():
@@ -151,7 +152,12 @@ def test_eigenfunction_order_up_to_n_4096():
 
 
 # ---------------------------------------------------------------------------
-# H^-1 seminorm
+# H^-1 seminorm: every solve returns ||grad psi||^2, cross-checked against
+# the duality <w - mean(w), psi>
+
+
+def hminus1_seminorm(grid: Grid, w: np.ndarray) -> float:
+    return math.sqrt(solve_neumann_zero_mean(grid, w).grad_sq)
 
 
 def test_seminorm_of_constant_is_zero():
@@ -196,19 +202,24 @@ def test_seminorm_cross_check_passes_at_large_sizes(grid):
         assert math.isfinite(norm) and norm > 0.0
 
 
+def off_spectrum(monkeypatch, rel=1e-7):
+    """Make every solve divide by eigenvalues off by a relative rel."""
+    exact = poisson._spectrum
+
+    def inexact(grid):
+        lam, twiddles = exact(grid)
+        return lam * (1.0 + rel), twiddles
+    monkeypatch.setattr(poisson, "_spectrum", inexact)
+
+
 def test_seminorm_cross_check_catches_an_inexact_solve(monkeypatch):
     # a psi off by 1e-7 relative breaks the duality far beyond roundoff
-    exact = poisson.solve_neumann_zero_mean
-
-    def inexact(grid, w):
-        sol = exact(grid, w)
-        sol.psi *= 1.0 + 1e-7
-        return sol
-    monkeypatch.setattr(poisson, "solve_neumann_zero_mean", inexact)
+    off_spectrum(monkeypatch)
     g = Grid((4096,), (1.0,))
     w = g.cell_values(parse("cos(pi*x)"))
-    with pytest.raises(RuntimeError, match="cross-check"):
-        hminus1_seminorm(g, w)
+    with pytest.raises(RuntimeError, match="H\\^-1 cross-check failed"):
+        solve_neumann_zero_mean(g, w)
+
 
 
 # ---------------------------------------------------------------------------

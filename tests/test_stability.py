@@ -6,13 +6,36 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crossdiff import stability
 from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import parse
 from crossdiff.grid import Grid
-from crossdiff.poisson import poincare_ratio
+from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
 from crossdiff.solver import PositivityError, SimConfig, Simulation, run
-from crossdiff.stability import (GronwallTrace, energy_identity_check,
-                                 gronwall_trace, perturbation_sweep, run_pair)
+from crossdiff.stability import (GronwallTrace, gronwall_trace,
+                                 perturbation_sweep, run_pair)
+
+
+def energy_identity_check(grid, delta_us):
+    """Discrete energy identity on a sequence of du snapshots at every step
+    boundary (dense cadence): returns (lhs, rhs, |lhs - rhs|).
+
+    lhs = 1/2 ||grad dpsi||^2 at the ends, rhs the trapezoidal duality sum,
+    formed from the whole sequence at once; the sequence need not come from
+    a PDE.  Raises ValueError when fewer than two snapshots are supplied.
+    """
+    if len(delta_us) < 2:
+        raise ValueError("energy identity needs du at every step boundary; "
+                         "rerun with dense cadence (output cadence 1)")
+    delta_us = [np.asarray(du, dtype=float) for du in delta_us]
+    sols = [solve_neumann_zero_mean(grid, du) for du in delta_us]
+    lhs = 0.5 * sols[-1].grad_sq - 0.5 * sols[0].grad_sq
+    rhs = 0.0
+    for k in range(len(delta_us) - 1):
+        rhs += float(np.sum((delta_us[k + 1] - delta_us[k])
+                            * 0.5 * (sols[k].psi + sols[k + 1].psi))) \
+            * grid.cell_volume
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -187,6 +210,28 @@ def test_energy_identity_requires_dense_sequences():
     grid = Grid((16,), (1.0,))
     with pytest.raises(ValueError, match="dense"):
         energy_identity_check(grid, [np.ones(16)])
+
+
+@pytest.mark.parametrize("model", [HEAT, build_preset(2, {"chi": 0.25,
+                                                          "l": 0.5})])
+def test_streaming_identity_residual_equals_the_whole_sequence_check(
+        monkeypatch, model):
+    # the pair keeps only the last (du, dpsi) of each tick; the reference
+    # solves every recorded du again and sums over the whole sequence
+    dus = []
+    solve = stability.solve_neumann_zero_mean
+
+    def recording(grid, du):
+        dus.append(du.copy())
+        return solve(grid, du)
+    monkeypatch.setattr(stability, "solve_neumann_zero_mean", recording)
+    cfg = replace(heat_config(n=48, dt=5e-4, t_end=0.02), model=model)
+    report = run_pair(cfg, parse("1.5 + 0.01*cos(pi*x) + 0.02*cos(3*pi*x)"),
+                      parse("1 + 0.01*cos(2*pi*x)"))
+    assert len(dus) == len(report.times) == 41
+    assert report.energy_identity_residual == \
+        energy_identity_check(cfg.grid, dus)[2]
+    assert report.energy_identity_residual > 0.0
 
 
 # ---------------------------------------------------------------------------
