@@ -93,7 +93,10 @@ class CoefficientModel:
         return self._evaluate("p", {"v": v})
 
     def a11_values(self, u, v):
-        return self.p_values(v) * np.power(u, self.alpha)
+        p = self.p_values(v)
+        a = np.power(u, self.alpha)
+        a *= p  # in place: the power is a fresh array (or a scalar)
+        return a
 
     def a12_values(self, u, v):
         return self._evaluate("a12", {"u": u, "v": v})

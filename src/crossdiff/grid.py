@@ -119,41 +119,56 @@ FACE_SLICES = {
 }
 
 
-def _face_shape(shape: tuple, dim: int, axis: int) -> tuple:
+def face_shape(shape: tuple, dim: int, axis: int) -> tuple:
     """The shape of the faces normal to `axis` of cell data of `shape`."""
     k = len(shape) - dim + axis
     return shape[:k] + (shape[k] + 1,) + shape[k + 1:]
 
 
-def gradient_arrays(grid: Grid, a: np.ndarray) -> FaceData:
-    faces = []
-    for axis, (h, (hi, lo, inner, _, _)) in enumerate(
-            zip(grid.spacing, FACE_SLICES[grid.dim])):
-        g = np.zeros(_face_shape(a.shape, grid.dim, axis))
-        g[inner] = (a[hi] - a[lo]) / h
-        faces.append(g)
-    return tuple(faces)
+def face_arrays(grid: Grid, shape: tuple) -> FaceData:
+    """Uninitialised face data for cell data of `shape`, one array per axis."""
+    return tuple(np.empty(face_shape(shape, grid.dim, axis))
+                 for axis in range(grid.dim))
 
 
-def divergence_arrays(grid: Grid, fluxes: FaceData) -> np.ndarray:
-    """Sum over the axes, left to right, of the flux differences."""
+def gradient_arrays(grid: Grid, a: np.ndarray,
+                    out: FaceData | None = None) -> FaceData:
+    """Face differences over h, zero on boundary faces; into out if given."""
+    faces = out or face_arrays(grid, a.shape)
+    for h, g, (hi, lo, inner, first, last) in zip(
+            grid.spacing, faces, FACE_SLICES[grid.dim]):
+        g[first] = g[last] = 0.0
+        d = np.subtract(a[hi], a[lo], out=g[inner])
+        np.divide(d, h, out=d)
+    return faces
+
+
+def divergence_arrays(grid: Grid, fluxes: FaceData,
+                      out: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the axes, left to right, of the flux differences over h;
+    into out if given, each later axis's term formed in scratch (allocated
+    if None)."""
     total = None
     for h, f, (hi, lo, _, _, _) in zip(grid.spacing, fluxes,
                                        FACE_SLICES[grid.dim]):
-        term = (f[hi] - f[lo]) / h
-        total = term if total is None else total + term
+        term = np.subtract(f[hi], f[lo], out=scratch if total is not None
+                           else out)
+        np.divide(term, h, out=term)
+        total = term if total is None else np.add(total, term, out=total)
     return total
 
 
-def face_average_arrays(grid: Grid, a: np.ndarray) -> FaceData:
-    """Arithmetic mean onto faces; boundary faces copy the adjacent cell."""
-    faces = []
-    for axis, (hi, lo, inner, first, last) in enumerate(FACE_SLICES[grid.dim]):
-        m = np.empty(_face_shape(a.shape, grid.dim, axis))
-        m[inner] = 0.5 * (a[hi] + a[lo])
+def face_average_arrays(grid: Grid, a: np.ndarray,
+                        out: FaceData | None = None) -> FaceData:
+    """Arithmetic mean onto faces; boundary faces copy the adjacent cell.
+    Into out if given."""
+    faces = out or face_arrays(grid, a.shape)
+    for m, (hi, lo, inner, first, last) in zip(faces, FACE_SLICES[grid.dim]):
+        mean = np.add(a[hi], a[lo], out=m[inner])
+        np.multiply(0.5, mean, out=mean)
         m[first], m[last] = a[first], a[last]
-        faces.append(m)
-    return tuple(faces)
+    return faces
 
 
 def member_sums(x: np.ndarray) -> list:

@@ -8,8 +8,7 @@ Each step advances the pair (u, v) by the splitting
 
 solved with matrix-free CG on one StepOperator per Simulation, which both
 solves reassemble in place; that invalidates its last apply, and each apply
-overwrites the one before.  CG updates its iterates in place through one
-workspace per solve.  The v diffusion uses face-averaged cell values of
+overwrites the one before.  The v diffusion uses face-averaged cell values of
 A22(u, v); the absorbing part of the v reaction (q2 <= 0, as in -u v) is
 taken implicitly through the ratio form u q2(v) v'/v with the diagonal
 C = u max(-q2(v), 0)/v >= 0, which keeps v positive for positive data.  The
@@ -28,6 +27,16 @@ and one CG solve of the block-diagonal system.  Every per-member quantity
 (mass shift, ledgers, clip budget) is reduced per row, bitwise as it would
 be for that member alone.
 
+Buffers: a Simulation allocates its StepOperator and one StepWorkspace
+for its batch shape, and a step after the first allocates no cell- or
+face-sized array of its own; only the coefficient and forcing programs
+return fresh arrays.  The step's kernels and arithmetic write through
+numpy's out=, with the ufuncs, operands and order of the plain
+expressions, so every value is bitwise theirs.  Each solve writes its
+solution into the workspace's spare state, which the step then swaps with
+u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
+caller that keeps them copies them, as state() does.
+
 Ticks and validation: Simulation.march is the one time loop.  It steps
 time_grid(dt, t_end) and yields at t = 0, after every output_every-th step
 and after the final, possibly shortened, step; run and the stability
@@ -39,8 +48,10 @@ does.
 Conservation: fluxes vanish on boundary faces, so the flux divergence sums
 to zero and the only mass sources are reactions, forcing and clipping.
 After each CG solve each member is shifted by a constant so the analytic
-mass balance holds exactly (the shift is below solver tolerance; iterative
-truncation would otherwise leak mass).  Negative u cells are clipped to
+mass balance holds exactly (iterative truncation would otherwise leak
+mass).  The shift is the mean of the member's CG residual r_i, so it is at
+most ||r_i|| / sqrt(cells) <= tol ||b_i|| / sqrt(cells), tol times the RMS
+of its right-hand side, up to roundoff.  Negative u cells are clipped to
 zero and the added mass is ledgered, giving the exact discrete identity
 
     integral u(t_n) - integral u(0)
@@ -61,9 +72,12 @@ from .coeffs import CoefficientModel
 from .exprs import (Const, Expr, compile, differentiate, is_number, mul,
                     substitute)
 from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
-                   gradient_arrays, member_sums)
+                   face_shape, gradient_arrays, member_sums)
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
+# consecutive true-residual checks that fail to lower CG's best true residual
+# before the solve is declared stagnated
+STAGNATION_CHECKS = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -239,11 +253,8 @@ class SimConfig:
 
     def warn_if_dt_large(self, u0: np.ndarray, v0: np.ndarray) -> None:
         """Advisory explicit-term bound dt <= h^2 / max |A12 grad v| at t=0."""
-        a12 = _cells(self.model.a12_values(u0, v0), self.grid.shape)
-        worst = 0.0
-        for a12_f, dv_f in zip(face_average_arrays(self.grid, a12),
-                               gradient_arrays(self.grid, v0)):
-            worst = max(worst, float(np.max(np.abs(a12_f * dv_f))))
+        worst = _max_cross_rate(self.grid, _cells(
+            self.model.a12_values(u0, v0), self.grid.shape), v0)
         h2 = min(self.grid.spacing) ** 2
         if worst > 0.0 and self.dt > h2 / worst:
             warnings.warn(
@@ -252,8 +263,31 @@ class SimConfig:
                 "instability or positivity loss", RuntimeWarning)
 
 
+def _max_cross_rate(grid: Grid, a12: np.ndarray, v: np.ndarray) -> float:
+    """max over faces of |A12 grad v|, A12 averaged onto the faces: the
+    largest over the axes of max |(a12[hi] + a12[lo])/2 (v[hi] - v[lo])/h|
+    on the interior faces.  A boundary face, whose gradient is zero, adds
+    0, or nan where a12 is not finite, which hides its axis as np.max over
+    all faces did."""
+    worst = 0.0
+    for h, (hi, lo, _, first, last) in zip(grid.spacing,
+                                           FACE_SLICES[grid.dim]):
+        rate = np.add(a12[hi], a12[lo])
+        np.multiply(0.5, rate, out=rate)
+        dv = np.subtract(v[hi], v[lo])
+        np.divide(dv, h, out=dv)
+        np.multiply(rate, dv, out=rate)
+        axis_max = float(np.max(np.abs(rate, out=rate)))
+        if not (np.isfinite(a12[first]).all()
+                and np.isfinite(a12[last]).all()):
+            axis_max = math.nan
+        worst = max(worst, axis_max)
+    return worst
+
+
 def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
-                       tol: float, max_iter: int):
+                       tol: float, max_iter: int, out: np.ndarray,
+                       work: tuple):
     """Matrix-free CG for SPD operators, on a batch of independent members.
 
     The leading axis of b indexes members whose systems do not couple (the
@@ -263,41 +297,66 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     minimum over members with a nonzero right-hand side; since ||r_i|| <=
     ||r||, every such member's relative residual is then at most tol.  With
     one member this is the stop ||r|| <= tol ||b||.  The recurrence residual
-    triggers the check and is refreshed from the true one if roundoff made
-    them drift apart.  Returns (x, iterations, ||r|| / min_i ||b_i||), a
-    bound on every member's relative residual.  At max_iter the true
-    residual is checked too, and if it misses the stop, ConvergenceError
-    carries it on that scale.  A zero right-hand side returns zeros with
-    zero iterations, and a non-finite one raises ConvergenceError at once.
-    apply_a may return the same array on every call: its result is consumed
-    before the next call.
+    triggers the check and is restarted from the true one if roundoff made
+    them drift apart.  Returns (out, iterations, ||r|| / min_i ||b_i||), a
+    bound on every member's relative residual.
+
+    The iterate is out, started from x0; work is three more arrays of b's
+    shape (r, p and scratch), so an iteration allocates no array.  apply_a
+    may return the same array on every call: its result is consumed before
+    the next call.
+
+    A solve fails with ConvergenceError, carrying a copy of the checked
+    iterate with the smallest true residual and that residual on the scale
+    above, at max_iter, or once STAGNATION_CHECKS checks in a row fail to
+    lower it: the true residual then sits at its roundoff floor, which
+    further iterations do not lower (Greenbaum 1997), and the message names
+    that floor.  A breakdown fails with the current iterate.  A zero
+    right-hand side returns zeros with zero iterations, and a non-finite one
+    fails at once with a copy of x0.
     """
     norm_b = math.sqrt(float(np.vdot(b, b)))  # bitwise np.linalg.norm(b)
     if not math.isfinite(norm_b):
-        raise ConvergenceError("CG right-hand side is not finite", x0,
+        raise ConvergenceError("CG right-hand side is not finite", x0.copy(),
                                math.nan, 0)
+    x = out
     if norm_b == 0.0:
-        return np.zeros_like(b), 0, 0.0
+        x.fill(0.0)
+        return x, 0, 0.0
     if len(b) > 1:
         member_norms = np.linalg.norm(b.reshape(len(b), -1), axis=1)
         norm_b = float(np.min(member_norms[member_norms > 0.0]))
-    x = np.array(x0, dtype=float, copy=True)
-    r = b - apply_a(x)
-    p, scratch = r.copy(), np.empty_like(r)
+    r, p, scratch = work
+    np.copyto(x, x0)
+    np.subtract(b, apply_a(x), out=r)
+    np.copyto(p, r)
     rs = float(np.vdot(r, r))
     iterations = 0
     target = tol * norm_b
+    best, best_norm, stale = None, math.inf, 0
     while True:
         if math.sqrt(rs) <= target or iterations >= max_iter:
             true_r = np.subtract(b, apply_a(x), out=scratch)
             true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
             if true_norm <= target:
                 return x, iterations, true_norm / norm_b
-            if iterations >= max_iter:
+            improved = not true_norm >= best_norm  # a nan is reported
+            if improved:
+                best_norm, stale = true_norm, 0
+            else:
+                stale += 1
+            if iterations >= max_iter or stale >= STAGNATION_CHECKS:
+                floor = best_norm / norm_b
                 raise ConvergenceError(
                     f"CG did not reach tol {tol:g} in {max_iter} iterations "
-                    f"(residual {true_norm / norm_b:.3e})",
-                    x, true_norm / norm_b, iterations)
+                    f"(residual {floor:.3e})" if iterations >= max_iter else
+                    f"CG stagnated above tol {tol:g}: its true residual "
+                    f"reached a floor of {floor:.3e} and the next "
+                    f"{STAGNATION_CHECKS} checks did not lower it "
+                    f"({iterations} iterations)",
+                    x.copy() if improved else best, floor, iterations)
+            if improved:  # restarts are rare; keep it to report a failure
+                best = x.copy()
             r, scratch = true_r, r
             np.copyto(p, r)
             rs = float(np.vdot(r, r))
@@ -306,7 +365,7 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
         if not p_ap > 0.0:
             raise ConvergenceError(
                 "CG broke down: operator is not positive definite on the "
-                "search space", x, math.sqrt(rs) / norm_b, iterations)
+                "search space", x.copy(), math.sqrt(rs) / norm_b, iterations)
         alpha = rs / p_ap
         x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, ap, out=scratch)
@@ -369,6 +428,43 @@ class StepOperator:
         return self._out
 
 
+class StepWorkspace:
+    """Every cell- and face-sized array a step writes outside its
+    StepOperator, allocated once for a batch shape and reused by every step.
+
+    The v and the u step take turns with the same buffers:
+      u_faces   A22's face means (v step); u's face means, then A12's
+                (u step); grad u' (the step's closing sum)
+      v_faces   v''s face means, then grad v', overwritten by the cross
+                flux A12 grad v' (u step)
+      aux       C = u max(-q2, 0)/v, then C v' (v step); the reaction plus
+                the forcing, when there is a forcing (u step)
+      rhs       the right-hand side of each solve; min(u', 0) after the
+                u solve
+      cg        CG's r, p and scratch; r also holds the divergence's
+                second-axis term before the u solve
+      u, v      the spare state: each solve writes its solution here, and
+                Simulation.step swaps it with the current state
+      nonpositive  the mask v' <= 0
+    """
+
+    def __init__(self, grid: Grid, shape: tuple):
+        # views of one block, which is mapped and returned to the system as
+        # a whole instead of leaving a dozen arrays' holes in the heap
+        faces = [face_shape(shape, grid.dim, axis) for axis in range(grid.dim)]
+        shapes = faces * 2 + [shape] * 7
+        block = np.empty(sum(map(math.prod, shapes)))
+        views, start = [], 0
+        for s in shapes:
+            views.append(block[start:start + math.prod(s)].reshape(s))
+            start += math.prod(s)
+        d = grid.dim
+        self.u_faces, self.v_faces = tuple(views[:d]), tuple(views[d:2 * d])
+        self.aux, self.rhs, self.u, self.v, *cg = views[2 * d:]
+        self.cg = tuple(cg)
+        self.nonpositive = np.empty(shape, dtype=bool)
+
+
 def _cells(values, shape) -> np.ndarray:
     """values as an array of `shape`: an array of that shape as it is, a
     scalar (a constant coefficient) broadcast."""
@@ -390,6 +486,12 @@ class Simulation:
     A Simulation never validates: every entry point that steps a config
     (run, the stability harness's batch driver and the CLI's MMS study)
     validates it first.
+
+    Buffers: operator and work are allocated here, once, and a step after
+    the first allocates no cell array of its own.  A step writes the new
+    state into work's spare arrays and swaps them with u and v, so the
+    arrays u and v are overwritten by later steps: a caller that keeps
+    them copies them, as state() does.
     """
 
     def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None):
@@ -423,6 +525,7 @@ class Simulation:
             for e in (cfg.model.a12, cfg.model.a22))
         self._max_iter = cfg.lin_max_iter or max(200, 10 * self.grid.cell_count)
         self.operator = StepOperator(self.grid, self.u.shape)
+        self.work = StepWorkspace(self.grid, self.u.shape)
 
     def march(self):
         """Step cfg's time grid from t = 0 to t_end, yielding the time at
@@ -448,54 +551,63 @@ class Simulation:
             s1, s2 = (None, None) if self._forcing is None \
                 else self._forcing({"t": t_next})
             v_new = self._step_v(dt, s2)
-            self._step_u(dt, v_new, s1)
+            u_new = self._step_u(dt, v_new, s1)
         except (RuntimeError, ValueError) as err:  # solves, positivity, domains
             if err.args and isinstance(err.args[0], str):
                 err.args = (f"step {self.steps + 1} (t = {t_next:g}): "
                             f"{err.args[0]}",) + err.args[1:]
             raise
         self.steps += 1
+        ws = self.work
+        self.u, ws.u = u_new, self.u
+        self.v, ws.v = v_new, self.v
         # per member, the same sums in the same order as grad_sq_sum
         vol = self.grid.cell_volume
         grad_sq = [0.0] * len(self.u)
-        for gf in gradient_arrays(self.grid, self.u):
-            grad_sq = [q + s * vol for q, s
-                       in zip(grad_sq, member_sums(gf * gf))]
+        for gf in gradient_arrays(self.grid, self.u, out=ws.u_faces):
+            np.multiply(gf, gf, out=gf)
+            grad_sq = [q + s * vol for q, s in zip(grad_sq, member_sums(gf))]
         self.cum_grad_u_sq = [c + dt * q for c, q
                               in zip(self.cum_grad_u_sq, grad_sq)]
-        self.v = v_new
         self.t = t_next
 
-    def _solve(self, name: str, rhs: np.ndarray, x0: np.ndarray, mob: tuple,
-               dt: float, c: Optional[np.ndarray] = None) -> np.ndarray:
-        """CG on the operator assembled from mob, dt and c; errors name it."""
-        self.operator.assemble(mob, dt, c)
+    def _solve(self, name: str, rhs: np.ndarray, x0: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """CG on the assembled operator, into out; errors name the solve."""
         try:
             return conjugate_gradient(self.operator, rhs, x0, self.cfg.lin_tol,
-                                      self._max_iter)[0]
+                                      self._max_iter, out, self.work.cg)[0]
         except ConvergenceError as err:
             err.args = (f"{name} solve: {err.args[0]}",) + err.args[1:]
             raise
 
     def _step_v(self, dt: float, s2) -> np.ndarray:
-        g, m = self.grid, self.model
+        g, m, ws = self.grid, self.model, self.work
         u, v = self.u, self.v
         mob = self._a22_faces or face_average_arrays(
-            g, _cells(m.a22_values(u, v), u.shape))
+            g, _cells(m.a22_values(u, v), u.shape), out=ws.u_faces)
         q2 = m.q2_values(v)
-        c_abs = u * np.maximum(-q2, 0.0) / v
-        explicit = u * np.maximum(q2, 0.0) + m.r2_tilde_values(u, v)
+        c_abs = np.negative(q2, out=ws.aux)  # u max(-q2, 0) / v
+        np.maximum(c_abs, 0.0, out=c_abs)
+        np.multiply(u, c_abs, out=c_abs)
+        np.divide(c_abs, v, out=c_abs)
+        rhs = np.maximum(q2, 0.0, out=ws.rhs)  # v + dt (u max(q2, 0) + R~2)
+        np.multiply(u, rhs, out=rhs)
+        np.add(rhs, m.r2_tilde_values(u, v), out=rhs)
         if s2 is not None:
-            explicit = explicit + s2
-        rhs = v + dt * explicit
+            np.add(rhs, s2, out=rhs)
+        np.multiply(dt, rhs, out=rhs)
+        np.add(v, rhs, out=rhs)
 
-        v_new = self._solve("v", rhs, v, mob, dt, c_abs)
+        self.operator.assemble(mob, dt, c_abs)
+        v_new = self._solve("v", rhs, v, ws.v)
         # analytic mass balance: sum v' = sum rhs - dt sum(C v'); restore it
         cells = g.cell_count
+        np.multiply(c_abs, v_new, out=c_abs)  # C v'
         shift = [(r - dt * c - s) / cells for r, c, s in zip(
-            member_sums(rhs), member_sums(c_abs * v_new), member_sums(v_new))]
+            member_sums(rhs), member_sums(c_abs), member_sums(v_new))]
         v_new += np.array(shift).reshape(self._per_cell)
-        bad = v_new <= 0.0
+        bad = np.less_equal(v_new, 0.0, out=ws.nonpositive)
         if bad.any():
             failing = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
             raise PositivityError(
@@ -503,33 +615,41 @@ class Simulation:
                 tuple(failing.tolist()))
         return v_new
 
-    def _step_u(self, dt: float, v_new: np.ndarray, s1) -> None:
-        g, m = self.grid, self.model
+    def _step_u(self, dt: float, v_new: np.ndarray, s1) -> np.ndarray:
+        g, m, ws = self.grid, self.model, self.work
         u = self.u
         vol = g.cell_volume
         mass_pre = [s * vol for s in member_sums(u)]
 
-        u_faces = face_average_arrays(g, u)
-        v_faces = face_average_arrays(g, v_new)
-        mob = tuple(m.a11_values(uf, vf) for uf, vf in zip(u_faces, v_faces))
+        # assembled first: the face buffers are reused for the cross flux
+        u_faces = face_average_arrays(g, u, out=ws.u_faces)
+        v_faces = face_average_arrays(g, v_new, out=ws.v_faces)
+        self.operator.assemble(tuple(m.a11_values(uf, vf) for uf, vf
+                                     in zip(u_faces, v_faces)), dt)
 
         a12_faces = self._a12_faces or face_average_arrays(
-            g, _cells(m.a12_values(u, v_new), u.shape))
-        cross = tuple(af * gf for af, gf
-                      in zip(a12_faces, gradient_arrays(g, v_new)))
+            g, _cells(m.a12_values(u, v_new), u.shape), out=ws.u_faces)
+        cross = gradient_arrays(g, v_new, out=ws.v_faces)
+        for af, gf in zip(a12_faces, cross):
+            np.multiply(af, gf, out=gf)
         reaction = m.r1_values(u, v_new)
         if s1 is not None:
-            reaction = reaction + s1
-        rhs = u + dt * (divergence_arrays(g, cross) + reaction)
+            reaction = np.add(reaction, s1, out=ws.aux)
+        # u + dt (div(A12 grad v') + R1 + S1)
+        rhs = divergence_arrays(g, cross, out=ws.rhs, scratch=ws.cg[0])
+        np.add(rhs, reaction, out=rhs)
+        np.multiply(dt, rhs, out=rhs)
+        np.add(u, rhs, out=rhs)
 
-        u_new = self._solve("u", rhs, u, mob, dt)
+        u_new = self._solve("u", rhs, u, ws.u)
         # flux divergences carry no net mass; reactions and forcing do
         reaction_mass = [dt * s * vol for s in member_sums(reaction)]
         cells = g.cell_count
         shift = [(mp + r - s * vol) / (cells * vol) for mp, r, s
                  in zip(mass_pre, reaction_mass, member_sums(u_new))]
         u_new += np.array(shift).reshape(self._per_cell)
-        clipped = [-s * vol for s in member_sums(np.minimum(u_new, 0.0))]
+        clipped = [-s * vol for s in member_sums(np.minimum(u_new, 0.0,
+                                                            out=rhs))]
         over = [i for i, (c, mp) in enumerate(zip(clipped, mass_pre))
                 if c > CLIP_BUDGET * max(mp, 1e-300)]
         if over:
@@ -542,7 +662,7 @@ class Simulation:
                               in zip(self.clipped_total, clipped)]
         self.reaction_mass_total = [a + r for a, r in zip(
             self.reaction_mass_total, reaction_mass)]
-        self.u = u_new
+        return u_new
 
     def diagnostics_row(self, i: int = 0) -> DiagnosticsRow:
         g = self.grid

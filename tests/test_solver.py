@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from crossdiff import solver
-from crossdiff.cli import load_config
+from crossdiff.cli import load_config, main
 from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import evaluate, parse
 from crossdiff.grid import (FACE_SLICES, Grid, divergence_arrays,
-                            gradient_arrays)
+                            face_average_arrays, gradient_arrays)
 from crossdiff.solver import (ConvergenceError, PositivityError, SimConfig,
                               Simulation, StepOperator, conjugate_gradient,
                               f_energy, mms_forcing, run, time_grid)
@@ -78,6 +78,13 @@ def random_operator_data(grid, rng, lead=()):
 
 
 GRIDS = [Grid((37,), (1.3,)), Grid((9, 14), (0.7, 2.1))]
+
+
+def cg(apply_a, b, x0, tol, max_iter):
+    """conjugate_gradient into a fresh iterate and workspace."""
+    return conjugate_gradient(apply_a, b, x0, tol, max_iter,
+                              np.empty_like(b),
+                              tuple(np.empty_like(b) for _ in range(3)))
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -175,13 +182,18 @@ def test_batched_step_operator_equals_member_operators_bitwise(grid):
                               operator(grid, member_mob, dt)(x[i]))
 
 
-def test_steps_after_the_first_allocate_no_operator_arrays():
+def two_member_2d(**kwargs):
     g = Grid((24, 20), (1.0, 1.2))
-    cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0)
+    cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0, **kwargs)
     x, y = g.centers()
-    sim = Simulation(cfg, members=[
+    return Simulation(cfg, members=[
         (1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * y)),
         (np.full(g.shape, 1.2), 1.0 + 0.1 * np.cos(math.pi * x))])
+
+
+def test_steps_after_the_first_allocate_no_operator_arrays():
+    sim = two_member_2d()
+    cfg = sim.cfg
     sim.step(cfg.dt)
     op = sim.operator
     buffers = {id(a) for a in vars(op).values() if isinstance(a, np.ndarray)}
@@ -246,8 +258,7 @@ def test_batched_cg_bounds_every_member_relative_residual():
     b = rng.standard_normal((3, 96))
     b[1] *= 1e-6
     tol = 1e-8
-    x, iterations, rel = conjugate_gradient(apply_a, b, np.zeros_like(b),
-                                            tol, 1000)
+    x, iterations, rel = cg(apply_a, b, np.zeros_like(b), tol, 1000)
     assert iterations > 0 and rel <= tol
     residual = b - apply_a(x)
     for r_i, b_i in zip(residual, b):
@@ -286,7 +297,7 @@ def test_nonconvergence_carries_best_iterate():
     apply_a = operator(g, (rng.uniform(0.5, 2.0, (1, 129)),), 1.0)
     b = rng.standard_normal((1, 128))
     with pytest.raises(ConvergenceError) as err:
-        conjugate_gradient(apply_a, b, np.zeros((1, 128)), 1e-14, 2)
+        cg(apply_a, b, np.zeros((1, 128)), 1e-14, 2)
     assert err.value.best.shape == (1, 128)
     assert err.value.iterations == 2
     assert math.isfinite(err.value.residual_norm)
@@ -299,9 +310,9 @@ def test_failed_solve_reports_the_true_residual_of_its_best_iterate(
     cfg = load_config(CONFIG_DIR / "case2_run_1d.json").sim
     solves = []
 
-    def recording(apply_a, b, x0, tol, max_iter):
+    def recording(apply_a, b, *args):
         solves.append((apply_a, b))
-        return conjugate_gradient(apply_a, b, x0, tol, max_iter)
+        return conjugate_gradient(apply_a, b, *args)
 
     monkeypatch.setattr(solver, "conjugate_gradient", recording)
     with pytest.raises(ConvergenceError) as err:
@@ -320,14 +331,17 @@ def test_cg_refuses_a_non_finite_right_hand_side(bad):
     b = np.ones((2, 16))
     b[1, 3] = bad
     with pytest.raises(ConvergenceError, match="not finite") as err:
-        conjugate_gradient(apply_a, b, np.zeros_like(b), 1e-10, 200)
+        cg(apply_a, b, np.zeros_like(b), 1e-10, 200)
     assert err.value.iterations == 0
 
 
 def textbook_cg(apply_a, b, x0, tol, max_iter):
     """conjugate_gradient's iteration written out with a fresh array for
-    every update, with its stop rule and its restart from the true residual.
-    Returns (x, iterations, ||r|| / min_i ||b_i||, converged, restarts)."""
+    every update, with its stop rule, its restart from the true residual and
+    its stagnation rule.  Returns (x, iterations, rel, converged, restarts);
+    when it did not converge, x is the checked iterate with the smallest
+    true residual (the first of equals) and rel its ||r|| / min_i ||b_i||.
+    """
     norm_b = np.linalg.norm(b)
     if len(b) > 1:
         norms = np.linalg.norm(b.reshape(len(b), -1), axis=1)
@@ -337,13 +351,19 @@ def textbook_cg(apply_a, b, x0, tol, max_iter):
     p = r.copy()
     rs = float(np.vdot(r, r))
     restarts = 0
+    checked = []  # (true residual, iterate) of every failed check
     for k in range(max_iter + 1):
         if math.sqrt(rs) <= tol * norm_b or k == max_iter:
             true_r = b - apply_a(x)
             true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
-            if true_norm <= tol * norm_b or k == max_iter:
-                return (x, k, true_norm / norm_b, true_norm <= tol * norm_b,
-                        restarts)
+            if true_norm <= tol * norm_b:
+                return x, k, true_norm / norm_b, True, restarts
+            checked.append((true_norm, x))
+            best = min(range(len(checked)), key=lambda j: checked[j][0])
+            if k == max_iter \
+                    or len(checked) - 1 - best >= solver.STAGNATION_CHECKS:
+                return (checked[best][1], k, checked[best][0] / norm_b,
+                        False, restarts)
             r, p, rs = true_r, true_r.copy(), float(np.vdot(true_r, true_r))
             restarts += 1
         ap = apply_a(p).copy()
@@ -362,10 +382,10 @@ def assert_cg_matches_textbook(apply_a, b, tol, max_iter) -> int:
     want_x, want_k, want_rel, converged, restarts = textbook_cg(
         apply_a, b, x0, tol, max_iter)
     if converged:
-        x, k, rel = conjugate_gradient(apply_a, b, x0, tol, max_iter)
+        x, k, rel = cg(apply_a, b, x0, tol, max_iter)
     else:
         with pytest.raises(ConvergenceError) as err:
-            conjugate_gradient(apply_a, b, x0, tol, max_iter)
+            cg(apply_a, b, x0, tol, max_iter)
         x, k, rel = err.value.best, err.value.iterations, \
             err.value.residual_norm
     assert np.array_equal(x, want_x) and k == want_k and rel == want_rel
@@ -403,6 +423,8 @@ def test_cg_peak_memory_does_not_grow_with_its_iterations():
     apply_a = operator(g, mob, 1e-3, c)
     b = rng.standard_normal(c.shape)
     x0 = np.zeros_like(b)
+    out = np.empty_like(b)
+    work = tuple(np.empty_like(b) for _ in range(3))
     applies, after_apply, worst = [0], [0], [0]  # no growing record
 
     def probe(v):
@@ -417,22 +439,177 @@ def test_cg_peak_memory_does_not_grow_with_its_iterations():
         after_apply[0] = tracemalloc.get_traced_memory()[0]
         return result
 
-    conjugate_gradient(apply_a, b, x0, 1e-10, 1000)
+    conjugate_gradient(apply_a, b, x0, 1e-10, 1000, out, work)
     peaks, iterations = [], []
     for tol in (1e-2, 1e-12):
         applies[0] = 0
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            iterations.append(conjugate_gradient(probe, b, x0, tol, 1000)[1])
+            x, k, _ = conjugate_gradient(probe, b, x0, tol, 1000, out, work)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
+        assert x is out
+        iterations.append(k)
     assert iterations[1] >= 5 * iterations[0]
-    # x, r, p and one scratch array, whatever the iteration count ...
-    assert peaks[1] <= peaks[0] + 1024 and peaks[1] < 4 * b.nbytes + 4096
-    # ... and an iteration allocates no array
+    # the iterate and the work arrays are the caller's, whatever the
+    # iteration count, and an iteration allocates no array
+    assert peaks[1] <= peaks[0] + 1024 and peaks[1] < 4096
     assert worst[0] < 1024
+
+
+def test_cg_matches_the_textbook_loop_when_it_stagnates():
+    # at tol 1e-16 the true residual stalls at its roundoff floor while the
+    # recurrence residual keeps falling, so each check restarts CG until
+    # STAGNATION_CHECKS checks in a row fail to lower the best one
+    g = Grid((32,), (1.0,))
+    rng = np.random.default_rng(34)
+    mob = (rng.uniform(0.1, 3.0, (2, 33)),)
+    b = rng.standard_normal((2, 32))
+    apply_a = operator(g, mob, 1.0)
+    assert assert_cg_matches_textbook(apply_a, b, 1e-16, 10 ** 5) \
+        >= solver.STAGNATION_CHECKS
+    with pytest.raises(ConvergenceError, match="stagnated") as err:
+        cg(apply_a, b, np.zeros_like(b), 1e-16, 10 ** 5)
+    assert err.value.iterations < 1000
+
+
+def run_2d_like(tol: float) -> SimConfig:
+    """The shape of the benchmark's 128^2 case-2 run, with the data its
+    seeds jitter by up to 10%."""
+    return SimConfig(grid=Grid((128, 128), (1.0, 1.0)), model=case2(),
+                     dt=2e-4, t_end=0.02, lin_tol=tol,
+                     ic_u=parse("1 + 0.5*cos(pi*x)*cos(pi*y)"),
+                     ic_v=parse("1 + 0.2*cos(pi*x)*cos(pi*y)"))
+
+
+def test_a_stagnated_step_solve_fails_fast_and_names_its_floor():
+    # the true residual of the first v solve stalls near 7e-16; the cap
+    # max(200, 10 cells) alone would let CG run 163,840 iterations
+    sim = Simulation(run_2d_like(1e-16))
+    with pytest.raises(ConvergenceError,
+                       match=r"step 1 .*v solve: CG stagnated") as err:
+        sim.step(sim.cfg.dt)
+    assert err.value.iterations <= 200  # 52 on this data
+    floor = err.value.residual_norm
+    assert 1e-16 < floor < 1e-14
+    assert f"reached a floor of {floor:.3e}" in str(err.value)
+    # the floor is the true residual of the iterate the error carries
+    b = sim.work.rhs
+    true = np.linalg.norm(b - sim.operator(err.value.best)) / np.linalg.norm(b)
+    assert floor == pytest.approx(true, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# step workspace
+
+
+def step_arrays(sim) -> list:
+    """Every array a Simulation steps with: its state, its workspace and
+    its operator's buffers (the operator keeps a list of tuples per axis)."""
+    held = [sim.u, sim.v]
+    for value in (*vars(sim.work).values(), *vars(sim.operator).values()):
+        if isinstance(value, list):
+            value = tuple(a for axis in value for a in axis)
+        held.extend(value if isinstance(value, tuple) else (value,))
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+STEP_COEFFICIENTS = ("a11_values", "a12_values", "a22_values", "q2_values",
+                     "r1_values", "r2_tilde_values")
+
+
+def test_a_step_after_the_first_allocates_no_cell_arrays(monkeypatch):
+    # the coefficients of the second step replay the first step's values,
+    # made before tracing starts, so that the peak counts only the step's
+    # own arrays; numpy may still take its fixed 64 KiB iterator buffers
+    sim = Simulation(run_2d_like(1e-11))
+    values = []
+
+    def recording(method):
+        def record(self, *args):
+            value = method(self, *args)
+            values.append(value.copy() if isinstance(value, np.ndarray)
+                          else value)
+            return value
+        return record
+
+    for name in STEP_COEFFICIENTS:
+        monkeypatch.setattr(CoefficientModel, name,
+                            recording(getattr(CoefficientModel, name)))
+    sim.step(sim.cfg.dt)
+    assert values
+    replay = iter(values)
+    for name in STEP_COEFFICIENTS:
+        monkeypatch.setattr(CoefficientModel, name,
+                            lambda self, *args: next(replay))
+    cell_bytes = sim.u.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.step(sim.cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert next(replay, None) is None  # the same calls in the same order
+    assert peak < 2 * cell_bytes
+
+
+def test_the_step_buffers_are_the_same_arrays_after_every_step():
+    sim = two_member_2d()
+    sim.step(sim.cfg.dt)
+    arrays = {id(a) for a in step_arrays(sim)}
+    state = {id(sim.u), id(sim.work.u)}
+    for _ in range(3):
+        sim.step(sim.cfg.dt)
+        assert {id(a) for a in step_arrays(sim)} == arrays
+        # the solution buffer and the state trade places
+        assert {id(sim.u), id(sim.work.u)} == state
+
+
+def test_snapshots_do_not_change_with_later_steps():
+    cfg = SimConfig(grid=Grid((12, 10), (1.0, 1.0)), model=case2(), dt=5e-4,
+                    t_end=4e-3, ic_u=parse("1 + 0.25*cos(pi*x)*cos(pi*y)"),
+                    ic_v=parse("1 + 0.1*cos(pi*x)*cos(pi*y)"))
+    sim = Simulation(cfg)
+    snapshots, copies = [], []
+    for _ in sim.march():
+        snapshots.append(sim.state())
+        copies.append((sim.u[0].copy(), sim.v[0].copy()))
+    assert not np.array_equal(copies[-1][0], copies[-3][0])
+    result = run(cfg)
+    for snap, state, (u, v) in zip(snapshots, result.states, copies,
+                                   strict=True):
+        for got in (snap, state):
+            assert np.array_equal(got.u, u) and np.array_equal(got.v, v)
+
+
+@pytest.mark.parametrize("failure, settings", [
+    ("did not reach", {"lin_tol": 1e-16, "lin_max_iter": 3}),
+    ("stagnated", {"lin_tol": 1e-16}),
+])
+def test_a_failed_solve_carries_an_iterate_no_later_solve_reuses(failure,
+                                                                settings):
+    sim = two_member_2d(**settings)
+    with pytest.raises(ConvergenceError, match=failure) as err:
+        sim.step(sim.cfg.dt)
+    best = err.value.best
+    kept = best.copy()
+    assert not any(np.shares_memory(best, a) for a in step_arrays(sim))
+    with pytest.raises(ConvergenceError, match=failure) as again:
+        sim.step(sim.cfg.dt)  # the same solves, in the same buffers
+    assert again.value.best is not best and np.array_equal(best, kept)
+
+
+def test_a_non_finite_right_hand_side_carries_a_copy_of_the_state():
+    sim = stepper(Grid((16,), (1.0,)), make_model(r2_tilde="exp(800*u)"),
+                  1.0, 1.0)
+    with pytest.raises(ConvergenceError, match="not finite") as err:
+        sim.step(0.1)
+    assert np.array_equal(err.value.best, sim.v)
+    assert not any(np.shares_memory(err.value.best, a)
+                   for a in step_arrays(sim))
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +820,52 @@ def test_run_2d_conserves_and_stays_positive():
     assert dT.min_v > 0.0 and dT.min_u >= 0.0
 
 
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["case2_run_1d", "case2_run_2d",
+                                  "case2_sweep_1d", "mms_case2"])
+def test_mass_correction_shift_is_within_the_solve_tolerance(name,
+                                                             monkeypatch,
+                                                             tmp_path):
+    # The shift restoring each member's mass after a solve is the mean of
+    # its residual r_i, so |shift_i| <= ||r_i|| / sqrt(cells) <= tol ||b_i||
+    # / sqrt(cells), plus the roundoff of the sums that form it and of
+    # adding it, allowed as 64 eps max|x_i|.  It is measured as the final
+    # state minus CG's solution: on every cell for v, on the cells the clip
+    # left alone for u.
+    solves, checked = [], [0]
+
+    def recording(apply_a, b, x0, tol, *args):
+        x, iterations, rel = conjugate_gradient(apply_a, b, x0, tol, *args)
+        solves.append((x.copy(), np.linalg.norm(b.reshape(len(b), -1),
+                                                axis=1), tol))
+        return x, iterations, rel
+
+    step = Simulation.step
+
+    def checked_step(self, *args):
+        solves.clear()
+        step(self, *args)
+        root_cells = math.sqrt(self.grid.cell_count)
+        for (x, b_norms, tol), final, clipped in zip(
+                solves, (self.v, self.u), (False, True), strict=True):
+            for x_i, b_i, final_i in zip(x, b_norms, final, strict=True):
+                shift = final_i - x_i
+                if clipped:
+                    shift = shift[final_i > 0.0]
+                bound = tol * b_i / root_cells \
+                    + 64 * EPS * float(np.max(np.abs(x_i)))
+                assert float(np.max(np.abs(shift))) <= bound
+        checked[0] += 1
+
+    monkeypatch.setattr(solver, "conjugate_gradient", recording)
+    monkeypatch.setattr(Simulation, "step", checked_step)
+    assert main([str(CONFIG_DIR / f"{name}.json"),
+                 "--output-dir", str(tmp_path)]) == 0
+    assert checked[0] >= 100
+
+
 def test_time_grid_shortened_final_step():
     assert time_grid(0.3, 1.0) == pytest.approx([0.3, 0.6, 0.9, 1.0])
     assert time_grid(0.25, 1.0) == [0.25, 0.5, 0.75, 1.0]
@@ -722,6 +945,55 @@ def test_validate_warns_when_dt_exceeds_cross_term_guideline():
                     ic_v=parse("1 + 0.5*cos(pi*x)"))
     with pytest.warns(RuntimeWarning, match="cross-diffusion"):
         cfg.validate()
+
+
+def whole_face_cross_rate(grid, a12, v):
+    """max |A12 grad v| as warn_if_dt_large formed it before: A12's face
+    means times the gradient on every face, boundary faces included."""
+    worst = 0.0
+    for a12_f, dv_f in zip(face_average_arrays(grid, a12),
+                           gradient_arrays(grid, v)):
+        worst = max(worst, float(np.max(np.abs(a12_f * dv_f))))
+    return worst
+
+
+@pytest.mark.parametrize("grid", GRIDS + [Grid((2,), (1.0,)),
+                                          Grid((2, 3), (0.5, 1.5))])
+def test_interior_cross_rate_equals_the_whole_face_formula(grid):
+    rng = np.random.default_rng(grid.cell_count + 7)
+    for scale in (1e-3, 1.0, 1e4):
+        a12 = scale * rng.standard_normal(grid.shape)
+        v = rng.uniform(0.1, 2.0, grid.shape)
+        assert solver._max_cross_rate(grid, a12, v) \
+            == whole_face_cross_rate(grid, a12, v)
+    # a non-finite A12 on a boundary cell hides its axis, as it did
+    corners = {(0,) * grid.dim, (-1,) * grid.dim,
+               tuple(n // 2 for n in grid.shape)}
+    for bad in (math.inf, -math.inf, math.nan):
+        for index in corners:
+            a12 = rng.standard_normal(grid.shape)
+            a12[index] = bad
+            with np.errstate(invalid="ignore"):  # inf * 0 on a boundary
+                want = whole_face_cross_rate(grid, a12, v)
+            assert solver._max_cross_rate(grid, a12, v) == want
+
+
+@pytest.mark.parametrize("grid, ic_v", [
+    (Grid((64,), (1.0,)), "1 + 0.5*cos(pi*x)"),
+    (Grid((24, 16), (1.0, 0.5)), "1 + 0.5*cos(pi*x)*cos(2*pi*y)")])
+def test_dt_warning_is_the_one_the_whole_face_formula_gives(grid, ic_v):
+    cfg = SimConfig(grid=grid, model=case2(chi=5.0, l=1.0), dt=1e-2,
+                    t_end=1e-2, ic_u=parse("1 + 0.1*cos(pi*x)"),
+                    ic_v=parse(ic_v))
+    u0, v0 = cfg.initial_fields()
+    bound = min(grid.spacing) ** 2 / whole_face_cross_rate(
+        grid, cfg.model.a12_values(u0, v0), v0)
+    with pytest.warns(RuntimeWarning) as record:
+        cfg.validate()
+    assert [str(w.message) for w in record] == [
+        f"dt = 0.01 exceeds the explicit cross-diffusion guideline "
+        f"h^2/max|A12 grad v| = {bound:g}; expect instability or "
+        "positivity loss"]
 
 
 # ---------------------------------------------------------------------------
