@@ -500,6 +500,14 @@ def _naming_level(n: int):
         raise
 
 
+def _order(error_prev: float, error: float, log_ratio: float) -> float:
+    """The observed order log(error_prev / error) / log_ratio, nan when
+    either error is 0: an exactly reproduced level has no order."""
+    if error_prev == 0.0 or error == 0.0:
+        return math.nan
+    return math.log(error_prev / error) / log_ratio
+
+
 def _cmd_mms(cfg: RunConfig, out: Path) -> None:
     base, base_n = cfg.sim, cfg.levels[0]
     sims = [replace(base, grid=Grid((n,) * base.grid.dim, base.grid.lengths),
@@ -531,8 +539,8 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> None:
             continue
         _, hp, dtp, eup, evp = levels[k - 1]
         lh, ldt = math.log(hp / h), math.log(dtp / dt)
-        order = (math.log(eup / eu) / lh, math.log(evp / ev) / lh,
-                 math.log(eup / eu) / ldt, math.log(evp / ev) / ldt)
+        order = (_order(eup, eu, lh), _order(evp, ev, lh),
+                 _order(eup, eu, ldt), _order(evp, ev, ldt))
         orders.append(order)
         rows.append((n, h, dt, eu, ev) + order)
     if "csv" in cfg.formats:
@@ -577,8 +585,8 @@ def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
         exact = w / (math.pi / length) ** 2
         err = float(np.max(np.abs(sol.psi - exact)))
         levels.append((n, err, sol.iterations))
-    orders = [math.log(ep / e) / math.log(2.0)
-              for (_, ep, _), (_, e, _) in zip(levels, levels[1:])]
+    orders = [_order(ep, e, math.log(n / n_prev))
+              for (n_prev, ep, _), (n, e, _) in zip(levels, levels[1:])]
     grid = Grid((cfg.levels[-1],), (length,))
     ratio = poincare_ratio(grid)
     expected = (length / math.pi) ** 2

@@ -16,7 +16,9 @@ u mobility is lagged: M11 on a face is p(v'_face) (u_face)^alpha with
 arithmetic face means, so the degenerate diffusion is linearly implicit
 while cross-diffusion and reaction stay explicit.  S1, S2 are optional
 manufactured-solution forcings, built symbolically by mms_forcing, compiled
-together and bound to the cell centres once per Simulation.
+together and bound to the cell centres once per Simulation.  march then
+evaluates them once per block of step times, t a column against the bound
+cells, and hands each step its rows, bitwise the values at its time alone.
 
 Batches: the state carries a leading member axis, u and v having shape
 (B, *grid.shape) with one row per trajectory.  The members share the grid,
@@ -60,6 +62,7 @@ zero and the added mass is ledgered, giving the exact discrete identity
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -78,6 +81,9 @@ CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
 # consecutive true-residual checks that fail to lower CG's best true residual
 # before the solve is declared stagnated
 STAGNATION_CHECKS = 3
+# cells per slot of one block evaluation of the forcing: 32 KiB, under
+# glibc's mmap threshold, so a block's slots are reused heap, not fresh maps
+FORCING_BLOCK_CELLS = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -532,24 +538,54 @@ class Simulation:
         every tick: t = 0, after every output_every-th step, and after the
         final step.  This is the one tick rule of every entry point."""
         times = time_grid(self.cfg.dt, self.cfg.t_end)
+        forcings = itertools.repeat(None) if self._forcing is None \
+            else self._forcing_rows(times)
         yield self.t
-        for k, t_next in enumerate(times):
-            self.step(t_next - self.t, t_next)
+        for k, (t_next, forcing) in enumerate(zip(times, forcings)):
+            self.step(t_next - self.t, t_next, forcing)
             if (k + 1) % self.cfg.output_every == 0 or k + 1 == len(times):
                 yield self.t
+
+    def _forcing_rows(self, times: list):
+        """Per step time, the forcing pair (S1, S2) there, or None where
+        step() is to evaluate it.
+
+        The bound program runs once per block of max(1, FORCING_BLOCK_CELLS
+        // cells) times, t a column of shape (k, 1) in 1-D and (k, 1, 1) in
+        2-D that broadcasts against its cell slots.  Each element of a value
+        that depends on t comes from the same ufunc on the same operands as
+        at its time alone, so its row is bitwise that value.  A block that
+        raises is left to step(): the steps before the failing time run,
+        and that step fails with its own message."""
+        column = (-1,) + (1,) * self.grid.dim
+        k = max(1, FORCING_BLOCK_CELLS // self.grid.cell_count)
+        for start in range(0, len(times), k):
+            block = times[start:start + k]
+            try:
+                pair = self._forcing({"t": np.reshape(block, column)})
+            except exprs.EvalError:
+                yield from [None] * len(block)
+                continue
+            for i in range(len(block)):
+                yield tuple(s[i] if np.ndim(s) > self.grid.dim else s
+                            for s in pair)
 
     def state(self, i: int = 0) -> SimState:
         return SimState(self.t, self.u[i].copy(), self.v[i].copy())
 
-    def step(self, dt: float, t_next: Optional[float] = None) -> None:
-        """Advance every member by dt.  A failure's message starts with the
-        step number and its time; a PositivityError carries the indices of
-        the failing members in .members."""
+    def step(self, dt: float, t_next: Optional[float] = None,
+             forcing: Optional[tuple] = None) -> None:
+        """Advance every member by dt.  forcing is the pair (S1, S2) at
+        t_next, as march hands it; without it the step evaluates its own.
+        A failure's message starts with the step number and its time; a
+        PositivityError carries the indices of the failing members in
+        .members."""
         if t_next is None:
             t_next = self.t + dt
         try:
-            s1, s2 = (None, None) if self._forcing is None \
-                else self._forcing({"t": t_next})
+            if forcing is None and self._forcing is not None:
+                forcing = self._forcing({"t": t_next})
+            s1, s2 = forcing or (None, None)
             v_new = self._step_v(dt, s2)
             u_new = self._step_u(dt, v_new, s1)
         except (RuntimeError, ValueError) as err:  # solves, positivity, domains

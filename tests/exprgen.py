@@ -26,24 +26,25 @@ _CONST_POOL = (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.14159, 1e-3, 1e3)
 _POW_POOL = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0)
 
 
-def random_ast(rng: np.random.Generator, depth: int = 4):
+def random_ast(rng: np.random.Generator, depth: int = 4,
+               variables=ALL_VARS):
     """A random valid expression in constructor-normal form."""
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.4:
             if rng.random() < 0.7:
                 return Const(float(rng.choice(_CONST_POOL)))
             return Const(float(rng.uniform(-5.0, 5.0)))
-        return Var(str(rng.choice(ALL_VARS)))
+        return Var(str(rng.choice(variables)))
     kind = rng.integers(0, 7)
-    a = random_ast(rng, depth - 1)
+    a = random_ast(rng, depth - 1, variables)
     if kind == 0:
-        return add(a, random_ast(rng, depth - 1))
+        return add(a, random_ast(rng, depth - 1, variables))
     if kind == 1:
-        return sub(a, random_ast(rng, depth - 1))
+        return sub(a, random_ast(rng, depth - 1, variables))
     if kind == 2:
-        return mul(a, random_ast(rng, depth - 1))
+        return mul(a, random_ast(rng, depth - 1, variables))
     if kind == 3:
-        return div(a, random_ast(rng, depth - 1))
+        return div(a, random_ast(rng, depth - 1, variables))
     if kind == 4:
         return pow_(a, Const(float(rng.choice(_POW_POOL))))
     if kind == 5:

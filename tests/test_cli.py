@@ -1,7 +1,9 @@
 """Command-line driver: config loading, commands, outputs, exit codes."""
 
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from crossdiff import solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
-from crossdiff.exprs import evaluate, parse
+from crossdiff.exprs import Program, evaluate, parse
 from test_poisson import off_spectrum
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -538,6 +542,79 @@ def test_mms_forcing_failing_on_the_cells_names_its_level(tmp_path, capsys):
         "'(abs((x - 0.53125)) ^ (-0.5))'")
 
 
+def test_mms_reproducing_the_pair_exactly_writes_nan_orders(tmp_path):
+    # the scheme reproduces a constant pair exactly at n = 8, so that
+    # level's error is 0 and its orders are undefined, as the coarsest
+    # level's are
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"preset": "case2", "chi": 0.05, "l": 0.5},
+        "time": {"dt": 0.01, "t_end": 0.02},
+        "mms": {"u": "2", "v": "2", "levels": [8, 16]},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    out = tmp_path / "mms"
+    rows = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 3
+    assert [float(e) for e in rows[1].split(",")[3:5]] == [0.0, 0.0]
+    assert all(math.isnan(float(o)) for row in rows[1:]
+               for o in row.split(",")[5:])
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert all(math.isnan(order) for order in summary.values())
+
+
+def test_mms_forcing_failing_inside_a_block_fails_at_its_step(
+        tmp_path, capsys, monkeypatch):
+    # S1 divides by |t - 0.005|, which is 0 at step 5 alone; the 10 steps of
+    # level 8 form one block of forcing times, whose evaluation fails, and
+    # the steps before step 5 still run
+    done = []
+    step = solver.Simulation.step
+
+    def counted(sim, *args):
+        step(sim, *args)
+        done.append((sim.grid.shape, sim.steps))
+    monkeypatch.setattr(solver.Simulation, "step", counted)
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"preset": "case2", "chi": 0.05, "l": 0.5},
+        "time": {"dt": 0.001, "t_end": 0.01},
+        "mms": {"u": "2 + 0.1*sqrt((t - 0.005)^2)*cos(pi*x)",
+                "v": "2 + 0.1*cos(pi*x)",
+                "levels": [8, 16]},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    err = stderr_payload(capsys)
+    assert err["kind"] == "numeric"
+    assert err["message"] == (
+        "level n = 8: step 5 (t = 0.005): division by zero in "
+        "'((2.0 * (t - 0.005)) / (2.0 * sqrt(((t - 0.005) ^ 2.0))))'")
+    assert done == [((8,), k) for k in range(1, 5)]
+
+
+def test_mms_evaluates_the_forcing_once_per_block_of_steps(tmp_path,
+                                                           monkeypatch):
+    # the mms_case2 shape steps 100, 400 and 1600 times at n = 32, 64 and
+    # 128, in blocks of 4096 // n = 128, 64 and 32 step times
+    calls = []
+    call = Program.__call__
+
+    def counted(program, bindings):
+        if set(bindings) == {"t"}:  # the forcing, bound to the cells
+            calls.append(id(program))
+        return call(program, bindings)
+    monkeypatch.setattr(Program, "__call__", counted)
+    assert main([str(CONFIG_DIR / "mms_case2.json"),
+                 "--output-dir", str(tmp_path / "mms")]) == 0
+    # the levels run in turn, each with its own program
+    assert [len(list(run)) for _, run in itertools.groupby(calls)] \
+        == [1, 7, 50]
+
+
 def test_check_coeffs_command(tmp_path):
     payload = {
         "command": "check-coeffs",
@@ -568,6 +645,21 @@ def test_poisson_test_command(tmp_path):
     assert report["observed_order"] == pytest.approx(2.0, abs=0.3)
     assert report["poincare_relative_error"] < 0.02
     assert all(lvl["iterations"] <= 5 for lvl in report["levels"])
+
+
+def test_poisson_test_orders_follow_the_level_ratio(tmp_path):
+    # levels that do not double: the order divides by log(n / n_prev)
+    payload = {
+        "command": "poisson-test",
+        "grid": {"dim": 1, "n": 144, "L": 1.0},
+        "poisson": {"levels": [64, 96, 144]},
+        "output": {"directory": str(tmp_path / "po")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    report = json.loads((tmp_path / "po" / "poisson.json").read_text(
+        encoding="utf-8"))
+    assert len(report["orders"]) == 2
+    assert all(1.9 <= order <= 2.1 for order in report["orders"])
 
 
 def test_poisson_test_command_at_large_levels(tmp_path):

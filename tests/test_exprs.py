@@ -440,6 +440,49 @@ def test_bind_raises_for_the_first_failing_node_of_the_bound_variables():
     assert err.value.node == parse("sqrt(x - 0.5)")
 
 
+def _cells_equal(got, want, shape) -> bool:
+    """Bitwise equal once broadcast to the cells: NaN equal to NaN, the
+    sign of every zero kept."""
+    got, want = (np.broadcast_to(np.asarray(a, dtype=float), shape)
+                 for a in (got, want))
+    return np.array_equal(got, want, equal_nan=True) \
+        and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("grid", [Grid((7,), (1.3,)),
+                                  Grid((5, 3), (1.0, 0.8))])
+def test_a_column_of_times_gives_bitwise_each_time_alone(grid):
+    # the time loop calls a forcing bound to the cells on a column of step
+    # times; each row must be the value at that time alone, and the column
+    # must raise where any one time does, so that the loop can fall back
+    rng = np.random.default_rng(8642)
+    cells = dict(zip("xy", grid.centers()))
+    column = (-1,) + (1,) * grid.dim
+    kinds = {"value": 0, "error": 0}
+    for case in range(500):
+        e = random_ast(rng, depth=5, variables=("t",) + tuple("xy"[:grid.dim]))
+        if case % 3 == 0:
+            e = differentiate(e, str(rng.choice(["x", "t"])))
+        try:
+            bound = compile(e).bind(cells)
+        except EvalError:
+            continue
+        times = [float(t) for t in rng.choice(_SAMPLE_POOL, size=4)] \
+            + [float(rng.uniform(0.0, 0.3))]
+        alone = [_outcome(lambda _, b: bound(b), e, {"t": t}) for t in times]
+        got = _outcome(lambda _, b: bound(b), e,
+                       {"t": np.reshape(times, column)})
+        want = "error" if any(o[0] == "error" for o in alone) else "value"
+        kinds[want] += 1
+        assert got[0] == want, to_string(e)
+        if want == "value":
+            block = got[1]
+            for i, (_, value) in enumerate(alone):
+                row = block[i] if np.ndim(block) > grid.dim else block
+                assert _cells_equal(row, value, grid.shape), to_string(e)
+    assert min(kinds.values()) >= 50
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 

@@ -1113,3 +1113,41 @@ def test_mms_run_converges_on_refinement():
         errors.append(err)
     ratio = errors[0] / errors[1]
     assert 3.0 <= ratio <= 5.5
+
+
+def mms_levels(name: str) -> list:
+    """The SimConfig of every level of a shipped MMS config, built as the
+    CLI's study builds them, ticking after every step."""
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    base, base_n = cfg.sim, cfg.levels[0]
+    return [dataclasses.replace(
+        base, grid=Grid((n,) * base.grid.dim, base.grid.lengths),
+        dt=base.dt * (base_n / n) ** 2, output_every=1) for n in cfg.levels]
+
+
+def mms_2d() -> list:
+    # 108 cells: blocks of 37 step times, the last one short
+    return [SimConfig(
+        grid=Grid((12, 9), (1.0, 0.8)), model=case2(chi=0.05), dt=1e-3,
+        t_end=0.08, lin_tol=1e-12,
+        mms_u=parse("2 + 0.45*exp(-t)*cos(pi*x)*cos(pi*y)"),
+        mms_v=parse("2 + 0.25*sin(t)*cos(pi*y)"))]
+
+
+@pytest.mark.parametrize("name", ["mms_case2", "mms_heat", "2d"])
+def test_marching_equals_stepping_alone_bitwise(name):
+    # march hands each step its rows of a block evaluation of the forcing;
+    # step() alone evaluates its own at its time, and the states agree
+    for cfg in mms_2d() if name == "2d" else mms_levels(name):
+        marched, alone = Simulation(cfg), Simulation(cfg)
+        ticks = marched.march()
+        next(ticks)
+        for t_next in time_grid(cfg.dt, cfg.t_end):
+            next(ticks)
+            alone.step(t_next - alone.t, t_next)
+            assert marched.t == alone.t
+            assert np.array_equal(marched.u, alone.u)
+            assert np.array_equal(marched.v, alone.v)
+        assert next(ticks, None) is None
+        assert marched.reaction_mass_total == alone.reaction_mass_total
+        assert marched.clipped_total == alone.clipped_total
