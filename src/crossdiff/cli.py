@@ -371,7 +371,7 @@ def load_config(path) -> RunConfig:
 # deterministic writers
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """rows: sequences of strings, as _formatted makes from Python numbers."""
+    """rows: sequences of strings, as _formatted makes from numbers."""
     # rows stream through a 1 MiB buffer: few write calls, and freeing it
     # raises glibc's trim threshold as the one-string writer's text did
     with path.open("w", encoding="utf-8", buffering=1 << 20) as f:
@@ -380,8 +380,10 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _formatted(rows):
-    """Rows of Python numbers (not numpy scalars) as strings."""
-    return (map(repr, row) for row in rows)
+    """Rows of numbers as strings: the repr of each Python number, and of
+    the one a numpy scalar holds (whose own repr reads np.float64(...))."""
+    return ([repr(x.item() if isinstance(x, np.generic) else x) for x in row]
+            for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -401,7 +403,7 @@ def _resolve_out_dir(out_dir: str) -> Path:
 # commands
 
 def _column(a: np.ndarray):
-    """The cells of a in row-major order, formatted."""
+    """The cells of a in row-major order, as the reprs of Python floats."""
     return map(repr, a.ravel().tolist())
 
 
@@ -433,13 +435,6 @@ def _cmd_run(cfg: RunConfig, out: Path) -> None:
         emit_plots(out)
 
 
-def _report_rows(report: stability.StabilityReport):
-    return [(t, e, cm, ch, cv, d, cd) for t, e, cm, ch, cv, d, cd
-            in zip(report.times, report.energy, report.comp_mass,
-                   report.comp_hm1, report.comp_v, report.dissipation,
-                   report.cum_dissipation)]
-
-
 def _cmd_stability(cfg: RunConfig, out: Path) -> None:
     report = stability.run_pair(cfg.sim, *stability.perturbed(
         cfg.sim, cfg.du, cfg.dv, cfg.amplitudes[0]))
@@ -447,7 +442,10 @@ def _cmd_stability(cfg: RunConfig, out: Path) -> None:
     if "csv" in cfg.formats:
         _write_csv(out / "stability.csv",
                    ("t", "E", "comp_mass", "comp_hm1", "comp_v", "D", "cumD"),
-                   _formatted(_report_rows(report)))
+                   _formatted(zip(report.times, report.energy,
+                                  report.comp_mass, report.comp_hm1,
+                                  report.comp_v, report.dissipation,
+                                  report.cum_dissipation)))
         _write_csv(out / "gronwall.csv",
                    ("t", "balance", "balance_dissipative"),
                    _formatted(zip(trace.times, trace.balance,

@@ -171,20 +171,22 @@ def face_average_arrays(grid: Grid, a: np.ndarray,
     return faces
 
 
-def member_sums(x: np.ndarray) -> list:
-    """Sums over all but the leading (member) axis of a batch, as floats.
+def member_sums(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Sums over all but the first `lead` (member) axes, as float64 (a numpy
+    float when lead is 0).  Each member's sum is bitwise np.sum of its own
+    cells (checked from 1-D n = 7 to 4097 and on 2-D shapes): a contiguous
+    row is reduced by the same pairwise summation either way.  The reduce
+    is the one ndarray.sum calls, without its Python wrapper."""
+    return np.add.reduce(x.reshape(x.shape[:lead] + (-1,)), axis=-1)
 
-    Each member's sum is bitwise np.sum of its own cells (checked from
-    1-D n = 7 to 4097 and on 2-D shapes): a contiguous row is reduced by
-    the same pairwise summation either way.
-    """
-    return x.reshape(len(x), -1).sum(axis=1).tolist()
 
-
-def grad_sq_sum(grid: Grid, a: np.ndarray) -> float:
-    """Sum of squared face gradients times the cell volume."""
+def grad_sq_sum(grid: Grid, a: np.ndarray, out: FaceData | None = None):
+    """Sum of squared face gradients times the cell volume, per member of a
+    batch (a numpy float for grid-shaped a).  The gradients are formed,
+    and squared, in out if given."""
     vol = grid.cell_volume
     total = 0.0
-    for g in gradient_arrays(grid, a):
-        total += float(np.sum(g * g)) * vol
+    for g in gradient_arrays(grid, a, out=out):
+        np.multiply(g, g, out=g)
+        total = total + member_sums(g, a.ndim - grid.dim) * vol
     return total

@@ -26,8 +26,8 @@ the model, the time grid and any manufactured forcing, and do not couple.
 A run is a batch of one; the stability harness steps a pair, or a whole
 amplitude sweep, as one batch, so each step is one set of array operations
 and one CG solve of the block-diagonal system.  Every per-member quantity
-(mass shift, ledgers, clip budget) is reduced per row, bitwise as it would
-be for that member alone.
+(mass shift, ledgers, clip budget) is a (B,) array reduced per row,
+bitwise as it would be for that member alone.
 
 Buffers: a Simulation allocates its StepOperator and one StepWorkspace
 for its batch shape, and a step after the first allocates no cell- or
@@ -75,7 +75,7 @@ from .coeffs import CoefficientModel
 from .exprs import (Const, Expr, compile, differentiate, is_number, mul,
                     substitute)
 from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
-                   face_shape, gradient_arrays, member_sums)
+                   face_shape, grad_sq_sum, gradient_arrays, member_sums)
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
 # consecutive true-residual checks that fail to lower CG's best true residual
@@ -481,23 +481,14 @@ def _cells(values, shape) -> np.ndarray:
 
 class Simulation:
     """Mutable stepper over a batch of members; run() and the stability
-    harness drive it through march().
+    harness drive it through march().  It never validates, and its buffers
+    are those the module docstring describes.
 
-    The members share the grid, the model, the time grid and any
-    manufactured forcing; only their data differ.  u and v have shape
-    (B, *grid.shape), member i being (u[i], v[i]), and the per-member
-    ledgers clipped_total, cum_grad_u_sq and reaction_mass_total are lists
-    of B floats.  members lists the (u0, v0) cell arrays, one pair per
-    member; when it is omitted, cfg's own initial data form a batch of one.
-    A Simulation never validates: every entry point that steps a config
-    (run, the stability harness's batch driver and the CLI's MMS study)
-    validates it first.
-
-    Buffers: operator and work are allocated here, once, and a step after
-    the first allocates no cell array of its own.  A step writes the new
-    state into work's spare arrays and swaps them with u and v, so the
-    arrays u and v are overwritten by later steps: a caller that keeps
-    them copies them, as state() does.
+    u and v have shape (B, *grid.shape), member i being (u[i], v[i]), and
+    the per-member ledgers clipped_total, cum_grad_u_sq and
+    reaction_mass_total are float64 arrays of shape (B,).  members lists
+    the (u0, v0) cell arrays, one pair per member; when it is omitted,
+    cfg's own initial data form a batch of one.
     """
 
     def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None):
@@ -517,9 +508,9 @@ class Simulation:
         self._per_cell = (count,) + (1,) * self.grid.dim
         self.t = 0.0
         self.steps = 0
-        self.clipped_total = [0.0] * count
-        self.cum_grad_u_sq = [0.0] * count
-        self.reaction_mass_total = [0.0] * count  # sum_k dt integral(R1+S1)
+        self.clipped_total = np.zeros(count)
+        self.cum_grad_u_sq = np.zeros(count)
+        self.reaction_mass_total = np.zeros(count)  # sum_k dt integral(R1+S1)
         # (S1, S2) with every slot that depends only on the cells computed
         self._forcing = None if cfg.mms_u is None else compile(mms_forcing(
             cfg.mms_u, cfg.mms_v, cfg.model)).bind(
@@ -597,14 +588,8 @@ class Simulation:
         ws = self.work
         self.u, ws.u = u_new, self.u
         self.v, ws.v = v_new, self.v
-        # per member, the same sums in the same order as grad_sq_sum
-        vol = self.grid.cell_volume
-        grad_sq = [0.0] * len(self.u)
-        for gf in gradient_arrays(self.grid, self.u, out=ws.u_faces):
-            np.multiply(gf, gf, out=gf)
-            grad_sq = [q + s * vol for q, s in zip(grad_sq, member_sums(gf))]
-        self.cum_grad_u_sq = [c + dt * q for c, q
-                              in zip(self.cum_grad_u_sq, grad_sq)]
+        self.cum_grad_u_sq += dt * grad_sq_sum(self.grid, self.u,
+                                               out=ws.u_faces)
         self.t = t_next
 
     def _solve(self, name: str, rhs: np.ndarray, x0: np.ndarray,
@@ -638,11 +623,10 @@ class Simulation:
         self.operator.assemble(mob, dt, c_abs)
         v_new = self._solve("v", rhs, v, ws.v)
         # analytic mass balance: sum v' = sum rhs - dt sum(C v'); restore it
-        cells = g.cell_count
         np.multiply(c_abs, v_new, out=c_abs)  # C v'
-        shift = [(r - dt * c - s) / cells for r, c, s in zip(
-            member_sums(rhs), member_sums(c_abs), member_sums(v_new))]
-        v_new += np.array(shift).reshape(self._per_cell)
+        shift = (member_sums(rhs) - dt * member_sums(c_abs)
+                 - member_sums(v_new)) / g.cell_count
+        v_new += shift.reshape(self._per_cell)
         bad = np.less_equal(v_new, 0.0, out=ws.nonpositive)
         if bad.any():
             failing = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
@@ -655,7 +639,7 @@ class Simulation:
         g, m, ws = self.grid, self.model, self.work
         u = self.u
         vol = g.cell_volume
-        mass_pre = [s * vol for s in member_sums(u)]
+        mass_pre = member_sums(u) * vol
 
         # assembled first: the face buffers are reused for the cross flux
         u_faces = face_average_arrays(g, u, out=ws.u_faces)
@@ -679,25 +663,20 @@ class Simulation:
 
         u_new = self._solve("u", rhs, u, ws.u)
         # flux divergences carry no net mass; reactions and forcing do
-        reaction_mass = [dt * s * vol for s in member_sums(reaction)]
-        cells = g.cell_count
-        shift = [(mp + r - s * vol) / (cells * vol) for mp, r, s
-                 in zip(mass_pre, reaction_mass, member_sums(u_new))]
-        u_new += np.array(shift).reshape(self._per_cell)
-        clipped = [-s * vol for s in member_sums(np.minimum(u_new, 0.0,
-                                                            out=rhs))]
-        over = [i for i, (c, mp) in enumerate(zip(clipped, mass_pre))
-                if c > CLIP_BUDGET * max(mp, 1e-300)]
-        if over:
+        reaction_mass = dt * member_sums(reaction) * vol
+        shift = (mass_pre + reaction_mass - member_sums(u_new) * vol) \
+            / (g.cell_count * vol)
+        u_new += shift.reshape(self._per_cell)
+        clipped = member_sums(np.minimum(u_new, 0.0, out=rhs)) * -vol
+        over = clipped > CLIP_BUDGET * np.maximum(mass_pre, 1e-300)
+        if over.any():
             raise PositivityError(
                 "positivity budget exceeded: clipped "
-                f"{max(clipped[i] for i in over):.3e} > {CLIP_BUDGET:g} * "
-                "mass; reduce dt", tuple(over))
+                f"{clipped[over].max():.3e} > {CLIP_BUDGET:g} * "
+                "mass; reduce dt", tuple(np.flatnonzero(over).tolist()))
         np.clip(u_new, 0.0, None, out=u_new)
-        self.clipped_total = [a + c for a, c
-                              in zip(self.clipped_total, clipped)]
-        self.reaction_mass_total = [a + r for a, r in zip(
-            self.reaction_mass_total, reaction_mass)]
+        self.clipped_total += clipped
+        self.reaction_mass_total += reaction_mass
         return u_new
 
     def diagnostics_row(self, i: int = 0) -> DiagnosticsRow:
@@ -720,9 +699,9 @@ class Simulation:
             min_v=float(np.min(v)),
             max_v=float(np.max(v)),
             max_grad_v=max_grad_v,
-            cum_grad_u_sq=self.cum_grad_u_sq[i],
+            cum_grad_u_sq=float(self.cum_grad_u_sq[i]),
             f_energy=fe,
-            clipped_mass=self.clipped_total[i],
+            clipped_mass=float(self.clipped_total[i]),
         )
 
 
@@ -755,8 +734,8 @@ def run(cfg: SimConfig) -> RunResult:
     for _ in sim.march():
         states.append(sim.state())
         diagnostics.append(sim.diagnostics_row())
-    return RunResult(states, diagnostics, sim.clipped_total[0],
-                     sim.reaction_mass_total[0])
+    return RunResult(states, diagnostics, float(sim.clipped_total[0]),
+                     float(sim.reaction_mass_total[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ dense-cadence mode the exact discrete energy identity
 which holds algebraically for the discrete zero-mean operator (the mean
 shifts pair to zero against the zero-mean dpsi).  The sum is accumulated
 tick by tick from the last (du, dpsi) of each member, so no history is
-kept.  dpsi is solved directly from du, never by differencing two large
-solves, so the result is accurate relative to the perturbation size rather
-than the solution size; each solve cross-checks ||grad dpsi||^2 against the
-duality <du - mean(du), dpsi> (poisson.solve_neumann_zero_mean), so every
-tick of every pair runs that check.
+kept.  A tick measures every perturbed member at once, in array sums over
+the batch du = u[0] - u[1:], with one Poisson solve for all their dpsi.
+dpsi is solved directly from du, never by differencing two large solves, so
+the result is accurate relative to the perturbation size rather than the
+solution size; the solve cross-checks each member's ||grad dpsi||^2 against
+the duality <du - mean(du), dpsi> (poisson.solve_neumann_zero_mean), so
+every tick of every pair runs that check.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from .coeffs import CoefficientModel, dissipation_density
 from .exprs import Const, Expr, is_number, mul
+from .grid import member_sums
 from .poisson import solve_neumann_zero_mean
 from .solver import PositivityError, SimConfig, Simulation
 
@@ -153,36 +156,32 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
     alpha = cfg.model.alpha
     dense = cfg.output_every == 1
 
-    times = []
-    names = ("energy", "comp_mass", "comp_hm1", "comp_v", "dissipation")
-    series = [{name: [] for name in names} for _ in members[1:]]
-    # dense cadence: each member's (du, dpsi) at the last tick, and the
-    # trapezoidal duality sum of the energy identity up to it
-    last = [None] * len(series)
-    duality = [0.0] * len(series)
+    times, ticks = [], []  # per tick, the members' (E, its parts, D)
+    # dense cadence: (du, dpsi) at the last tick, and the trapezoidal
+    # duality sum of the energy identity up to it
+    last, duality = None, np.zeros(len(members) - 1)
     v_min = np.full(len(members), math.inf)
     v_max = np.full(len(members), -math.inf)
 
     def tick():
+        nonlocal last, duality
         u, v = sim.u, sim.v
-        for j, rec in enumerate(series, start=1):
-            du = u[0] - u[j]
-            dv = v[0] - v[j]
-            sol = solve_neumann_zero_mean(grid, du)
-            mass_sq = (float(np.sum(du)) * vol) ** 2
-            v_sq = float(np.sum(dv * dv)) * vol
-            rec["comp_mass"].append(mass_sq)
-            rec["comp_hm1"].append(sol.grad_sq)
-            rec["comp_v"].append(v_sq)
-            rec["energy"].append(mass_sq + sol.grad_sq + v_sq)
-            rec["dissipation"].append(float(np.sum(
-                dissipation_density(u[0], u[j], alpha))) * vol)
-            if dense:
-                if last[j - 1] is not None:
-                    du_prev, psi_prev = last[j - 1]
-                    duality[j - 1] += float(np.sum(
-                        (du - du_prev) * 0.5 * (psi_prev + sol.psi))) * vol
-                last[j - 1] = du, sol.psi
+        du = u[:1] - u[1:]
+        dv = v[:1] - v[1:]
+        sol = solve_neumann_zero_mean(grid, du)
+        # squared by libm's pow, as Python's float ** 2 does: the square
+        # that array ** 2 takes differs from it in the last bit
+        mass_sq = np.float_power(member_sums(du) * vol, 2)
+        v_sq = member_sums(dv * dv) * vol
+        ticks.append((mass_sq + sol.grad_sq + v_sq, mass_sq, sol.grad_sq,
+                      v_sq, member_sums(dissipation_density(
+                          u[:1], u[1:], alpha)) * vol))
+        if dense:
+            if last is not None:
+                du_prev, psi_prev = last
+                duality += member_sums(
+                    (du - du_prev) * 0.5 * (psi_prev + sol.psi)) * vol
+            last = du, sol.psi
         flat = v.reshape(len(v), -1)
         np.minimum(v_min, flat.min(axis=1), out=v_min)
         np.maximum(v_max, flat.max(axis=1), out=v_max)
@@ -196,25 +195,23 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
         err.args = (f"{failing}: {err.args[0]}",) + err.args[1:]
         raise
 
+    # per member, each quantity's series over the ticks, as Python floats
     reports = []
-    for j, rec in enumerate(series, start=1):
-        energy = rec["energy"]
-        e0 = energy[0]
-        sup_e = max(energy)
-        hm1 = rec["comp_hm1"]
-        residual = (abs(0.5 * hm1[-1] - 0.5 * hm1[0] - duality[j - 1])
-                    if dense else None)
+    for e, mass, hm1, v_sq, d, dual, v_lo, v_hi in zip(
+            *(np.array(series).T.tolist() for series in zip(*ticks)),
+            duality.tolist(), np.minimum(v_min[0], v_min[1:]).tolist(),
+            np.maximum(v_max[0], v_max[1:]).tolist()):
+        e0, sup_e = e[0], max(e)
         reports.append(StabilityReport(
-            times=list(times), energy=energy, comp_mass=rec["comp_mass"],
-            comp_hm1=hm1, comp_v=rec["comp_v"],
-            dissipation=rec["dissipation"],
-            cum_dissipation=_trapezoid_cumulative(times, rec["dissipation"]),
+            times=list(times), energy=e, comp_mass=mass, comp_hm1=hm1,
+            comp_v=v_sq, dissipation=d,
+            cum_dissipation=_trapezoid_cumulative(times, d),
             e0=e0, sup_e=sup_e,
             c_hat=(sup_e / e0 if e0 > 0.0 else 0.0),
-            lambda_hat=_ols_log_rate(times, energy, e0),
-            energy_identity_residual=residual,
-            v_range=(float(min(v_min[0], v_min[j])),
-                     float(max(v_max[0], v_max[j]))),
+            lambda_hat=_ols_log_rate(times, e, e0),
+            energy_identity_residual=(
+                abs(0.5 * hm1[-1] - 0.5 * hm1[0] - dual) if dense else None),
+            v_range=(v_lo, v_hi),
         ))
     return reports
 

@@ -1,5 +1,6 @@
 """Command-line driver: config loading, commands, outputs, exit codes."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossdiff import solver
+from crossdiff import cli, solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
 from crossdiff.exprs import Program, evaluate, parse
@@ -330,6 +331,48 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
         expected = np.stack(coords + [state.u.ravel(), state.v.ravel()],
                             axis=1)
         assert np.array_equal(cells, expected)
+
+
+def test_formatted_writes_numpy_scalars_as_python_numbers():
+    rows = [(np.float64(0.1), np.int64(3), 2, 0.25, np.float32(0.5))]
+    assert [list(row) for row in cli._formatted(rows)] == \
+        [["0.1", "3", "2", "0.25", "0.5"]]
+
+
+def _numbers(value):
+    """Every number in a loaded JSON value, bools and nulls left out."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [value]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in CONFIG_DIR.glob("*.json")
+    if json.loads(path.read_text(encoding="utf-8"))["command"]
+    in ("run", "stability", "sweep", "mms")))
+def test_shipped_artifacts_hold_plain_numbers(tmp_path, name):
+    # a numpy scalar written with repr would read np.float64(...): every
+    # CSV cell must parse as a number, and every summary value be a float
+    out = tmp_path / name
+    assert main([str(CONFIG_DIR / f"{name}.json"),
+                 "--output-dir", str(out)]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert rows, path.name
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(",")), path.name
+            for cell in cells:
+                float(cell)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    numbers = _numbers(summary)
+    assert numbers and all(type(x) is float for x in numbers), summary
 
 
 def test_run_format_subsets(tmp_path):
@@ -744,6 +787,27 @@ def test_a_failed_hminus1_cross_check_exits_2(tmp_path, capsys, monkeypatch):
     assert err["message"].startswith("H^-1 cross-check failed")
 
 
+def test_a_failed_hminus1_cross_check_in_a_sweep_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
+    # a sweep solves for every member's dpsi at once; any failing member
+    # fails the run
+    off_spectrum(monkeypatch)
+    payload = {
+        "command": "sweep",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 1e-3, "t_end": 5e-3, "cadence": 5},
+        "initial": {"u": "1.5", "v": "1"},
+        "stability": {"du": "cos(pi*x)", "amplitudes": [1e-2, 1e-3, 0.0]},
+        "output": {"directory": str(tmp_path / "sweep")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["code"] == 2 and err["kind"] == "numeric"
+    assert err["message"].startswith("H^-1 cross-check failed")
+
+
 def test_runtime_positivity_failure_exits_2(tmp_path, capsys):
     payload = {
         "command": "run",
@@ -857,3 +921,20 @@ def test_sweep_accepts_jobs_flag(tmp_path):
     rc = main([str(write_config(tmp_path, payload))])
     assert rc == 0
     assert (tmp_path / "psweep" / "sweep.csv").exists()
+
+
+def test_artifact_digests_script_is_reproducible():
+    path = CONFIG_DIR.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    configs = [CONFIG_DIR / "lipschitz_sqrt.json",
+               CONFIG_DIR / "poisson_test.json"]
+    first = script.digests(configs)
+    assert first == script.digests(configs)
+    assert sorted(first) == [
+        f"{name}/{entry}" for name, files in (
+            ("lipschitz_sqrt", ["lipschitz.json"]),
+            ("poisson_test", ["poisson.json"]))
+        for entry in sorted([":exit", ":stderr", ":stdout"] + files)]
+    assert first["poisson_test/:exit"] == "0"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from crossdiff.exprs import parse
-from crossdiff.grid import (Grid, divergence_arrays, face_average_arrays,
-                            grad_sq_sum, gradient_arrays, member_sums)
+from crossdiff.grid import (Grid, divergence_arrays, face_arrays,
+                            face_average_arrays, grad_sq_sum, gradient_arrays,
+                            member_sums)
 from crossdiff.coeffs import build_preset
 from crossdiff.solver import SimConfig, Simulation
 
@@ -312,7 +313,23 @@ def test_member_sums_equal_separate_sums_bitwise(n):
     grid = Grid((n,), (1.0,))
     rng = np.random.default_rng(n)
     batch = rng.standard_normal((4, n)) * rng.uniform(0.1, 10.0, (4, 1))
-    assert member_sums(batch) == [float(np.sum(a)) for a in batch]
+    assert np.array_equal(member_sums(batch),
+                          [float(np.sum(a)) for a in batch])
     faces = gradient_arrays(grid, batch)[0]
-    assert member_sums(faces * faces) == [float(np.sum(f * f))
-                                          for f in faces]
+    assert np.array_equal(member_sums(faces * faces),
+                          [float(np.sum(f * f)) for f in faces])
+
+
+@pytest.mark.parametrize("grid", [Grid((256,), (1.0,)),
+                                  Grid((64, 48), (1.0, 2.0))])
+def test_batched_grad_sq_sum_equals_member_sums_bitwise(grid):
+    rng = np.random.default_rng(17)
+    batch = rng.standard_normal((3,) + grid.shape) \
+        * rng.uniform(0.1, 10.0, (3,) + (1,) * grid.dim)
+    faces = face_arrays(grid, batch.shape)
+    sums = grad_sq_sum(grid, batch, out=faces)
+    assert sums.dtype == np.float64 and sums.shape == (3,)
+    assert np.array_equal(sums, [grad_sq_sum(grid, a) for a in batch])
+    # out holds the squared gradients
+    for f, g in zip(faces, gradient_arrays(grid, batch)):
+        assert np.array_equal(f, g * g)

@@ -65,13 +65,18 @@ def test_constant_rhs_gives_zero_solution_without_iterations():
     assert sol.residual_norm == 0.0
 
 
+def _near_constant(grid: Grid) -> np.ndarray:
+    """A constant produced by cancellation: ~1e-16 noise per cell."""
+    x = grid.centers()[0]
+    return (1.01 + 0.5 * np.cos(np.pi * x)) - (1.0 + 0.5 * np.cos(np.pi * x))
+
+
 def test_constant_rhs_up_to_roundoff_takes_the_zero_path():
     # a constant produced by cancellation carries ~1e-16 noise per cell;
     # its projection is not solvable to a relative tolerance and the exact
     # answer is zero
     g = Grid((48,), (1.0,))
-    x = g.axis_centers(0)
-    w = (1.01 + 0.5 * np.cos(np.pi * x)) - (1.0 + 0.5 * np.cos(np.pi * x))
+    w = _near_constant(g)
     assert np.ptp(w) != 0.0  # the noise is really there
     sol = solve_neumann_zero_mean(g, w)
     assert np.array_equal(sol.psi, np.zeros(48))
@@ -151,6 +156,31 @@ def test_eigenfunction_order_up_to_n_4096():
         assert 1.8 <= math.log2(coarse / fine) <= 2.2
 
 
+@pytest.mark.parametrize("grid", [Grid((256,), (1.0,)),
+                                  Grid((64, 48), (1.0, 2.0))])
+@pytest.mark.parametrize("members", ["random", "zero and near-constant"])
+def test_batched_solve_equals_single_solves_bitwise(grid, members):
+    rng = np.random.default_rng(12)
+    batch = rng.standard_normal((3,) + grid.shape) \
+        * np.array([1.0, 1e-6, 1e3]).reshape((3,) + (1,) * grid.dim)
+    if members != "random":
+        batch[1] = 0.0
+        batch[2] = _near_constant(grid)
+        assert np.ptp(batch[2]) != 0.0
+    sol = solve_neumann_zero_mean(grid, batch)
+    assert sol.psi.shape == batch.shape and sol.iterations == 0
+    assert sol.grad_sq.shape == sol.residual_norm.shape == (3,)
+    for i, w in enumerate(batch):
+        alone = solve_neumann_zero_mean(grid, w)
+        assert np.array_equal(sol.psi[i], alone.psi)
+        assert sol.grad_sq[i] == alone.grad_sq
+        assert sol.residual_norm[i] == alone.residual_norm
+    if members != "random":
+        assert not np.any(sol.psi[1:])
+        assert np.array_equal(sol.grad_sq[1:], [0.0, 0.0])
+        assert np.array_equal(sol.residual_norm[1:], [0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # H^-1 seminorm: every solve returns ||grad psi||^2, cross-checked against
 # the duality <w - mean(w), psi>
@@ -219,6 +249,10 @@ def test_seminorm_cross_check_catches_an_inexact_solve(monkeypatch):
     w = g.cell_values(parse("cos(pi*x)"))
     with pytest.raises(RuntimeError, match="H\\^-1 cross-check failed"):
         solve_neumann_zero_mean(g, w)
+    # in a batch, one failing member fails the solve
+    batch = np.stack([np.zeros(g.shape), _near_constant(g), w])
+    with pytest.raises(RuntimeError, match="H\\^-1 cross-check failed"):
+        solve_neumann_zero_mean(g, batch)
 
 
 
