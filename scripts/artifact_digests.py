@@ -1,9 +1,12 @@
-"""Print the sha256 of every artifact of the shipped configs, as sorted JSON.
+"""Print the sha256 of every artifact of some configs, as sorted JSON.
 
-Each config under configs/ runs through crossdiff.cli.main into a temporary
-directory, in this process.  The digests cover every file the run writes,
-its exit status, and what it printed to stdout and to stderr, keyed by
-"<config>/<file>".  Two checkouts give the same artifacts exactly when
+    python scripts/artifact_digests.py [CONFIG.json ...]
+
+Each config named, or each one under configs/ when none is, runs through
+crossdiff.cli.main into a temporary directory, in this process.  The
+digests cover every file the run writes, its exit status, and what it
+printed to stdout and to stderr, keyed by "<config>/<file>".  Two
+checkouts give the same artifacts exactly when
 
     python scripts/artifact_digests.py > a.json   # in each checkout
     diff a.json b.json
@@ -56,7 +59,8 @@ def digests(configs) -> dict:
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    configs = sorted((ROOT / "configs").glob("*.json"))
+    configs = [Path(arg) for arg in sys.argv[1:]] \
+        or sorted((ROOT / "configs").glob("*.json"))
     print(json.dumps(digests(configs), indent=1, sort_keys=True))
     return 0
 

@@ -338,14 +338,18 @@ def load_config(path) -> RunConfig:
             errors.append("output.directory must be a nonempty string")
         else:
             cfg.out_dir = directory
-        formats = out.get("formats")
-        if formats is not None:
-            if not (isinstance(formats, list)
-                    and all(f in FORMATS for f in formats)):
-                errors.append(f"output.formats entries must come from "
-                              f"{', '.join(FORMATS)}")
-            else:
-                cfg.formats = tuple(f for f in FORMATS if f in formats)
+        formats = out.get("formats", list(FORMATS))
+        if not (isinstance(formats, list)
+                and all(f in FORMATS for f in formats)):
+            errors.append(f"output.formats entries must come from "
+                          f"{', '.join(FORMATS)}")
+        elif not formats:
+            errors.append("output.formats must name at least one format")
+        elif "gnuplot" in formats and "csv" not in formats:
+            errors.append("output.formats: gnuplot requires csv (plot.gp "
+                          "plots the CSVs)")
+        else:
+            cfg.formats = tuple(f for f in FORMATS if f in formats)
 
     if needs_sim:
         errors.extend(sim.problems())
@@ -402,6 +406,19 @@ def _resolve_out_dir(out_dir: str) -> Path:
 # ---------------------------------------------------------------------------
 # commands
 
+def _write_artifacts(cfg: RunConfig, out: Path, tables, summary: dict) -> None:
+    """Write what cfg.formats selects: each (name, header, rows) of tables
+    as a CSV, summary as summary.json, and plot.gp for the CSVs."""
+    if "csv" in cfg.formats:
+        for name, header, rows in tables:
+            _write_csv(out / name, header, rows)
+            del rows  # freed before the next table's rows are made
+    if "json" in cfg.formats:
+        _write_json(out / "summary.json", summary)
+    if "gnuplot" in cfg.formats:
+        emit_plots(out)
+
+
 def _column(a: np.ndarray):
     """The cells of a in row-major order, as the reprs of Python floats."""
     return map(repr, a.ravel().tolist())
@@ -409,83 +426,72 @@ def _column(a: np.ndarray):
 
 def _cmd_run(cfg: RunConfig, out: Path) -> None:
     result = solver.run(cfg.sim)
-    if "csv" in cfg.formats:
-        rows = [[getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
-                for row in result.diagnostics]
-        _write_csv(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS,
-                   _formatted(rows))
+
+    def tables():  # made lazily: one snapshot's columns at a time
+        yield ("diagnostics.csv", DIAGNOSTICS_COLUMNS, _formatted(
+            [getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
+            for row in result.diagnostics))
         grid = cfg.sim.grid
         names = ("x",) if grid.dim == 1 else ("x", "y")
         coords = list(map(",".join, zip(*map(_column, grid.centers()))))
         for k, state in enumerate(result.states):
-            _write_csv(out / f"snapshot_{k:04d}.csv", names + ("u", "v"),
-                       zip(coords, _column(state.u), _column(state.v)))
-    if "json" in cfg.formats:
-        last = result.diagnostics[-1]
-        _write_json(out / "summary.json", {
-            "t_end": last.t,
-            "mass_u": last.mass_u,
-            "mass_v": last.mass_v,
-            "min_u": last.min_u,
-            "min_v": last.min_v,
-            "clipped_mass": result.clipped_total,
-            "reaction_mass": result.reaction_mass_total,
-        })
-    if "gnuplot" in cfg.formats and "csv" in cfg.formats:
-        emit_plots(out)
+            yield (f"snapshot_{k:04d}.csv", names + ("u", "v"),
+                   zip(coords, _column(state.u), _column(state.v)))
+
+    last = result.diagnostics[-1]
+    _write_artifacts(cfg, out, tables(), {
+        "t_end": last.t,
+        "mass_u": last.mass_u,
+        "mass_v": last.mass_v,
+        "min_u": last.min_u,
+        "min_v": last.min_v,
+        "clipped_mass": result.clipped_total,
+        "reaction_mass": result.reaction_mass_total,
+    })
 
 
 def _cmd_stability(cfg: RunConfig, out: Path) -> None:
     report = stability.run_pair(cfg.sim, *stability.perturbed(
         cfg.sim, cfg.du, cfg.dv, cfg.amplitudes[0]))
     trace = stability.gronwall_trace(report, cfg.sim.model)
-    if "csv" in cfg.formats:
-        _write_csv(out / "stability.csv",
-                   ("t", "E", "comp_mass", "comp_hm1", "comp_v", "D", "cumD"),
-                   _formatted(zip(report.times, report.energy,
-                                  report.comp_mass, report.comp_hm1,
-                                  report.comp_v, report.dissipation,
-                                  report.cum_dissipation)))
-        _write_csv(out / "gronwall.csv",
-                   ("t", "balance", "balance_dissipative"),
-                   _formatted(zip(trace.times, trace.balance,
-                                  trace.balance_dissipative)))
-    if "json" in cfg.formats:
-        _write_json(out / "summary.json", {
-            "E0": report.e0,
-            "supE": report.sup_e,
-            "C_hat": report.c_hat,
-            "lambda_hat": report.lambda_hat,
-            "energy_identity_residual": report.energy_identity_residual,
-            "gronwall_defect": trace.defect,
-            "gronwall_defect_dissipative": trace.defect_dissipative,
-            "gronwall_constant": trace.gronwall_constant,
-            "c0": trace.c0,
-            "v_min": report.v_range[0],
-            "v_max": report.v_range[1],
-        })
-    if "gnuplot" in cfg.formats and "csv" in cfg.formats:
-        emit_plots(out)
+    _write_artifacts(cfg, out, [
+        ("stability.csv",
+         ("t", "E", "comp_mass", "comp_hm1", "comp_v", "D", "cumD"),
+         _formatted(zip(report.times, report.energy, report.comp_mass,
+                        report.comp_hm1, report.comp_v, report.dissipation,
+                        report.cum_dissipation))),
+        ("gronwall.csv", ("t", "balance", "balance_dissipative"),
+         _formatted(zip(trace.times, trace.balance,
+                        trace.balance_dissipative))),
+    ], {
+        "E0": report.e0,
+        "supE": report.sup_e,
+        "C_hat": report.c_hat,
+        "lambda_hat": report.lambda_hat,
+        "energy_identity_residual": report.energy_identity_residual,
+        "gronwall_defect": trace.defect,
+        "gronwall_defect_dissipative": trace.defect_dissipative,
+        "gronwall_constant": trace.gronwall_constant,
+        "c0": trace.c0,
+        "v_min": report.v_range[0],
+        "v_max": report.v_range[1],
+    })
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
     result = stability.perturbation_sweep(cfg.sim, cfg.du, cfg.dv,
                                           cfg.amplitudes)
-    if "csv" in cfg.formats:
-        _write_csv(out / "sweep.csv",
-                   ("amplitude", "q0", "E0", "supE", "ratio", "C_hat",
-                    "lambda_hat"),
-                   _formatted((r.amplitude, r.q0, r.e0, r.sup_e, r.ratio,
-                               r.c_hat, r.lambda_hat) for r in result.rows))
-    if "json" in cfg.formats:
-        _write_json(out / "summary.json", {
-            "ratio_min": result.ratio_min,
-            "ratio_max": result.ratio_max,
-            "spread": result.spread,
-            "bounded": result.bounded,
-        })
-    if "gnuplot" in cfg.formats and "csv" in cfg.formats:
-        emit_plots(out)
+    _write_artifacts(cfg, out, [
+        ("sweep.csv",
+         ("amplitude", "q0", "E0", "supE", "ratio", "C_hat", "lambda_hat"),
+         _formatted((r.amplitude, r.q0, r.e0, r.sup_e, r.ratio, r.c_hat,
+                     r.lambda_hat) for r in result.rows)),
+    ], {
+        "ratio_min": result.ratio_min,
+        "ratio_max": result.ratio_max,
+        "spread": result.spread,
+        "bounded": result.bounded,
+    })
 
 
 @contextlib.contextmanager
@@ -528,34 +534,23 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> None:
         err_v = math.sqrt(float(np.sum((final.v - exact_v) ** 2)) * vol)
         levels.append((n, max(grid.spacing), sim.dt, err_u, err_v))
 
-    rows = []
-    orders = []
-    for k, (n, h, dt, eu, ev) in enumerate(levels):
-        if k == 0:
-            rows.append((n, h, dt, eu, ev, float("nan"), float("nan"),
-                         float("nan"), float("nan")))
-            continue
-        _, hp, dtp, eup, evp = levels[k - 1]
+    orders = [(math.nan,) * 4]  # the coarsest level has none
+    for (_, hp, dtp, eup, evp), (_, h, dt, eu, ev) in zip(levels, levels[1:]):
         lh, ldt = math.log(hp / h), math.log(dtp / dt)
-        order = (_order(eup, eu, lh), _order(evp, ev, lh),
-                 _order(eup, eu, ldt), _order(evp, ev, ldt))
-        orders.append(order)
-        rows.append((n, h, dt, eu, ev) + order)
-    if "csv" in cfg.formats:
-        _write_csv(out / "convergence.csv",
-                   ("n", "h", "dt", "l2_error_u", "l2_error_v",
-                    "order_u_space", "order_v_space", "order_u_time",
-                    "order_v_time"), _formatted(rows))
-    if "json" in cfg.formats:
-        last = orders[-1]
-        _write_json(out / "summary.json", {
-            "spatial_order_u": last[0],
-            "spatial_order_v": last[1],
-            "temporal_order_u": last[2],
-            "temporal_order_v": last[3],
-        })
-    if "gnuplot" in cfg.formats and "csv" in cfg.formats:
-        emit_plots(out)
+        orders.append((_order(eup, eu, lh), _order(evp, ev, lh),
+                       _order(eup, eu, ldt), _order(evp, ev, ldt)))
+    last = orders[-1]
+    _write_artifacts(cfg, out, [
+        ("convergence.csv",
+         ("n", "h", "dt", "l2_error_u", "l2_error_v", "order_u_space",
+          "order_v_space", "order_u_time", "order_v_time"),
+         _formatted(a + b for a, b in zip(levels, orders))),
+    ], {
+        "spatial_order_u": last[0],
+        "spatial_order_v": last[1],
+        "temporal_order_u": last[2],
+        "temporal_order_v": last[3],
+    })
 
 
 def _cmd_check_coeffs(cfg: RunConfig, out: Path) -> None:
@@ -602,8 +597,43 @@ def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
 # ---------------------------------------------------------------------------
 # plotting
 
-_PLOT_SOURCES = ("stability.csv", "diagnostics.csv", "sweep.csv",
-                 "convergence.csv")
+# CSV name -> the lines that plot it, in the order plot.gp holds them
+_PLOTS = {
+    "stability.csv": [
+        "set output 'energy.png'", "set logscale y",
+        "plot 'stability.csv' using 1:2 with lines title 'E', "
+        "'' using 1:3 with lines title 'mass term', "
+        "'' using 1:4 with lines title 'H-1 term', "
+        "'' using 1:5 with lines title 'v term'",
+        "unset logscale y",
+        "", "set output 'dissipation.png'",
+        "plot 'stability.csv' using 1:6 with lines title 'D', "
+        "'' using 1:7 with lines title 'cumulative D'",
+    ],
+    "gronwall.csv": [
+        "set output 'gronwall.png'",
+        "plot 'gronwall.csv' using 1:2 with lines title 'balance', "
+        "'' using 1:3 with lines title 'dissipative balance'",
+    ],
+    "diagnostics.csv": [
+        "set output 'diagnostics.png'",
+        "plot 'diagnostics.csv' using 1:2 with lines title 'mass u', "
+        "'' using 1:3 with lines title 'mass v', "
+        "'' using 1:6 with lines title 'min v', "
+        "'' using 1:5 with lines title 'max u'",
+    ],
+    "sweep.csv": [
+        "set output 'sweep.png'", "set logscale x",
+        "plot 'sweep.csv' using 1:5 with linespoints title 'sup E / Q'",
+        "unset logscale x",
+    ],
+    "convergence.csv": [
+        "set output 'convergence.png'", "set logscale xy",
+        "plot 'convergence.csv' using 2:4 with linespoints title "
+        "'L2 error u', '' using 2:5 with linespoints title 'L2 error v'",
+        "unset logscale xy",
+    ],
+}
 
 
 def emit_plots(report_dir) -> Path:
@@ -612,53 +642,15 @@ def emit_plots(report_dir) -> Path:
     Raises FileNotFoundError naming the expected files when none exist.
     """
     directory = Path(report_dir)
-    present = [name for name in _PLOT_SOURCES if (directory / name).exists()]
+    present = [name for name in _PLOTS if (directory / name).exists()]
     if not present:
         raise FileNotFoundError(
             f"nothing to plot in {directory}: expected one of "
-            + ", ".join(_PLOT_SOURCES))
+            + ", ".join(_PLOTS))
     stanzas = ["set terminal pngcairo size 960,640", "set datafile separator ','",
                "set key outside"]
-    if "stability.csv" in present:
-        stanzas += [
-            "", "set output 'energy.png'", "set logscale y",
-            "plot 'stability.csv' using 1:2 with lines title 'E', "
-            "'' using 1:3 with lines title 'mass term', "
-            "'' using 1:4 with lines title 'H-1 term', "
-            "'' using 1:5 with lines title 'v term'",
-            "unset logscale y",
-            "", "set output 'dissipation.png'",
-            "plot 'stability.csv' using 1:6 with lines title 'D', "
-            "'' using 1:7 with lines title 'cumulative D'",
-        ]
-        if (directory / "gronwall.csv").exists():
-            stanzas += [
-                "", "set output 'gronwall.png'",
-                "plot 'gronwall.csv' using 1:2 with lines title 'balance', "
-                "'' using 1:3 with lines title 'dissipative balance'",
-            ]
-    if "diagnostics.csv" in present:
-        stanzas += [
-            "", "set output 'diagnostics.png'",
-            "plot 'diagnostics.csv' using 1:2 with lines title 'mass u', "
-            "'' using 1:3 with lines title 'mass v', "
-            "'' using 1:6 with lines title 'min v', "
-            "'' using 1:5 with lines title 'max u'",
-        ]
-    if "sweep.csv" in present:
-        stanzas += [
-            "", "set output 'sweep.png'", "set logscale x",
-            "plot 'sweep.csv' using 1:5 with linespoints title "
-            "'sup E / Q'",
-            "unset logscale x",
-        ]
-    if "convergence.csv" in present:
-        stanzas += [
-            "", "set output 'convergence.png'", "set logscale xy",
-            "plot 'convergence.csv' using 2:4 with linespoints title "
-            "'L2 error u', '' using 2:5 with linespoints title 'L2 error v'",
-            "unset logscale xy",
-        ]
+    for name in present:
+        stanzas += [""] + _PLOTS[name]
     path = directory / "plot.gp"
     path.write_text("\n".join(stanzas) + "\n", encoding="utf-8")
     return path

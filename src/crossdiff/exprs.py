@@ -9,9 +9,16 @@ convention u^c = 0 at u = 0 for c > 0 and u^0 = 1.
 
 Nodes are built through the module-level constructors (add, mul, pow_, ...)
 which fold constant subtrees and prune algebraic identities (0 + e, 1 * e,
-e ^ 1, ...).  parse() and differentiate() build nodes only through those
-constructors, so ``parse(to_string(e)) == e`` holds structurally for every
-expression the library produces.
+e ^ 1, ...).  parse(), differentiate() and substitute() build nodes only
+through those constructors, so ``parse(to_string(e)) == e`` holds
+structurally for every expression the library produces.
+
+Each operator is one row of _UNARY or _BINARY, which holds its fold on a
+constant (for a binary op, its folding constructor and printed symbol), its
+numpy evaluation with its domain rule, and its derivative rule.  FUNCTIONS,
+the parser, the printer, the compiler, differentiate() and substitute() all
+read the tables: a new operator is one row, plus its entry in
+docs/expression-grammar.md.
 
 compile() turns an expression into a Program, run on a bindings mapping,
 with one slot per distinct subexpression: each is evaluated once per call,
@@ -36,16 +43,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
 VARIABLES = ("x", "y", "t", "u", "v")
-FUNCTIONS = ("exp", "ln", "sqrt", "abs", "sign", "sin", "cos")
-_UNARY_OPS = ("neg",) + FUNCTIONS
-_BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-_BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 Scalar = Union[float, np.ndarray]
 
@@ -134,7 +138,7 @@ class Unary(Expr):
     arg: Expr
 
     def __post_init__(self):
-        if self.op not in _UNARY_OPS:
+        if self.op not in _UNARY:
             raise ExpressionError(f"unknown unary op '{self.op}'")
 
 
@@ -145,7 +149,7 @@ class Binary(Expr):
     rhs: Expr
 
     def __post_init__(self):
-        if self.op not in _BINARY_OPS:
+        if self.op not in _BINARY:
             raise ExpressionError(f"unknown binary op '{self.op}'")
         if self.op == "pow" and not isinstance(self.rhs, Const):
             raise ExpressionError("exponent must be a constant")
@@ -161,76 +165,6 @@ def _coerce(value) -> Expr:
 
 # ---------------------------------------------------------------------------
 # folding constructors
-
-
-def _fold_unary(op: str, c: float):
-    """Constant-fold a unary op; None when out of domain or non-finite."""
-    try:
-        if op == "neg":
-            r = -c
-        elif op == "exp":
-            r = math.exp(c)
-        elif op == "ln":
-            r = math.log(c)
-        elif op == "sqrt":
-            r = math.sqrt(c)
-        elif op == "abs":
-            r = abs(c)
-        elif op == "sign":
-            r = float(np.sign(c))
-        elif op == "sin":
-            r = math.sin(c)
-        else:
-            r = math.cos(c)
-    except (ValueError, OverflowError):
-        return None
-    return r if math.isfinite(r) else None
-
-
-def _unary(op: str, arg: Expr) -> Expr:
-    if isinstance(arg, Const):
-        folded = _fold_unary(op, arg.value)
-        if folded is not None:
-            return Const(folded)
-    if op == "neg" and isinstance(arg, Unary) and arg.op == "neg":
-        return arg.arg
-    return Unary(op, arg)
-
-
-def neg(e: Expr) -> Expr:
-    return _unary("neg", e)
-
-
-def exp(e: Expr) -> Expr:
-    return _unary("exp", e)
-
-
-def ln(e: Expr) -> Expr:
-    return _unary("ln", e)
-
-
-def sqrt(e: Expr) -> Expr:
-    return _unary("sqrt", e)
-
-
-def abs_(e: Expr) -> Expr:
-    return _unary("abs", e)
-
-
-def sign(e: Expr) -> Expr:
-    return _unary("sign", e)
-
-
-def sin(e: Expr) -> Expr:
-    return _unary("sin", e)
-
-
-def cos(e: Expr) -> Expr:
-    return _unary("cos", e)
-
-
-_FUNC_CTOR = {"exp": exp, "ln": ln, "sqrt": sqrt, "abs": abs_, "sign": sign,
-              "sin": sin, "cos": cos}
 
 
 def _const_value(e: Expr):
@@ -304,6 +238,113 @@ def pow_(base: Expr, exponent: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# the operator tables
+
+def _ln(x, _, node):
+    if np.any(x <= 0.0):
+        raise EvalError("ln of a non-positive value", node)
+    return np.log(x)
+
+
+def _sqrt(x, _, node):
+    if np.any(x < 0.0):
+        raise EvalError("sqrt of a negative value", node)
+    return np.sqrt(x)
+
+
+def _pow(x, c, node):
+    if c < 0.0 and np.any(x == 0.0):
+        raise EvalError("zero base with a negative exponent", node)
+    if not float(c).is_integer() and np.any(x < 0.0):
+        raise EvalError("negative base with a fractional exponent", node)
+    return np.power(x, c)
+
+
+def _div(x, y, node):
+    if np.any(y == 0.0):
+        raise EvalError("division by zero", node)
+    return x / y
+
+
+def _elementwise(f):
+    """The evaluation of a unary op without a domain rule."""
+    return lambda x, _, node: f(x)
+
+
+# fold: the op on a constant's Python float; apply(x, _, node): the numpy
+# operation of a node, raising on a domain failure; diff(a, da): the
+# derivative of op(a) given a's derivative da
+_UnaryOp = namedtuple("_UnaryOp", "fold apply diff")
+# build: the folding constructor; symbol: as printed and parsed;
+# apply(x, y, node) and diff(lhs, rhs, dlhs, drhs) as for a unary op
+_BinaryOp = namedtuple("_BinaryOp", "build symbol apply diff")
+
+_UNARY = {
+    "neg": _UnaryOp(lambda c: -c, lambda x, _, node: -x,
+                    lambda a, da: neg(da)),
+    "exp": _UnaryOp(math.exp, _elementwise(np.exp),
+                    lambda a, da: mul(da, exp(a))),
+    "ln": _UnaryOp(math.log, _ln, lambda a, da: div(da, a)),
+    "sqrt": _UnaryOp(math.sqrt, _sqrt,
+                     lambda a, da: div(da, mul(Const(2.0), sqrt(a)))),
+    "abs": _UnaryOp(abs, _elementwise(np.abs),
+                    lambda a, da: mul(sign(a), da)),
+    # sign differentiates to 0, its derivative almost everywhere
+    "sign": _UnaryOp(lambda c: float(np.sign(c)), _elementwise(np.sign),
+                     lambda a, da: Const(0.0)),
+    "sin": _UnaryOp(math.sin, _elementwise(np.sin),
+                    lambda a, da: mul(cos(a), da)),
+    "cos": _UnaryOp(math.cos, _elementwise(np.cos),
+                    lambda a, da: neg(mul(sin(a), da))),
+}
+
+_BINARY = {
+    "add": _BinaryOp(add, "+", lambda x, y, node: x + y,
+                     lambda l, r, dl, dr: add(dl, dr)),
+    "sub": _BinaryOp(sub, "-", lambda x, y, node: x - y,
+                     lambda l, r, dl, dr: sub(dl, dr)),
+    "mul": _BinaryOp(mul, "*", lambda x, y, node: x * y,
+                     lambda l, r, dl, dr: add(mul(dl, r), mul(l, dr))),
+    "div": _BinaryOp(div, "/", _div, lambda l, r, dl, dr: div(
+        sub(mul(dl, r), mul(l, dr)), pow_(r, Const(2.0)))),
+    # the exponent r is a constant c: d(l^c) = c l^(c-1) dl
+    "pow": _BinaryOp(pow_, "^", _pow, lambda l, r, dl, dr: mul(
+        mul(r, pow_(l, Const(r.value - 1.0))), dl)),
+}
+
+FUNCTIONS = tuple(op for op in _UNARY if op != "neg")
+# op -> its apply, as the compiled program runs it
+_OPS = {op: row.apply for table in (_UNARY, _BINARY)
+        for op, row in table.items()}
+_BY_SYMBOL = {row.symbol: row.build for row in _BINARY.values()}
+
+
+def _unary(op: str, arg: Expr) -> Expr:
+    """op(arg), folded when arg is a constant whose image is finite."""
+    if isinstance(arg, Const):
+        try:
+            folded = _UNARY[op].fold(arg.value)
+        except (ValueError, OverflowError):
+            folded = math.inf
+        if math.isfinite(folded):
+            return Const(folded)
+    if op == "neg" and isinstance(arg, Unary) and arg.op == "neg":
+        return arg.arg
+    return Unary(op, arg)
+
+
+def _constructor(op: str):
+    def build(e: Expr) -> Expr:
+        return _unary(op, e)
+    build.__name__ = build.__qualname__ = op
+    return build
+
+
+# one constructor per row of _UNARY, in its order
+neg, exp, ln, sqrt, abs_, sign, sin, cos = map(_constructor, _UNARY)
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 _TOKEN_RE = re.compile(
@@ -351,26 +392,19 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
-            else:
-                return e
+        return self.parse_left_assoc("+-", self.parse_term)
 
     def parse_term(self) -> Expr:
-        e = self.parse_factor()
+        return self.parse_left_assoc("*/", self.parse_factor)
+
+    def parse_left_assoc(self, symbols: str, operand) -> Expr:
+        e = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
-            else:
+            if kind != "op" or text not in symbols:
                 return e
+            self.advance()
+            e = _BY_SYMBOL[text](e, operand())
 
     def parse_factor(self) -> Expr:
         kind, text, _ = self.peek()
@@ -407,7 +441,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
-                return _FUNC_CTOR[text](arg)
+                return _unary(text, arg)
             raise ParseError(f"unknown identifier '{text}'", offset)
         if kind == "op" and text == "(":
             e = self.parse_expr()
@@ -446,62 +480,13 @@ def to_string(e: Expr) -> str:
             return f"(-{to_string(e.arg)})"
         return f"{e.op}({to_string(e.arg)})"
     if isinstance(e, Binary):
-        sym = _BINARY_SYMBOL[e.op]
+        sym = _BINARY[e.op].symbol
         return f"({to_string(e.lhs)} {sym} {to_string(e.rhs)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def _is_integral(c: float) -> bool:
-    return float(c).is_integer()
-
-
-def _ln(x, _, node):
-    if np.any(x <= 0.0):
-        raise EvalError("ln of a non-positive value", node)
-    return np.log(x)
-
-
-def _sqrt(x, _, node):
-    if np.any(x < 0.0):
-        raise EvalError("sqrt of a negative value", node)
-    return np.sqrt(x)
-
-
-def _pow(x, c, node):
-    if c < 0.0 and np.any(x == 0.0):
-        raise EvalError("zero base with a negative exponent", node)
-    if not _is_integral(c) and np.any(x < 0.0):
-        raise EvalError("negative base with a fractional exponent", node)
-    return np.power(x, c)
-
-
-def _div(x, y, node):
-    if np.any(y == 0.0):
-        raise EvalError("division by zero", node)
-    return x / y
-
-
-# op -> f(first operand, second operand or unary op's own, node); each
-# applies the numpy operation of its node and raises on a domain failure
-_OPS = {
-    "neg": lambda x, _, node: -x,
-    "exp": lambda x, _, node: np.exp(x),
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "abs": lambda x, _, node: np.abs(x),
-    "sign": lambda x, _, node: np.sign(x),
-    "sin": lambda x, _, node: np.sin(x),
-    "cos": lambda x, _, node: np.cos(x),
-    "add": lambda x, y, node: x + y,
-    "sub": lambda x, y, node: x - y,
-    "mul": lambda x, y, node: x * y,
-    "div": _div,
-    "pow": _pow,
-}
-
 
 class Program:
     """Expressions compiled by compile(): call it on a bindings mapping for
@@ -661,33 +646,9 @@ def _diff(e: Expr, var: str) -> Expr:
     if isinstance(e, Var):
         return Const(1.0 if e.name == var else 0.0)
     if isinstance(e, Unary):
-        da = _diff(e.arg, var)
-        if e.op == "neg":
-            return neg(da)
-        if e.op == "exp":
-            return mul(da, exp(e.arg))
-        if e.op == "ln":
-            return div(da, e.arg)
-        if e.op == "sqrt":
-            return div(da, mul(Const(2.0), sqrt(e.arg)))
-        if e.op == "abs":
-            return mul(sign(e.arg), da)
-        if e.op == "sign":
-            return Const(0.0)
-        if e.op == "sin":
-            return mul(cos(e.arg), da)
-        return neg(mul(sin(e.arg), da))
-    if e.op == "add":
-        return add(_diff(e.lhs, var), _diff(e.rhs, var))
-    if e.op == "sub":
-        return sub(_diff(e.lhs, var), _diff(e.rhs, var))
-    if e.op == "mul":
-        return add(mul(_diff(e.lhs, var), e.rhs), mul(e.lhs, _diff(e.rhs, var)))
-    if e.op == "div":
-        num = sub(mul(_diff(e.lhs, var), e.rhs), mul(e.lhs, _diff(e.rhs, var)))
-        return div(num, pow_(e.rhs, Const(2.0)))
-    c = e.rhs.value
-    return mul(mul(Const(c), pow_(e.lhs, Const(c - 1.0))), _diff(e.lhs, var))
+        return _UNARY[e.op].diff(e.arg, _diff(e.arg, var))
+    return _BINARY[e.op].diff(e.lhs, e.rhs, _diff(e.lhs, var),
+                              _diff(e.rhs, var))
 
 
 def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
@@ -698,17 +659,8 @@ def substitute(e: Expr, replacements: Mapping[str, Expr]) -> Expr:
         return replacements.get(e.name, e)
     if isinstance(e, Unary):
         return _unary(e.op, substitute(e.arg, replacements))
-    lhs = substitute(e.lhs, replacements)
-    rhs = substitute(e.rhs, replacements)
-    if e.op == "add":
-        return add(lhs, rhs)
-    if e.op == "sub":
-        return sub(lhs, rhs)
-    if e.op == "mul":
-        return mul(lhs, rhs)
-    if e.op == "div":
-        return div(lhs, rhs)
-    return pow_(lhs, rhs)
+    return _BINARY[e.op].build(substitute(e.lhs, replacements),
+                               substitute(e.rhs, replacements))
 
 
 def variables(e: Expr) -> frozenset:

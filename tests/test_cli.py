@@ -4,18 +4,21 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossdiff import cli, solver
+from crossdiff import cli, exprs, solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
 from crossdiff.exprs import Program, evaluate, parse
 from test_poisson import off_spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+OPERATORS_CONFIG = Path(__file__).resolve().parent / "data" \
+    / "operators_mms.json"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -391,6 +394,32 @@ def test_run_format_subsets(tmp_path):
     assert (out / "diagnostics.csv").exists()
     assert (out / "plot.gp").exists()
     assert not (out / "summary.json").exists()
+
+
+NO_CSV = "output.formats: gnuplot requires csv (plot.gp plots the CSVs)"
+
+
+@pytest.mark.parametrize("formats, detail", [
+    (["gnuplot"], NO_CSV), (["json", "gnuplot"], NO_CSV),
+    ([], "output.formats must name at least one format"),
+], ids=["gnuplot", "json-gnuplot", "none"])
+def test_formats_that_leave_nothing_or_no_csv_to_plot_are_rejected(
+        tmp_path, capsys, formats, detail):
+    payload = heat_run_config(tmp_path / "out")
+    payload["output"]["formats"] = formats
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    assert stderr_payload(capsys)["details"] == [detail]
+    assert not (tmp_path / "out").exists()
+
+
+def test_reports_are_written_whatever_the_formats(tmp_path):
+    # check-coeffs and poisson-test always write their one JSON report
+    payload = {"command": "poisson-test", "grid": {"dim": 1, "n": 8},
+               "poisson": {"levels": [16, 32]},
+               "output": {"directory": str(tmp_path / "out"),
+                          "formats": ["csv"]}}
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["poisson.json"]
 
 
 def test_stability_command_outputs(tmp_path):
@@ -938,3 +967,16 @@ def test_artifact_digests_script_is_reproducible():
             ("poisson_test", ["poisson.json"]))
         for entry in sorted([":exit", ":stderr", ":stdout"] + files)]
     assert first["poisson_test/:exit"] == "0"
+
+
+def test_a_model_using_every_function_converges_at_its_orders(tmp_path):
+    # the one config that byte-compares every function of the grammar
+    # across checkouts (scripts/artifact_digests.py tests/data/...)
+    text = OPERATORS_CONFIG.read_text(encoding="utf-8")
+    assert set(re.findall(r"([a-z]+)\(", text)) == set(exprs.FUNCTIONS)
+    assert main([str(OPERATORS_CONFIG), "--output-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text("utf-8"))
+    assert 1.8 <= summary["spatial_order_u"] <= 2.2
+    assert 1.8 <= summary["spatial_order_v"] <= 2.2
+    assert 0.8 <= summary["temporal_order_u"] <= 1.2
+    assert 0.8 <= summary["temporal_order_v"] <= 1.2

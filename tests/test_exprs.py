@@ -1,20 +1,28 @@
 """Expression language: parsing, printing, evaluation, differentiation."""
 
 import math
+import operator
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crossdiff import exprs
 from crossdiff.coeffs import build_preset
 from crossdiff.exprs import (Binary, Const, EvalError, ExpressionError,
-                             ParseError, Unary, Var, abs_, compile,
-                             differentiate, evaluate, mul, parse, pow_, sign,
-                             sqrt, substitute, to_string, variables)
+                             ParseError, Unary, Var, abs_, add, compile, cos,
+                             differentiate, div, evaluate, exp, ln, mul, neg,
+                             parse, pow_, sign, sin, sqrt, sub, substitute,
+                             to_string, variables)
 from crossdiff.grid import Grid
 from crossdiff.solver import mms_forcing
-from exprgen import (derivative_agreement_failures, random_ast,
-                     reference_evaluate)
+from exprgen import (central_difference, derivative_agreement_failures,
+                     random_ast, reference_evaluate)
+
+GRAMMAR = Path(__file__).resolve().parent.parent / "docs" \
+    / "expression-grammar.md"
 
 # ---------------------------------------------------------------------------
 # parsing: structure
@@ -607,3 +615,131 @@ def test_sqrt_constructor_equals_half_power_semantics():
     # sqrt(u) and u^0.5 agree in value (distinct node shapes are fine)
     b = {"u": 7.3}
     assert evaluate(sqrt(Var("u")), b) == evaluate(parse("u^0.5"), b)
+
+
+# ---------------------------------------------------------------------------
+# the operator tables, row by row: each oracle is independent of the row
+
+# op -> (its public constructor, its value on a Python float)
+UNARY_ORACLES = {
+    "neg": (neg, operator.neg),
+    "exp": (exp, math.exp),
+    "ln": (ln, math.log),
+    "sqrt": (sqrt, math.sqrt),
+    "abs": (abs_, abs),
+    "sign": (sign, lambda c: math.copysign(1.0, c) if c else 0.0),
+    "sin": (sin, math.sin),
+    "cos": (cos, math.cos),
+}
+# op -> (its constructor, its symbol, its value on Python floats)
+BINARY_ORACLES = {
+    "add": (add, "+", operator.add),
+    "sub": (sub, "-", operator.sub),
+    "mul": (mul, "*", operator.mul),
+    "div": (div, "/", operator.truediv),
+    "pow": (pow_, "^", operator.pow),
+}
+
+
+def _unary_node(op):
+    return UNARY_ORACLES[op][0](Var("u"))
+
+
+def _binary_node(op):
+    # the exponent of pow must be a constant
+    rhs = Const(2.5) if op == "pow" else Var("v")
+    return BINARY_ORACLES[op][0](Var("u"), rhs)
+
+
+ROW_NODES = [_unary_node(op) for op in UNARY_ORACLES] \
+    + [_binary_node(op) for op in BINARY_ORACLES]
+
+
+def test_every_table_row_has_an_oracle():
+    assert set(UNARY_ORACLES) == set(exprs._UNARY)
+    assert set(BINARY_ORACLES) == set(exprs._BINARY)
+    assert exprs.FUNCTIONS == tuple(op for op in UNARY_ORACLES if op != "neg")
+
+
+@pytest.mark.parametrize("op", UNARY_ORACLES)
+def test_unary_row_prints_and_parses_back(op):
+    e = _unary_node(op)
+    assert e == Unary(op, Var("u"))
+    text = "(-u)" if op == "neg" else f"{op}(u)"
+    assert to_string(e) == text
+    assert parse(text) == e
+
+
+@pytest.mark.parametrize("op", BINARY_ORACLES)
+def test_binary_row_prints_and_parses_back(op):
+    e = _binary_node(op)
+    rhs = "2.5" if op == "pow" else "v"
+    text = f"(u {BINARY_ORACLES[op][1]} {rhs})"
+    assert e == Binary(op, Var("u"), parse(rhs))
+    assert to_string(e) == text
+    assert parse(text) == e
+
+
+@pytest.mark.parametrize("op", UNARY_ORACLES)
+@pytest.mark.parametrize("c", [0.7, -0.3, 0.0, 2.5])
+def test_unary_row_folds_a_constant_to_its_math_value(op, c):
+    build, value = UNARY_ORACLES[op]
+    try:
+        want = value(c)
+    except ValueError:  # out of the domain: the node stays symbolic
+        assert build(Const(c)) == Unary(op, Const(c))
+    else:
+        assert build(Const(c)) == Const(want)
+
+
+def test_a_fold_that_overflows_stays_symbolic():
+    assert exp(Const(1000.0)) == Unary("exp", Const(1000.0))
+    assert pow_(Const(1e200), Const(2.0)) == Binary(
+        "pow", Const(1e200), Const(2.0))
+
+
+@pytest.mark.parametrize("op", BINARY_ORACLES)
+def test_binary_row_folds_constants_to_their_math_value(op):
+    build, _, value = BINARY_ORACLES[op]
+    assert build(Const(1.3), Const(0.7)) == Const(value(1.3, 0.7))
+
+
+# u and v take values in and out of every domain, zeros of both signs
+_ROW_BINDINGS = [
+    {"u": np.array([0.3, 1.9, 2.6, 7.0]),
+     "v": np.array([1.1, -0.4, 3.0, 0.2])},
+    {"u": np.array([-0.0, 0.0, -1.5, 4.0]),
+     "v": np.array([0.0, 2.0, 1.0, -0.0])},
+    {"u": 0.8, "v": 1.3},
+    {"u": -2.0, "v": 0.0},
+]
+
+
+@pytest.mark.parametrize("node", ROW_NODES, ids=to_string)
+@pytest.mark.parametrize("bindings", range(len(_ROW_BINDINGS)))
+def test_row_evaluation_matches_the_reference_walk(node, bindings):
+    b = _ROW_BINDINGS[bindings]
+    want = _outcome(reference_evaluate, node, b)
+    got = _outcome(evaluate, node, b)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got[1:] == want[1:]
+    else:
+        assert _same_value(got[1], want[1])
+
+
+@pytest.mark.parametrize("node", ROW_NODES, ids=to_string)
+@pytest.mark.parametrize("var", ["u", "v"])
+def test_row_derivative_matches_a_central_difference(node, var):
+    point = {"u": 0.8, "v": 1.3}  # inside every domain, away from kinks
+    sym = evaluate(differentiate(node, var), point)
+    assert sym == pytest.approx(central_difference(node, point, var),
+                                rel=1e-8, abs=1e-9)
+
+
+def test_the_grammar_page_names_exactly_the_functions():
+    text = GRAMMAR.read_text(encoding="utf-8")
+    comment = re.search(r'function "\(" expr "\)" *\(\* (.*?) \*\)', text)
+    listed = re.search(r"\*\*Functions\*\* — (.*?);", text, re.S)
+    assert tuple(comment.group(1).split(", ")) == exprs.FUNCTIONS
+    assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == exprs.FUNCTIONS
