@@ -1,23 +1,23 @@
 """Print the sha256 of every artifact of some configs, as sorted JSON.
 
     python scripts/artifact_digests.py [CONFIG.json ...]
+    python scripts/artifact_digests.py --check DIGESTS.json [CONFIG.json ...]
 
 Each config named, or each one under configs/ when none is, runs through
 crossdiff.cli.main into a temporary directory, in this process.  The
 digests cover every file the run writes, its exit status, and what it
 printed to stdout and to stderr, keyed by "<config>/<file>".  Two
-checkouts give the same artifacts exactly when
-
-    python scripts/artifact_digests.py > a.json   # in each checkout
-    diff a.json b.json
-
-is silent.  crossdiff is imported from the src/ next to this script, so
-each checkout measures its own code.  The 9 shipped configs take 7-11 s on
-a shared 2-vCPU Xeon host.
+checkouts give the same artifacts exactly when the digests one printed,
+saved as DIGESTS.json, pass --check in the other: it prints each key
+whose digest differs or that only one side has, and exits 1 if there is
+any, 0 otherwise.  crossdiff is imported from the src/ next to this
+script, so each checkout measures its own code.  The 9 shipped configs
+take 7-11 s on a shared 2-vCPU Xeon host.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -57,12 +57,24 @@ def digests(configs) -> dict:
     return out
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", type=Path)
+    parser.add_argument("--check", type=Path, metavar="DIGESTS.json",
+                        help="compare with these digests instead of "
+                        "printing them")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    configs = [Path(arg) for arg in sys.argv[1:]] \
-        or sorted((ROOT / "configs").glob("*.json"))
-    print(json.dumps(digests(configs), indent=1, sort_keys=True))
-    return 0
+    found = digests(args.configs or sorted((ROOT / "configs").glob("*.json")))
+    if args.check is None:
+        print(json.dumps(found, indent=1, sort_keys=True))
+        return 0
+    expected = json.loads(args.check.read_text(encoding="utf-8"))
+    differ = sorted(key for key in found.keys() | expected.keys()
+                    if found.get(key) != expected.get(key))
+    for key in differ:
+        print(key)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -111,8 +111,10 @@ class CoefficientModel:
         return self._evaluate("r2_linear", {"v": v})
 
     def r1_values(self, u, v):
-        return u * self.q1_values(v) \
-            + self._evaluate("r1_tilde", {"u": u, "v": v})
+        r1 = u * self.q1_values(v)
+        tilde = self._evaluate("r1_tilde", {"u": u, "v": v})
+        # a constant 0 is not added: that would only turn a -0.0 into 0.0
+        return r1 if type(tilde) is float and tilde == 0.0 else r1 + tilde
 
     def r2_tilde_values(self, u, v):
         return self._evaluate("r2_tilde", {"u": u, "v": v})

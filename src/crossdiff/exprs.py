@@ -41,6 +41,7 @@ so ^ binds tighter than unary minus: ``-u^2`` is ``-(u^2)``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from collections import namedtuple
@@ -470,9 +471,10 @@ def parse(text: str) -> Expr:
 def to_string(e: Expr) -> str:
     """Render with full parentheses; parse(to_string(e)) == e structurally."""
     if isinstance(e, Const):
-        # negative literals are parenthesized: "-2.0 ^ 0.5" would rebind as
-        # -(2.0 ^ 0.5) since ^ is tighter than unary minus
-        return f"({e.value!r})" if e.value < 0.0 else repr(e.value)
+        # negative literals, -0.0 among them, are parenthesized: "-2.0 ^ 0.5"
+        # would rebind as -(2.0 ^ 0.5) since ^ is tighter than unary minus
+        return f"({e.value!r})" if math.copysign(1.0, e.value) < 0.0 \
+            else repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
@@ -495,7 +497,8 @@ class Program:
     len() is the number of slots, one per distinct subtree.
     """
 
-    __slots__ = ("_slots", "_code", "_result")
+    __slots__ = ("_slots", "_code", "_result", "_has_ops")
+    _BARE = contextlib.nullcontext()  # the context of a program of loads
 
     def __init__(self, slots: list, code: list, result):
         # code: (slot, op, a, b, node, dead), op None loading the variable
@@ -511,6 +514,8 @@ class Program:
         self._code = tuple(code)
         self._slots = slots  # constants filled in, others None
         self._result = result  # a slot, or a tuple of slots
+        # only an op can warn: loads alone skip np.errstate
+        self._has_ops = any(op is not None for _, op, _, _, _, _ in code)
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -518,7 +523,7 @@ class Program:
     def __call__(self, bindings: Mapping[str, Scalar]):
         s = self._slots.copy()
         if self._code:
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore") if self._has_ops else self._BARE:
                 for slot, op, a, b, node, dead in self._code:
                     if op is None:
                         try:

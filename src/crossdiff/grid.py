@@ -53,11 +53,11 @@ class Grid:
     def spacing(self) -> tuple:
         return self._spacing
 
-    @property
+    @functools.cached_property  # cached: each step reads it
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
 
-    @property
+    @functools.cached_property
     def cell_count(self) -> int:
         return math.prod(self.shape)
 

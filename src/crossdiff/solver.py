@@ -37,7 +37,9 @@ numpy's out=, with the ufuncs, operands and order of the plain
 expressions, so every value is bitwise theirs.  Each solve writes its
 solution into the workspace's spare state, which the step then swaps with
 u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
-caller that keeps them copies them, as state() does.
+caller that keeps them copies them, as state() does.  The ledger
+cum_grad_u_sq, a gradient of u' per step, is kept only with grad_ledger,
+which run sets for its diagnostics; a sweep or an MMS level reads nan.
 
 Ticks and validation: Simulation.march is the one time loop.  It steps
 time_grid(dt, t_end) and yields at t = 0, after every output_every-th step
@@ -54,7 +56,9 @@ mass balance holds exactly (iterative truncation would otherwise leak
 mass).  The shift is the mean of the member's CG residual r_i, so it is at
 most ||r_i|| / sqrt(cells) <= tol ||b_i|| / sqrt(cells), tol times the RMS
 of its right-hand side, up to roundoff.  Negative u cells are clipped to
-zero and the added mass is ledgered, giving the exact discrete identity
+zero (a step with every cell positive skips the clip) and the added mass is
+ledgered: every Simulation keeps reaction_mass_total and clipped_total per
+member, the terms of the exact discrete identity
 
     integral u(t_n) - integral u(0)
         = sum_k dt [ integral R1(u^k, v^{k+1}) + integral S1 ] + clipped.
@@ -308,9 +312,11 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     bound on every member's relative residual.
 
     The iterate is out, started from x0; work is three more arrays of b's
-    shape (r, p and scratch), so an iteration allocates no array.  apply_a
-    may return the same array on every call: its result is consumed before
-    the next call.
+    shape (r, p and scratch), so an iteration allocates no array.  Dots
+    are ndarray.dot on flat views made once per solve, np.vdot's BLAS dot
+    bitwise; member norms are sqrt(member_sums(b * b)), np.linalg.norm's.
+    apply_a is called with one argument, its result used, so a plain
+    wrapper can stand in for it; it may return the same array every call.
 
     A solve fails with ConvergenceError, carrying a copy of the checked
     iterate with the smallest true residual and that residual on the scale
@@ -321,7 +327,9 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     right-hand side returns zeros with zero iterations, and a non-finite one
     fails at once with a copy of x0.
     """
-    norm_b = math.sqrt(float(np.vdot(b, b)))  # bitwise np.linalg.norm(b)
+    r, p, scratch = work
+    bf, rf, pf, sf = (a.reshape(-1) for a in (b, r, p, scratch))
+    norm_b = math.sqrt(float(bf.dot(bf)))  # bitwise np.linalg.norm(b)
     if not math.isfinite(norm_b):
         raise ConvergenceError("CG right-hand side is not finite", x0.copy(),
                                math.nan, 0)
@@ -330,20 +338,19 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
         x.fill(0.0)
         return x, 0, 0.0
     if len(b) > 1:
-        member_norms = np.linalg.norm(b.reshape(len(b), -1), axis=1)
-        norm_b = float(np.min(member_norms[member_norms > 0.0]))
-    r, p, scratch = work
+        member_norms = np.sqrt(member_sums(np.multiply(b, b, out=scratch)))
+        norm_b = float(np.minimum.reduce(member_norms[member_norms > 0.0]))
     np.copyto(x, x0)
     np.subtract(b, apply_a(x), out=r)
     np.copyto(p, r)
-    rs = float(np.vdot(r, r))
+    rs = float(rf.dot(rf))
     iterations = 0
     target = tol * norm_b
     best, best_norm, stale = None, math.inf, 0
     while True:
         if math.sqrt(rs) <= target or iterations >= max_iter:
             true_r = np.subtract(b, apply_a(x), out=scratch)
-            true_norm = math.sqrt(float(np.vdot(true_r, true_r)))
+            true_norm = math.sqrt(float(sf.dot(sf)))
             if true_norm <= target:
                 return x, iterations, true_norm / norm_b
             improved = not true_norm >= best_norm  # a nan is reported
@@ -363,11 +370,11 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                     x.copy() if improved else best, floor, iterations)
             if improved:  # restarts are rare; keep it to report a failure
                 best = x.copy()
-            r, scratch = true_r, r
+            r, rf, scratch, sf = true_r, sf, r, rf
             np.copyto(p, r)
-            rs = float(np.vdot(r, r))
+            rs = float(rf.dot(rf))
         ap = apply_a(p)
-        p_ap = float(np.vdot(p, ap))
+        p_ap = float(pf.dot(ap.reshape(-1)))
         if not p_ap > 0.0:
             raise ConvergenceError(
                 "CG broke down: operator is not positive definite on the "
@@ -375,7 +382,7 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
         alpha = rs / p_ap
         x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, ap, out=scratch)
-        rs_next = float(np.vdot(r, r))
+        rs_next = float(rf.dot(rf))
         p *= rs_next / rs
         p += r
         rs = rs_next
@@ -446,12 +453,11 @@ class StepWorkspace:
       aux       C = u max(-q2, 0)/v, then C v' (v step); the reaction plus
                 the forcing, when there is a forcing (u step)
       rhs       the right-hand side of each solve; min(u', 0) after the
-                u solve
+                u solve, when a cell is to be clipped
       cg        CG's r, p and scratch; r also holds the divergence's
                 second-axis term before the u solve
       u, v      the spare state: each solve writes its solution here, and
                 Simulation.step swaps it with the current state
-      nonpositive  the mask v' <= 0
     """
 
     def __init__(self, grid: Grid, shape: tuple):
@@ -468,7 +474,6 @@ class StepWorkspace:
         self.u_faces, self.v_faces = tuple(views[:d]), tuple(views[d:2 * d])
         self.aux, self.rhs, self.u, self.v, *cg = views[2 * d:]
         self.cg = tuple(cg)
-        self.nonpositive = np.empty(shape, dtype=bool)
 
 
 def _cells(values, shape) -> np.ndarray:
@@ -485,13 +490,15 @@ class Simulation:
     are those the module docstring describes.
 
     u and v have shape (B, *grid.shape), member i being (u[i], v[i]), and
-    the per-member ledgers clipped_total, cum_grad_u_sq and
-    reaction_mass_total are float64 arrays of shape (B,).  members lists
-    the (u0, v0) cell arrays, one pair per member; when it is omitted,
-    cfg's own initial data form a batch of one.
+    the per-member ledgers clipped_total, reaction_mass_total and
+    cum_grad_u_sq are float64 arrays of shape (B,).  members lists the
+    (u0, v0) cell arrays, one pair per member; when it is omitted, cfg's
+    own initial data form a batch of one.  cum_grad_u_sq, the sum of
+    dt ||grad u||^2, is kept only with grad_ledger and reads nan otherwise.
     """
 
-    def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None):
+    def __init__(self, cfg: SimConfig, members: Optional[Sequence] = None,
+                 grad_ledger: bool = False):
         self.cfg = cfg
         self.grid = cfg.grid
         self.model = cfg.model
@@ -509,8 +516,9 @@ class Simulation:
         self.t = 0.0
         self.steps = 0
         self.clipped_total = np.zeros(count)
-        self.cum_grad_u_sq = np.zeros(count)
         self.reaction_mass_total = np.zeros(count)  # sum_k dt integral(R1+S1)
+        self._grad_ledger = grad_ledger
+        self.cum_grad_u_sq = np.full(count, 0.0 if grad_ledger else math.nan)
         # (S1, S2) with every slot that depends only on the cells computed
         self._forcing = None if cfg.mms_u is None else compile(mms_forcing(
             cfg.mms_u, cfg.mms_v, cfg.model)).bind(
@@ -588,8 +596,9 @@ class Simulation:
         ws = self.work
         self.u, ws.u = u_new, self.u
         self.v, ws.v = v_new, self.v
-        self.cum_grad_u_sq += dt * grad_sq_sum(self.grid, self.u,
-                                               out=ws.u_faces)
+        if self._grad_ledger:
+            self.cum_grad_u_sq += dt * grad_sq_sum(self.grid, self.u,
+                                                   out=ws.u_faces)
         self.t = t_next
 
     def _solve(self, name: str, rhs: np.ndarray, x0: np.ndarray,
@@ -614,7 +623,10 @@ class Simulation:
         np.divide(c_abs, v, out=c_abs)
         rhs = np.maximum(q2, 0.0, out=ws.rhs)  # v + dt (u max(q2, 0) + R~2)
         np.multiply(u, rhs, out=rhs)
-        np.add(rhs, m.r2_tilde_values(u, v), out=rhs)
+        r2 = m.r2_tilde_values(u, v)
+        # a constant 0 adds nothing that survives v + dt (...) with v > 0
+        if type(r2) is not float or r2 != 0.0:
+            np.add(rhs, r2, out=rhs)
         if s2 is not None:
             np.add(rhs, s2, out=rhs)
         np.multiply(dt, rhs, out=rhs)
@@ -627,12 +639,10 @@ class Simulation:
         shift = (member_sums(rhs) - dt * member_sums(c_abs)
                  - member_sums(v_new)) / g.cell_count
         v_new += shift.reshape(self._per_cell)
-        bad = np.less_equal(v_new, 0.0, out=ws.nonpositive)
-        if bad.any():
-            failing = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))
-            raise PositivityError(
-                "positivity lost in the v step; reduce dt",
-                tuple(failing.tolist()))
+        if np.fmin.reduce(v_new, axis=None) <= 0.0:  # fmin skips a nan
+            failing = np.flatnonzero(member_sums(v_new <= 0.0)).tolist()
+            raise PositivityError("positivity lost in the v step; reduce dt",
+                                  tuple(failing))
         return v_new
 
     def _step_u(self, dt: float, v_new: np.ndarray, s1) -> np.ndarray:
@@ -667,15 +677,18 @@ class Simulation:
         shift = (mass_pre + reaction_mass - member_sums(u_new) * vol) \
             / (g.cell_count * vol)
         u_new += shift.reshape(self._per_cell)
-        clipped = member_sums(np.minimum(u_new, 0.0, out=rhs)) * -vol
-        over = clipped > CLIP_BUDGET * np.maximum(mass_pre, 1e-300)
-        if over.any():
-            raise PositivityError(
-                "positivity budget exceeded: clipped "
-                f"{clipped[over].max():.3e} > {CLIP_BUDGET:g} * "
-                "mass; reduce dt", tuple(np.flatnonzero(over).tolist()))
-        np.clip(u_new, 0.0, None, out=u_new)
-        self.clipped_total += clipped
+        # with every cell positive the clipped mass is -0.0, which leaves
+        # the ledger as it is; a zero, a negative cell or a nan clips
+        if not np.minimum.reduce(u_new, axis=None) > 0.0:
+            clipped = member_sums(np.minimum(u_new, 0.0, out=rhs)) * -vol
+            over = clipped > CLIP_BUDGET * np.maximum(mass_pre, 1e-300)
+            if over.any():
+                raise PositivityError(
+                    "positivity budget exceeded: clipped "
+                    f"{clipped[over].max():.3e} > {CLIP_BUDGET:g} * "
+                    "mass; reduce dt", tuple(np.flatnonzero(over).tolist()))
+            np.maximum(u_new, 0.0, out=u_new)  # bitwise np.clip's
+            self.clipped_total += clipped
         self.reaction_mass_total += reaction_mass
         return u_new
 
@@ -729,7 +742,7 @@ def run(cfg: SimConfig) -> RunResult:
     """Validate cfg, then march it to t_end, recording the state and the
     diagnostics at every tick of Simulation.march."""
     cfg.validate()
-    sim = Simulation(cfg)
+    sim = Simulation(cfg, grad_ledger=True)
     states, diagnostics = [], []
     for _ in sim.march():
         states.append(sim.state())

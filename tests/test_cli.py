@@ -969,6 +969,27 @@ def test_artifact_digests_script_is_reproducible():
     assert first["poisson_test/:exit"] == "0"
 
 
+def test_artifact_digests_check_names_the_keys_that_differ(tmp_path,
+                                                          capsys):
+    path = CONFIG_DIR.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    config = str(CONFIG_DIR / "poisson_test.json")
+    assert script.main([config]) == 0
+    saved = tmp_path / "digests.json"
+    saved.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert script.main(["--check", str(saved), config]) == 0
+    assert capsys.readouterr().out == ""
+    digests = json.loads(saved.read_text(encoding="utf-8"))
+    digests["poisson_test/poisson.json"] = "0" * 64
+    digests["gone/summary.json"] = "0" * 64
+    saved.write_text(json.dumps(digests), encoding="utf-8")
+    assert script.main(["--check", str(saved), config]) == 1
+    assert capsys.readouterr().out.split() == [
+        "gone/summary.json", "poisson_test/poisson.json"]
+
+
 def test_a_model_using_every_function_converges_at_its_orders(tmp_path):
     # the one config that byte-compares every function of the grammar
     # across checkouts (scripts/artifact_digests.py tests/data/...)

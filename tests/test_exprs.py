@@ -575,6 +575,18 @@ def test_negative_constant_base_round_trip():
     assert parse(to_string(e)) == e
 
 
+def test_a_negative_zero_base_round_trips():
+    # -0.0 is negative by its sign bit, though not < 0.0: unparenthesized,
+    # "-0.0 ^ (-0.5)" would parse as -(0.0 ^ (-0.5))
+    e = pow_(neg(Const(0.0)), Const(-0.5))
+    assert isinstance(e, Binary)  # 0.0 ^ (-0.5) does not fold
+    assert to_string(e) == "((-0.0) ^ (-0.5))"
+    assert parse(to_string(e)) == e
+    rng = np.random.default_rng(12345)
+    trees = [random_ast(rng, depth=5) for _ in range(1664)]
+    assert parse(to_string(trees[-1])) == trees[-1]  # one such tree
+
+
 def test_round_trip_thousand_random_asts():
     rng = np.random.default_rng(7)
     for _ in range(1000):

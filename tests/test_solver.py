@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -14,10 +15,12 @@ from crossdiff.cli import load_config, main
 from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import evaluate, parse
 from crossdiff.grid import (FACE_SLICES, Grid, divergence_arrays,
-                            face_average_arrays, gradient_arrays)
+                            face_average_arrays, grad_sq_sum,
+                            gradient_arrays)
 from crossdiff.solver import (ConvergenceError, PositivityError, SimConfig,
                               Simulation, StepOperator, conjugate_gradient,
                               f_energy, mms_forcing, run, time_grid)
+from crossdiff.stability import perturbation_sweep
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -274,8 +277,8 @@ def test_batched_step_equals_single_member_steps():
     x = g.axis_centers(0)
     data = [(1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * x)),
             (1.2 + 0.1 * np.cos(2 * math.pi * x), np.full(40, 0.8))]
-    batch = Simulation(cfg, members=data)
-    singles = [Simulation(cfg, members=[d]) for d in data]
+    batch = Simulation(cfg, members=data, grad_ledger=True)
+    singles = [Simulation(cfg, members=[d], grad_ledger=True) for d in data]
     for _ in range(20):
         batch.step(cfg.dt)
         for sim in singles:
@@ -285,10 +288,42 @@ def test_batched_step_equals_single_member_steps():
         assert np.allclose(batch.v[i], sim.v[0], rtol=1e-10, atol=0.0)
         row, alone = batch.diagnostics_row(i), sim.diagnostics_row()
         assert row.mass_u == pytest.approx(alone.mass_u, rel=1e-12)
+        assert row.cum_grad_u_sq > 0.0  # the ledger was kept
         assert row.cum_grad_u_sq == pytest.approx(alone.cum_grad_u_sq,
                                                   rel=1e-9)
         assert batch.reaction_mass_total[i] == pytest.approx(
             sim.reaction_mass_total[0], rel=1e-12)
+
+
+def test_only_run_keeps_the_grad_ledger(tmp_path, monkeypatch):
+    # cum_grad_u_sq costs a gradient per step and only run's diagnostics
+    # read it, so a sweep batch and an MMS level never take one
+    calls = []
+
+    def counted(grid, a, out=None):
+        calls.append(a.shape)
+        return grad_sq_sum(grid, a, out=out)
+
+    monkeypatch.setattr(solver, "grad_sq_sum", counted)
+    cfg = SimConfig(grid=Grid((24,), (1.0,)), model=case2(), dt=1e-3,
+                    t_end=0.01, ic_u=parse("1 + 0.3*cos(pi*x)"),
+                    ic_v=parse("1 + 0.1*cos(2*pi*x)"))
+    perturbation_sweep(cfg, parse("cos(pi*x)"), parse("cos(2*pi*x)"),
+                       [0.01, 0.005])
+    mms = tmp_path / "mms.json"
+    mms.write_text(json.dumps({
+        "command": "mms",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"preset": "case2", "chi": 0.05, "l": 0.5},
+        "time": {"dt": 0.002, "t_end": 0.01},
+        "mms": {"u": "2 + 0.5*exp(-t)*cos(pi*x)",
+                "v": "2 + 0.25*exp(-t)*cos(pi*x)", "levels": [8, 16]},
+        "output": {"directory": str(tmp_path / "out")},
+    }), encoding="utf-8")
+    assert main([str(mms)]) == 0
+    assert calls == []
+    run(cfg)  # the counter sees run's ledger: one gradient per step
+    assert calls == [(1, 24)] * 10
 
 
 def test_nonconvergence_carries_best_iterate():
@@ -402,6 +437,30 @@ def test_cg_matches_the_textbook_loop_bitwise(grid, members, absorbing):
     b = rng.standard_normal(c.shape)
     assert_cg_matches_textbook(apply_a, b, 1e-11, 500)
     assert_cg_matches_textbook(apply_a, b, 1e-11, 3)  # stopped at max_iter
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("members", [1, 3])
+def test_cg_through_a_one_argument_wrapper_equals_the_operator(grid,
+                                                               members):
+    # a tracer counts applies by handing CG a plain one-argument wrapper of
+    # the operator, as perfbench's counted_apply does
+    rng = np.random.default_rng(40 + members)
+    mob, c = random_operator_data(grid, rng, (members,))
+    b = rng.standard_normal(c.shape)
+    for absorbing in (c, None):
+        op = operator(grid, mob, 0.05, absorbing)
+        applies = []
+
+        def counted_apply(x):
+            applies.append(x)
+            return op(x)
+
+        x, k, rel = cg(op, b, np.zeros_like(b), 1e-11, 500)
+        wx, wk, wrel = cg(counted_apply, b, np.zeros_like(b), 1e-11, 500)
+        assert k > 0 and np.array_equal(wx, x) and wk == k and wrel == rel
+        # the first residual, one apply per iteration, at least one check
+        assert len(applies) >= k + 2
 
 
 @pytest.mark.parametrize("members, dt", [(1, 1.0), (3, 10.0)])
