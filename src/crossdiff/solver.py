@@ -29,15 +29,20 @@ and one CG solve of the block-diagonal system.  Every per-member quantity
 (mass shift, ledgers, clip budget) is a (B,) array reduced per row,
 bitwise as it would be for that member alone.
 
-Buffers: a Simulation allocates its StepOperator and one StepWorkspace
-for its batch shape, and a step after the first allocates no cell- or
-face-sized array of its own; only the coefficient and forcing programs
-return fresh arrays.  The step's kernels and arithmetic write through
-numpy's out=, with the ufuncs, operands and order of the plain
+Buffers: a Simulation allocates its state, its StepOperator and one
+StepWorkspace for its batch shape, and a step after the first allocates no
+cell- or face-sized array of its own; only the coefficient and forcing
+programs return fresh arrays.  The step's kernels and arithmetic write
+through numpy's out=, with the ufuncs, operands and order of the plain
 expressions, so every value is bitwise theirs.  Each solve writes its
 solution into the workspace's spare state, which the step then swaps with
 u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
-caller that keeps them copies them, as state() does.  The ledger
+caller that keeps them copies them, as state() does.  Each owner cuts
+them from one block with aligned_zeros, each on a CACHE_LINE boundary (a
+flux at flux[s], where an apply writes first): numpy aligns to 16 bytes
+only, and a 64-byte AVX-512 store off a line straddles two.  An apply on a
+128^2 batch of one took 64-68 us in the heap's layout, 37-42 us aligned,
+and 61-82 us with the aligned layout shifted by 16 or 32 bytes.  The ledger
 cum_grad_u_sq, a gradient of u' per step, is kept only with grad_ledger,
 which run sets for its diagnostics; a sweep or an MMS level reads nan.
 
@@ -88,6 +93,9 @@ STAGNATION_CHECKS = 3
 # cells per slot of one block evaluation of the forcing: 32 KiB, under
 # glibc's mmap threshold, so a block's slots are reused heap, not fresh maps
 FORCING_BLOCK_CELLS = 4096
+# bytes of a cache line, and of an AVX-512 vector: every step buffer starts
+# on such a boundary, so that each of a ufunc's vector stores fills one line
+CACHE_LINE = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -397,20 +405,24 @@ class StepOperator:
     the grid kernels' composition to roundoff, not bitwise.  On the flat
     cells w[k] weighs the face of cells k and k + s, s the axis's stride,
     and is zero where k is last along the axis, so no flux wraps between
-    rows or members.  Buffers are allocated once; assemble() invalidates
-    the last apply, and each apply overwrites the one before.
+    rows or members.  Buffers are cut once from one block, each on a cache
+    line, a flux at flux[s], where f_in starts; assemble() invalidates the
+    last apply, and each apply overwrites the one before.
     """
 
     def __init__(self, grid: Grid, shape: tuple):
         cells = math.prod(shape)
-        self._out, self._diag = np.empty(shape), np.empty(cells)
-        self._flat, self._part = self._out.reshape(-1), np.empty(cells)
+        strides = [math.prod(grid.shape[axis + 1:]) for axis in range(grid.dim)]
+        self._out, self._diag, self._part, *axes = aligned_zeros(
+            [shape, (cells,), (cells,)]
+            + [size for s in strides for size in (shape, (cells + s,))],
+            [0, 0, 0] + [lead for s in strides for lead in (0, s)])
+        self._flat = self._out.reshape(-1)
         self._absorbs = False
         self._weights, self._axes = [], []  # per axis, to assemble, apply
-        for axis, (h, (_, lo, inner, _, _)) in enumerate(
-                zip(grid.spacing, FACE_SLICES[grid.dim])):
-            s = math.prod(grid.shape[axis + 1:])
-            w, flux = np.zeros(shape), np.zeros(cells + s)
+        for s, w, flux, h, (_, lo, inner, _, _) in zip(
+                strides, axes[::2], axes[1::2], grid.spacing,
+                FACE_SLICES[grid.dim]):
             self._weights.append((inner, h * h, w[lo], w.reshape(-1)))
             self._axes.append((s, w.reshape(-1)[:-s], flux[s:-s], flux[s:],
                                flux[:-s]))
@@ -458,22 +470,34 @@ class StepWorkspace:
                 second-axis term before the u solve
       u, v      the spare state: each solve writes its solution here, and
                 Simulation.step swaps it with the current state
+
+    They are views of one block, mapped and returned to the system as a
+    whole, each on a cache line: in numpy's block every view sat 16 bytes
+    past one, where a 128^2 diag x -> out took 10-11 us, aligned 4.5-5.5.
     """
 
     def __init__(self, grid: Grid, shape: tuple):
-        # views of one block, which is mapped and returned to the system as
-        # a whole instead of leaving a dozen arrays' holes in the heap
         faces = [face_shape(shape, grid.dim, axis) for axis in range(grid.dim)]
-        shapes = faces * 2 + [shape] * 7
-        block = np.empty(sum(map(math.prod, shapes)))
-        views, start = [], 0
-        for s in shapes:
-            views.append(block[start:start + math.prod(s)].reshape(s))
-            start += math.prod(s)
+        views = aligned_zeros(faces * 2 + [shape] * 7)
         d = grid.dim
         self.u_faces, self.v_faces = tuple(views[:d]), tuple(views[d:2 * d])
         self.aux, self.rhs, self.u, self.v, *cg = views[2 * d:]
         self.cg = tuple(cg)
+
+
+def aligned_zeros(shapes: Sequence, leads: Sequence = ()) -> list:
+    """Zeroed float64 arrays of the given shapes, views of one fresh block
+    that do not overlap.  Each starts on a CACHE_LINE boundary, or, where
+    leads gives an index, has that element of its flat order there."""
+    starts, end = [], 0
+    for shape, lead in itertools.zip_longest(shapes, leads, fillvalue=0):
+        end += -(end + lead) % (CACHE_LINE // 8)
+        starts.append(end)
+        end += math.prod(shape)
+    block = np.zeros(end + CACHE_LINE // 8 - 1)
+    skip = -block.ctypes.data % CACHE_LINE // 8
+    return [block[skip + start:skip + start + math.prod(shape)].reshape(shape)
+            for shape, start in zip(shapes, starts)]
 
 
 def _cells(values, shape) -> np.ndarray:
@@ -504,13 +528,15 @@ class Simulation:
         self.model = cfg.model
         if members is None:
             members = [cfg.initial_fields()]
-        self.u = np.array([u for u, _ in members], dtype=float)
-        self.v = np.array([v for _, v in members], dtype=float)
-        if self.u.shape[1:] != self.grid.shape \
-                or self.v.shape != self.u.shape:
+        if not members or any(np.shape(a) != self.grid.shape
+                              for pair in members for a in pair):
             raise ValueError(f"member data must have the grid shape "
                              f"{self.grid.shape}")
-        count = len(self.u)
+        count = len(members)
+        # copied in, so that both slots of step's u/v swap are aligned
+        self.u, self.v = aligned_zeros([(count,) + self.grid.shape] * 2)
+        for i, (u0, v0) in enumerate(members):
+            self.u[i], self.v[i] = u0, v0
         # shape of one value per member, broadcast against the cells
         self._per_cell = (count,) + (1,) * self.grid.dim
         self.t = 0.0
@@ -535,19 +561,25 @@ class Simulation:
     def march(self):
         """Step cfg's time grid from t = 0 to t_end, yielding the time at
         every tick: t = 0, after every output_every-th step, and after the
-        final step.  This is the one tick rule of every entry point."""
+        final step.  This is the one tick rule of every entry point.  It
+        holds one step time at a time, or one block of them with a
+        forcing, so its memory does not grow with the number of steps."""
         times = time_grid(self.cfg.dt, self.cfg.t_end)
-        forcings = itertools.repeat(None) if self._forcing is None \
+        steps = zip(times, itertools.repeat(None)) if self._forcing is None \
             else self._forcing_rows(times)
+        every = self.cfg.output_every
         yield self.t
-        for k, (t_next, forcing) in enumerate(zip(times, forcings)):
+        k = 0
+        for k, (t_next, forcing) in enumerate(steps, 1):
             self.step(t_next - self.t, t_next, forcing)
-            if (k + 1) % self.cfg.output_every == 0 or k + 1 == len(times):
+            if k % every == 0:
                 yield self.t
+        if k % every:  # the final step, off the cadence
+            yield self.t
 
-    def _forcing_rows(self, times: list):
-        """Per step time, the forcing pair (S1, S2) there, or None where
-        step() is to evaluate it.
+    def _forcing_rows(self, times):
+        """Per step time t of the iterator times, the pair (t, forcing):
+        forcing is (S1, S2) at t, or None where step() is to evaluate it.
 
         The bound program runs once per block of max(1, FORCING_BLOCK_CELLS
         // cells) times, t a column of shape (k, 1) in 1-D and (k, 1, 1) in
@@ -558,16 +590,15 @@ class Simulation:
         and that step fails with its own message."""
         column = (-1,) + (1,) * self.grid.dim
         k = max(1, FORCING_BLOCK_CELLS // self.grid.cell_count)
-        for start in range(0, len(times), k):
-            block = times[start:start + k]
+        while block := list(itertools.islice(times, k)):
             try:
                 pair = self._forcing({"t": np.reshape(block, column)})
             except exprs.EvalError:
-                yield from [None] * len(block)
+                yield from zip(block, itertools.repeat(None))
                 continue
-            for i in range(len(block)):
-                yield tuple(s[i] if np.ndim(s) > self.grid.dim else s
-                            for s in pair)
+            for i, t in enumerate(block):
+                yield t, tuple(s[i] if np.ndim(s) > self.grid.dim else s
+                               for s in pair)
 
     def state(self, i: int = 0) -> SimState:
         return SimState(self.t, self.u[i].copy(), self.v[i].copy())
@@ -720,14 +751,12 @@ class Simulation:
 
 def time_grid(dt: float, t_end: float):
     """Step times 0 < t_1 < ... < t_N = t_end with fixed dt and a shortened
-    final step; built multiplicatively so times carry no accumulation drift."""
+    final step, made one at a time as k dt, so that they carry no
+    accumulation drift and a march holds none but the current one."""
     n_full = int(math.floor(t_end / dt + 1e-9))
-    times = [k * dt for k in range(1, n_full + 1)]
-    if not times or t_end - times[-1] > 1e-9 * dt:
-        times.append(t_end)
-    else:
-        times[-1] = t_end
-    return times
+    shortened = n_full == 0 or t_end - n_full * dt > 1e-9 * dt
+    yield from (k * dt for k in range(1, n_full + shortened))
+    yield t_end
 
 
 @dataclass

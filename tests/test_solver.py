@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import tracemalloc
@@ -201,8 +202,11 @@ def test_steps_after_the_first_allocate_no_operator_arrays():
     op = sim.operator
     buffers = {id(a) for a in vars(op).values() if isinstance(a, np.ndarray)}
     smallest = min(sim.u[0, 1:].nbytes, sim.u[0, :, 1:].nbytes)  # w arrays
-    lines, first = inspect.getsourcelines(StepOperator)
-    code = range(first, first + len(lines))
+    # the operator's lines, and those of the helper that cuts its buffers
+    code = set()
+    for owner in (StepOperator, solver.aligned_zeros):
+        lines, first = inspect.getsourcelines(owner)
+        code.update(range(first, first + len(lines)))
     cell_bytes = sim.u.nbytes
     x = sim.u.copy()
     tracemalloc.start()
@@ -627,6 +631,59 @@ def test_the_step_buffers_are_the_same_arrays_after_every_step():
         assert {id(sim.u), id(sim.work.u)} == state
 
 
+def smooth_batch(shape: tuple, count: int) -> Simulation:
+    """A case-2 Simulation on a grid of the given shape, with count members
+    of smooth positive data."""
+    g = Grid(shape, (1.0,) * len(shape))
+    cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0)
+    x = g.centers()[0]
+    return Simulation(cfg, members=[
+        (1.0 + 0.1 * (i + 1) * np.cos(math.pi * x),
+         1.0 + 0.05 * np.cos(math.pi * x)) for i in range(count)])
+
+
+def step_buffer_groups(sim) -> list:
+    """Every buffer a step writes through out=, each as a list of the views
+    cut from it, first the one that is to start on a cache line: the
+    state, the spare state, the workspace's views, the operator's out, diag
+    and part, and per axis its weights and its flux (f_in, f_hi, f_lo)."""
+    ws, op = sim.work, sim.operator
+    groups = [[a] for a in (sim.u, sim.v, ws.u, ws.v, ws.aux, ws.rhs, *ws.cg,
+                            *ws.u_faces, *ws.v_faces, op._diag, op._part)]
+    groups.append([op._out, op._flat])
+    for (_, _, w_lo, w), (_, w_apply, f_in, f_hi, f_lo) in zip(op._weights,
+                                                               op._axes):
+        groups += [[w, w_lo, w_apply], [f_in, f_hi, f_lo]]
+    return groups
+
+
+@pytest.mark.parametrize("shape, count", [
+    ((37,), 1), ((37,), 4), ((9, 14), 1), ((9, 14), 4), ((128, 128), 1)])
+def test_every_step_buffer_starts_on_a_cache_line(shape, count):
+    # at 128^2 numpy's one block for the workspace is a map that glibc
+    # hands out at a page plus 16 bytes, so its views sat at 16 mod 64
+    sim = smooth_batch(shape, count)
+    for steps in (0, 3):  # the steps swap the state and the spare state
+        for _ in range(steps):
+            sim.step(sim.cfg.dt)
+        assert sim.steps == steps
+        offsets = [first.ctypes.data % 64
+                   for first, *_ in step_buffer_groups(sim)]
+        assert offsets == [0] * len(offsets)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("shape", [(2,), (257,), (2, 3), (3, 2), (129, 130)])
+def test_no_two_step_buffers_overlap(shape, count):
+    # these sizes leave uneven padding between the views of one block
+    groups = step_buffer_groups(smooth_batch(shape, count))
+    # at least the state, the spare state, aux, rhs and CG's three arrays
+    assert sum(g[0].size for g in groups) > 9 * count * math.prod(shape)
+    for i, j in itertools.combinations(range(len(groups)), 2):
+        assert not any(np.shares_memory(a, b)
+                       for a in groups[i] for b in groups[j]), (i, j)
+
+
 def test_snapshots_do_not_change_with_later_steps():
     cfg = SimConfig(grid=Grid((12, 10), (1.0, 1.0)), model=case2(), dt=5e-4,
                     t_end=4e-3, ic_u=parse("1 + 0.25*cos(pi*x)*cos(pi*y)"),
@@ -926,9 +983,33 @@ def test_mass_correction_shift_is_within_the_solve_tolerance(name,
 
 
 def test_time_grid_shortened_final_step():
-    assert time_grid(0.3, 1.0) == pytest.approx([0.3, 0.6, 0.9, 1.0])
-    assert time_grid(0.25, 1.0) == [0.25, 0.5, 0.75, 1.0]
-    assert time_grid(0.25, 0.2) == [0.2]
+    assert list(time_grid(0.3, 1.0)) == pytest.approx([0.3, 0.6, 0.9, 1.0])
+    assert list(time_grid(0.25, 1.0)) == [0.25, 0.5, 0.75, 1.0]
+    assert list(time_grid(0.25, 0.2)) == [0.2]
+    # bitwise k dt, and t_end last: ten steps of 0.1 summed give 1 - 1e-16
+    times = list(time_grid(0.1, 1.5))
+    assert times == [k * 0.1 for k in range(1, 15)] + [1.5] and times[9] == 1
+
+
+@pytest.mark.parametrize("manufactured", [False, True])
+def test_a_long_march_holds_no_list_of_its_step_times(manufactured):
+    # 10^6 steps: a list of every step time took 32 MB before the first
+    # step, and dt = 1e-300 ran out of memory
+    data = ({"mms_u": parse("2 + 0.45*exp(-t)*cos(pi*x)"),
+             "mms_v": parse("2 + 0.25*sin(t)")} if manufactured else
+            {"ic_u": parse("1 + 0.5*cos(pi*x)"),
+             "ic_v": parse("1 + 0.2*cos(pi*x)")})
+    cfg = SimConfig(grid=Grid((64,), (1.0,)), model=case2(), dt=1e-6,
+                    t_end=1.0, **data)
+    sim = Simulation(cfg)
+    ticks = sim.march()
+    tracemalloc.start()
+    try:
+        assert next(ticks) == 0.0 and next(ticks) == 1e-6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.steps == 1 and peak < 1 << 20
 
 
 def test_diagnostics_columns_and_monotone_accumulator():
