@@ -3,16 +3,16 @@
     python scripts/artifact_digests.py [CONFIG.json ...]
     python scripts/artifact_digests.py --check DIGESTS.json [CONFIG.json ...]
 
-Each config named, or each one under configs/ when none is, runs through
-crossdiff.cli.main into a temporary directory, in this process.  The
-digests cover every file the run writes, its exit status, and what it
-printed to stdout and to stderr, keyed by "<config>/<file>".  Two
-checkouts give the same artifacts exactly when the digests one printed,
-saved as DIGESTS.json, pass --check in the other: it prints each key
-whose digest differs or that only one side has, and exits 1 if there is
-any, 0 otherwise.  crossdiff is imported from the src/ next to this
-script, so each checkout measures its own code.  The 9 shipped configs
-take 7-11 s on a shared 2-vCPU Xeon host.
+Each config named, or when none is each one under configs/ and under
+tests/data/, runs through crossdiff.cli.main into a temporary directory,
+in this process.  The digests cover every file the run writes, its exit
+status, and what it printed to stdout and to stderr, keyed by
+"<config>/<file>".  Two checkouts give the same artifacts exactly when
+the digests one printed, saved as DIGESTS.json, pass --check in the
+other: it prints each key whose digest differs or that only one side
+has, and exits 1 if there is any, 0 otherwise.  crossdiff is imported
+from the src/ next to this script, so each checkout measures its own
+code.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ def main(argv=None) -> int:
                         "printing them")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    found = digests(args.configs or sorted((ROOT / "configs").glob("*.json")))
+    found = digests(args.configs or [
+        *sorted((ROOT / "configs").glob("*.json")),
+        *sorted((ROOT / "tests" / "data").glob("*.json"))])
     if args.check is None:
         print(json.dumps(found, indent=1, sort_keys=True))
         return 0

@@ -50,7 +50,7 @@ from . import solver, stability
 from .coeffs import (CoefficientModel, build_preset,
                      check_finite_gamma_lipschitz, lipschitz_problems)
 from .exprs import (Const, EvalError, ExpressionError, Expr, ParseError,
-                    parse, variable_problems, variables)
+                    is_count, is_number, parse, variable_problems, variables)
 from .grid import Grid
 from .poisson import poincare_ratio, solve_neumann_zero_mean
 from .solver import DIAGNOSTICS_COLUMNS, SimConfig
@@ -100,9 +100,7 @@ def _check_keys(block: Mapping, allowed: Sequence[str], where: str,
 def _real(value):
     """A JSON number as a float; any other value, None included, as given,
     for its owner to judge."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return value
+    return float(value) if is_number(value) else value
 
 
 # stands in for an expression the loader rejected and reported, so that its
@@ -142,8 +140,7 @@ def _expr(block: Mapping, key: str, where: str, errors: list,
 def _levels(block: Mapping, where: str, default: list, errors: list) -> list:
     levels = block.get("levels", default)
     if not (isinstance(levels, list) and len(levels) >= 2
-            and all(isinstance(n, int) and not isinstance(n, bool)
-                    and n >= 2 for n in levels)
+            and all(is_count(n, 2) for n in levels)
             and all(b > a for a, b in zip(levels, levels[1:]))):
         errors.append(f"{where}.levels must be an increasing list of at "
                       "least two cell counts")
@@ -154,23 +151,23 @@ def _levels(block: Mapping, where: str, default: list, errors: list) -> list:
 def _parse_grid(block, errors) -> Optional[Grid]:
     _check_keys(block, ("dim", "n", "L"), "grid", errors)
     dim = block.get("dim")
-    if dim not in (1, 2):
+    if not (is_count(dim) and dim <= 2):
         errors.append("grid.dim must be 1 or 2")
         return None
     n = block.get("n")
     lengths = block.get("L", 1.0)
-    if isinstance(n, int) and not isinstance(n, bool):
+    if is_count(n):
         n = (n,) * dim
-    elif isinstance(n, list) and len(n) == dim \
-            and all(isinstance(k, int) and not isinstance(k, bool) for k in n):
+    elif isinstance(n, list) and len(n) == dim and all(map(is_count, n)):
         n = tuple(n)
     else:
         errors.append(f"grid.n must be an int or a list of {dim} ints")
         return None
-    if isinstance(lengths, (int, float)) and not isinstance(lengths, bool):
+    if is_number(lengths):
         lengths = (float(lengths),) * dim
-    elif isinstance(lengths, list) and len(lengths) == dim:
-        lengths = tuple(float(x) for x in lengths)
+    elif isinstance(lengths, list) and len(lengths) == dim \
+            and all(map(is_number, lengths)):
+        lengths = tuple(map(float, lengths))
     else:
         errors.append(f"grid.L must be a number or a list of {dim} numbers")
         return None
@@ -187,18 +184,17 @@ _MODEL_EXPR_KEYS = ("p", "a12", "a22", "q_lower", "r1_linear", "r1_tilde",
 
 def _parse_model(block, errors) -> Optional[CoefficientModel]:
     if "preset" in block:
-        preset = block["preset"]
-        if isinstance(preset, str) and preset.startswith("case"):
-            preset = preset[4:]
-        try:
-            case = int(preset)
-        except (TypeError, ValueError):
+        case = block["preset"]
+        if isinstance(case, str) and case[:4] == "case" \
+                and case[4:].isdecimal():
+            case = int(case[4:])
+        if not is_count(case):
             errors.append(f"model.preset '{block['preset']}' is not one of "
                           "case1..case6")
             return None
         params = {k: v for k, v in block.items() if k != "preset"}
         for key, value in sorted(params.items()):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 errors.append(f"model.{key} must be a number")
                 return None
         try:

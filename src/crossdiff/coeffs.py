@@ -35,11 +35,16 @@ from typing import Mapping
 import numpy as np
 
 from . import exprs
-from .exprs import (Const, Expr, Var, compile, is_number, mul, neg, pow_,
-                    variable_problems)
+from .exprs import (Const, Expr, Var, compile, is_count, is_number, mul, neg,
+                    pow_, variable_problems)
 
 _V_ONLY = ("p", "q_lower", "r1_linear", "r2_linear")
 _STATE = ("a12", "a22", "r1_tilde", "r2_tilde")
+# the box (0, POSITIVITY_U_MAX] x (0, POSITIVITY_V_MAX] that check_positivity
+# samples, POSITIVITY_SAMPLES points per axis
+POSITIVITY_U_MAX = 10.0
+POSITIVITY_V_MAX = 10.0
+POSITIVITY_SAMPLES = 257
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,12 @@ class CoefficientModel:
     def r2_tilde_values(self, u, v):
         return self._evaluate("r2_tilde", {"u": u, "v": v})
 
-    def check_positivity(self, u_max: float = 10.0, v_max: float = 10.0,
-                         samples: int = 257) -> None:
+    def check_positivity(self) -> None:
         """Sampled structural checks: p > 0, q_lower > 0 and A22 >= q_lower
-        on (0, u_max] x (0, v_max].  Raises ValueError listing violations."""
+        on (0, POSITIVITY_U_MAX] x (0, POSITIVITY_V_MAX].  Raises ValueError
+        listing violations."""
+        u_max, v_max = POSITIVITY_U_MAX, POSITIVITY_V_MAX
+        samples = POSITIVITY_SAMPLES
         vs = np.linspace(v_max / samples, v_max, samples)
         us = np.linspace(0.0, u_max, samples)
         problems = []
@@ -275,10 +282,9 @@ def lipschitz_problems(f: Expr, gamma: float, a1: float = 1.0,
         if not (is_number(side) and side > 0.0):
             problems.append(f"{name} must be a positive finite number "
                             "(a side of the sampled box)")
-    if isinstance(budget, bool) or not isinstance(budget, int) \
-            or budget < 1000:
+    if not is_count(budget, 1000):
         problems.append("budget must be an integer >= 1000 (samples)")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not is_count(seed, 0):
         problems.append("seed must be a nonnegative integer")
     return problems
 

@@ -25,7 +25,9 @@ with one slot per distinct subexpression: each is evaluated once per call,
 in left-to-right post-order, so a domain error names the first failing
 node in that order.  A constant expression evaluates to a Python float.
 Compile once and call the Program to evaluate an expression repeatedly;
-evaluate() compiles on every call.
+evaluate() compiles on every call.  A call binds every variable the
+program reads: the simulation runs its manufactured forcings once per
+block of step times, on the cell centres and t a column of the times.
 
 Grammar (also in docs/expression-grammar.md)::
 
@@ -539,31 +541,6 @@ class Program:
         r = self._result
         return tuple([s[k] for k in r]) if isinstance(r, tuple) else s[r]
 
-    def bind(self, bindings: Mapping[str, Scalar]) -> "Program":
-        """This program with the variables in bindings fixed: each
-        instruction whose operands depend only on them runs once, in
-        post-order (the first to fail raises its EvalError), and its slot
-        becomes a constant, the same object in every call's result.  Given
-        the other variables it returns bitwise what this program returns."""
-        s = self._slots.copy()
-        rest = []  # the instructions left for the call
-        with np.errstate(all="ignore"):
-            for slot, op, a, b, node, _ in self._code:
-                if op is None and node.name in bindings:
-                    s[slot] = bindings[node.name]
-                elif op is not None and s[a] is not None \
-                        and s[b] is not None:
-                    s[slot] = op(s[a], s[b], node)
-                else:
-                    rest.append((slot, op, a, b, node, []))
-        # keep only the constants that the rest or the result still reads
-        r = self._result
-        read = set(r) if isinstance(r, tuple) else {r}
-        read.update(x for _, op, a, b, _, _ in rest if op is not None
-                    for x in (a, b))
-        return Program([v if k in read else None for k, v in enumerate(s)],
-                       rest, r)
-
 
 def compile(e: Union[Expr, tuple, Program]) -> Program:
     """Compile e, an expression or a tuple of them, into a Program with one
@@ -579,8 +556,6 @@ def compile(e: Union[Expr, tuple, Program]) -> Program:
     """
     if isinstance(e, Program):
         return e
-    if type(e) is Const:  # the common constant coefficient: nothing to run
-        return Program([e.value], [], 0)
     keys: dict = {}     # structural key -> slot
     seen: dict = {}     # id(inner node) -> slot
     slots: list = []    # per slot: its constant, or None
@@ -688,7 +663,17 @@ def variable_problems(name: str, e: Expr, allowed: frozenset) -> list:
 
 
 def is_number(x) -> bool:
-    """A finite real number; True and strings are not numbers here.  The
-    rule owners judge config values with it."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
+    """A finite real number that a float holds; True, strings and an
+    integer too large for a float are not numbers here.  The rule owners
+    judge config values with it."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def is_count(x, least: int = 1) -> bool:
+    """An integer >= least; True is not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least

@@ -15,10 +15,10 @@ C = u max(-q2(v), 0)/v >= 0, which keeps v positive for positive data.  The
 u mobility is lagged: M11 on a face is p(v'_face) (u_face)^alpha with
 arithmetic face means, so the degenerate diffusion is linearly implicit
 while cross-diffusion and reaction stay explicit.  S1, S2 are optional
-manufactured-solution forcings, built symbolically by mms_forcing, compiled
-together and bound to the cell centres once per Simulation.  march then
-evaluates them once per block of step times, t a column against the bound
-cells, and hands each step its rows, bitwise the values at its time alone.
+manufactured-solution forcings, built symbolically by mms_forcing and
+compiled together once per Simulation.  march runs that program once per
+block of step times, on the cell centres and t a column of the block's
+times, and hands each step its rows, bitwise the values at its time alone.
 
 Batches: the state carries a leading member axis, u and v having shape
 (B, *grid.shape) with one row per trajectory.  The members share the grid,
@@ -40,9 +40,7 @@ u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
 caller that keeps them copies them, as state() does.  Each owner cuts
 them from one block with aligned_zeros, each on a CACHE_LINE boundary (a
 flux at flux[s], where an apply writes first): numpy aligns to 16 bytes
-only, and a 64-byte AVX-512 store off a line straddles two.  An apply on a
-128^2 batch of one took 64-68 us in the heap's layout, 37-42 us aligned,
-and 61-82 us with the aligned layout shifted by 16 or 32 bytes.  The ledger
+only, and a 64-byte AVX-512 store off a line straddles two.  The ledger
 cum_grad_u_sq, a gradient of u' per step, is kept only with grad_ledger,
 which run sets for its diagnostics; a sweep or an MMS level reads nan.
 
@@ -81,12 +79,15 @@ import numpy as np
 
 from . import exprs
 from .coeffs import CoefficientModel
-from .exprs import (Const, Expr, compile, differentiate, is_number, mul,
-                    substitute)
+from .exprs import (Const, Expr, compile, differentiate, is_count, is_number,
+                    mul, substitute)
 from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
                    face_shape, grad_sq_sum, gradient_arrays, member_sums)
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
+# most steps a config may ask for: 200 times the 5,000 of the largest shipped
+# config, case2_sweep_1d
+MAX_STEPS = 10 ** 6
 # consecutive true-residual checks that fail to lower CG's best true residual
 # before the solve is declared stagnated
 STAGNATION_CHECKS = 3
@@ -143,11 +144,6 @@ class DiagnosticsRow:
 DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
-def _is_count(n) -> bool:
-    """An integer >= 1; True is not an integer here."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
 @dataclass
 class SimConfig:
     """Everything one run needs, and the owner of every rule on it:
@@ -184,11 +180,15 @@ class SimConfig:
         if not (is_number(self.t_end)
                 and self.t_end >= (self.dt if dt_ok else 0.0)):
             problems.append("time.t_end must be finite and at least dt")
-        if not _is_count(self.output_every):
+        elif dt_ok and self.t_end / self.dt > MAX_STEPS:  # inf on overflow
+            problems.append(f"time.t_end / time.dt must not exceed "
+                            f"MAX_STEPS = {MAX_STEPS}, the most steps a run "
+                            "may take")
+        if not is_count(self.output_every):
             problems.append("time.cadence must be an integer >= 1")
         if not (is_number(self.lin_tol) and 0.0 < self.lin_tol < 1.0):
             problems.append("solver.tol must lie in (0, 1)")
-        if self.lin_max_iter is not None and not _is_count(self.lin_max_iter):
+        if self.lin_max_iter is not None and not is_count(self.lin_max_iter):
             problems.append("solver.max_iter must be an integer >= 1")
         if (self.f_energy_gamma is None) != (self.f_energy_ks is None):
             problems.append("fenergy needs both gamma and ks")
@@ -472,8 +472,7 @@ class StepWorkspace:
                 Simulation.step swaps it with the current state
 
     They are views of one block, mapped and returned to the system as a
-    whole, each on a cache line: in numpy's block every view sat 16 bytes
-    past one, where a 128^2 diag x -> out took 10-11 us, aligned 4.5-5.5.
+    whole, each on a cache line, so that no 64-byte store straddles two.
     """
 
     def __init__(self, grid: Grid, shape: tuple):
@@ -545,10 +544,10 @@ class Simulation:
         self.reaction_mass_total = np.zeros(count)  # sum_k dt integral(R1+S1)
         self._grad_ledger = grad_ledger
         self.cum_grad_u_sq = np.full(count, 0.0 if grad_ledger else math.nan)
-        # (S1, S2) with every slot that depends only on the cells computed
+        # (S1, S2), run on the cell centres and the step times
         self._forcing = None if cfg.mms_u is None else compile(mms_forcing(
-            cfg.mms_u, cfg.mms_v, cfg.model)).bind(
-                dict(zip("xy", self.grid.centers())))
+            cfg.mms_u, cfg.mms_v, cfg.model))
+        self._centres = dict(zip("xy", self.grid.centers()))
         # a constant A12 or A22 has the same face means at every step
         self._a12_faces, self._a22_faces = (
             face_average_arrays(self.grid, _cells(e.value, self.u.shape))
@@ -581,9 +580,9 @@ class Simulation:
         """Per step time t of the iterator times, the pair (t, forcing):
         forcing is (S1, S2) at t, or None where step() is to evaluate it.
 
-        The bound program runs once per block of max(1, FORCING_BLOCK_CELLS
-        // cells) times, t a column of shape (k, 1) in 1-D and (k, 1, 1) in
-        2-D that broadcasts against its cell slots.  Each element of a value
+        The program runs once per block of max(1, FORCING_BLOCK_CELLS //
+        cells) times, t a column of shape (k, 1) in 1-D and (k, 1, 1) in 2-D
+        that broadcasts against the cell centres.  Each element of a value
         that depends on t comes from the same ufunc on the same operands as
         at its time alone, so its row is bitwise that value.  A block that
         raises is left to step(): the steps before the failing time run,
@@ -592,7 +591,8 @@ class Simulation:
         k = max(1, FORCING_BLOCK_CELLS // self.grid.cell_count)
         while block := list(itertools.islice(times, k)):
             try:
-                pair = self._forcing({"t": np.reshape(block, column)})
+                pair = self._forcing({**self._centres,
+                                      "t": np.reshape(block, column)})
             except exprs.EvalError:
                 yield from zip(block, itertools.repeat(None))
                 continue
@@ -614,7 +614,7 @@ class Simulation:
             t_next = self.t + dt
         try:
             if forcing is None and self._forcing is not None:
-                forcing = self._forcing({"t": t_next})
+                forcing = self._forcing({**self._centres, "t": t_next})
             s1, s2 = forcing or (None, None)
             v_new = self._step_v(dt, s2)
             u_new = self._step_u(dt, v_new, s1)

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,79 @@ def test_preset_rejects_low_beta(tmp_path):
     payload["model"] = {"preset": "case1", "chi": 0.25, "beta": 1.0}
     with pytest.raises(ConfigError, match="3/2"):
         load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("block, key, value, name", [
+    ("grid", "L", ["a"], "grid.L"),
+    ("grid", "L", [None], "grid.L"),
+    ("grid", "L", [True], "grid.L"),
+    ("grid", "dim", True, "grid.dim"),
+    ("model", "preset", 2.7, "model.preset"),
+    ("model", "preset", True, "model.preset"),
+    ("time", "dt", 10 ** 400, "time.dt"),
+])
+def test_a_json_value_of_the_wrong_type_exits_1_naming_its_field(
+        tmp_path, capsys, block, key, value, name):
+    # a string or a null length, and an integer too large for a float,
+    # escaped the loader as a traceback; a true length or dim, and a true
+    # or fractional preset, ran as the number that Python converts them to
+    payload = heat_run_config(tmp_path / "out", n=8, t_end=2e-3)
+    payload["model"] = {"preset": "case2", "chi": 0.25, "l": 0.5}
+    payload[block][key] = value
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["kind"] == "config"
+    assert len(err["details"]) == 1 and err["details"][0].startswith(name)
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-310, 0.001), (1e-300, 1.0),
+                                       (1e-310, 1.0)])
+def test_a_config_asking_for_too_many_steps_is_rejected_at_load(
+        tmp_path, dt, t_end):
+    # the first stepped without end; the second asks for 1e300 steps, and
+    # the third for more than a float holds, as t_end / dt overflows to inf
+    payload = json.loads((CONFIG_DIR / "case2_run_1d.json").read_text(
+        encoding="utf-8"))
+    payload["time"].update(dt=dt, t_end=t_end)
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert err.value.errors == [
+        f"time.t_end / time.dt must not exceed MAX_STEPS = "
+        f"{solver.MAX_STEPS}, the most steps a run may take"]
+
+
+def test_the_step_bound_admits_exactly_max_steps(tmp_path):
+    sim = load_config(CONFIG_DIR / "case2_run_1d.json").sim
+    with warnings.catch_warnings():  # such a dt is far above the advisory
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert replace(sim, dt=1.0, t_end=float(solver.MAX_STEPS)) \
+            .problems() == []
+        assert replace(sim, dt=1.0, t_end=solver.MAX_STEPS + 0.5) \
+            .problems() != []
+
+
+def test_an_mms_level_asking_for_too_many_steps_fails_before_any_steps(
+        tmp_path, capsys, monkeypatch):
+    # dt shrinks by (8 / 1024)^2 at the finest level: 16 million steps
+    def refused(*args, **kwargs):
+        raise AssertionError("a level was stepped")
+    monkeypatch.setattr(solver, "Simulation", refused)
+    payload = {
+        "command": "mms",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1"},
+        "time": {"dt": 1e-3, "t_end": 1.0},
+        "mms": {"u": "2 + 0.5*exp(-t)*cos(pi*x)",
+                "v": "2 + 0.5*exp(-t)*cos(pi*x)", "levels": [8, 1024]},
+        "output": {"directory": str(tmp_path / "mms")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert err["kind"] == "config"
+    assert err["message"].startswith("level n = 1024: invalid configuration: "
+                                     "time.t_end / time.dt must not exceed")
 
 
 def test_unknown_keys_are_reported_at_every_level(tmp_path):
@@ -594,8 +669,9 @@ def test_mms_numeric_failure_names_its_level(tmp_path, capsys):
 
 def test_mms_forcing_failing_on_the_cells_names_its_level(tmp_path, capsys):
     # S1 holds |x - 17/32|^-0.5, which depends on the cells alone; 17/32 is
-    # a cell centre at n = 16, not at n = 8, so the n = 16 level fails as
-    # its Simulation binds the forcing to the cells, before any step
+    # a cell centre at n = 16, not at n = 8, so the n = 16 level fails on
+    # every step time, and the first step, evaluating its own forcing after
+    # its block failed, names itself
     payload = {
         "command": "mms",
         "grid": {"dim": 1, "n": 8, "L": 1.0},
@@ -610,8 +686,8 @@ def test_mms_forcing_failing_on_the_cells_names_its_level(tmp_path, capsys):
     err = stderr_payload(capsys)
     assert err["kind"] == "numeric"
     assert err["message"] == (
-        "level n = 16: zero base with a negative exponent in "
-        "'(abs((x - 0.53125)) ^ (-0.5))'")
+        "level n = 16: step 1 (t = 0.0005): zero base with a negative "
+        "exponent in '(abs((x - 0.53125)) ^ (-0.5))'")
 
 
 def test_mms_reproducing_the_pair_exactly_writes_nan_orders(tmp_path):
@@ -676,7 +752,7 @@ def test_mms_evaluates_the_forcing_once_per_block_of_steps(tmp_path,
     call = Program.__call__
 
     def counted(program, bindings):
-        if set(bindings) == {"t"}:  # the forcing, bound to the cells
+        if isinstance(bindings.get("t"), np.ndarray):  # a block of times
             calls.append(id(program))
         return call(program, bindings)
     monkeypatch.setattr(Program, "__call__", counted)
@@ -990,9 +1066,22 @@ def test_artifact_digests_check_names_the_keys_that_differ(tmp_path,
         "gone/summary.json", "poisson_test/poisson.json"]
 
 
+def test_artifact_digests_default_to_the_shipped_and_test_configs(
+        monkeypatch, capsys):
+    path = CONFIG_DIR.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = []
+    monkeypatch.setattr(script, "digests",
+                        lambda configs: seen.extend(configs) or {})
+    assert script.main([]) == 0
+    assert seen == sorted(CONFIG_DIR.glob("*.json")) + [OPERATORS_CONFIG]
+
+
 def test_a_model_using_every_function_converges_at_its_orders(tmp_path):
     # the one config that byte-compares every function of the grammar
-    # across checkouts (scripts/artifact_digests.py tests/data/...)
+    # across checkouts (in scripts/artifact_digests.py's default set)
     text = OPERATORS_CONFIG.read_text(encoding="utf-8")
     assert set(re.findall(r"([a-z]+)\(", text)) == set(exprs.FUNCTIONS)
     assert main([str(OPERATORS_CONFIG), "--output-dir", str(tmp_path)]) == 0

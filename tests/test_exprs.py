@@ -296,7 +296,7 @@ def test_compiled_evaluation_drops_each_slot_after_its_last_use():
 
 
 # ---------------------------------------------------------------------------
-# several roots in one program, and variables bound once
+# several roots in one program, and a column of step times
 
 CASE2 = build_preset(2, {"chi": 0.05, "l": 0.5})
 
@@ -336,59 +336,6 @@ def test_tuple_programs_match_their_parts_on_random_trees():
     assert min(kinds.values()) >= 100
 
 
-def test_binding_variables_keeps_every_outcome():
-    # bind runs the nodes of x and y alone; any of them that fails would
-    # fail the full evaluation too, and otherwise the bound program meets
-    # the same first failure, or the same values, on t, u and v
-    rng = np.random.default_rng(1357)
-    kinds = {"value": 0, "error": 0, "bind": 0}
-    for case in range(600):
-        e = random_ast(rng, depth=5)
-        if case % 3 == 0:
-            e = differentiate(e, str(rng.choice(["x", "y", "t"])))
-        bindings = _random_bindings(rng, scalar=case % 4 == 0)
-        if case % 10 == 0:
-            del bindings[str(rng.choice(["t", "u", "v"]))]
-        program = compile(e)
-        want = _outcome(lambda _, b: program(b), e, bindings)
-        try:
-            bound = program.bind({k: bindings[k] for k in "xy"})
-        except EvalError as err:
-            assert want[0] == "error" and variables(err.node) <= {"x", "y"}
-            kinds["bind"] += 1
-            continue
-        rest = {k: bindings[k] for k in "tuv" if k in bindings}
-        got = _outcome(lambda _, b: bound(b), e, rest)
-        kinds[want[0]] += 1
-        assert got[0] == want[0], to_string(e)
-        if want[0] == "error":
-            assert got[1:] == want[1:], to_string(e)
-        else:
-            assert _same_value(got[1], want[1]), to_string(e)
-    assert min(kinds.values()) >= 50
-
-
-@pytest.mark.parametrize("grid, u, v", [
-    (Grid((32,), (1.0,)), "2 + 0.45*exp(-t)*cos(pi*x)",
-     "2 + 0.25*exp(-t)*cos(pi*x)"),
-    (Grid((128,), (1.0,)), "2 + 0.45*exp(-t)*cos(pi*x)",
-     "2 + 0.25*exp(-t)*cos(pi*x)"),
-    (Grid((12, 9), (1.0, 0.8)), "2 + 0.45*exp(-t)*cos(pi*x)*cos(pi*y)",
-     "2 + 0.25*sin(t)*cos(pi*y)"),
-    (Grid((32,), (1.0,)), "2 + 0.5*cos(pi*x)", "3 - 0.5*x*x"),  # no t
-    (Grid((12, 9), (1.0, 0.8)), "2", "3"),  # constant forcings
-])
-def test_forcings_bound_to_the_cells_equal_the_unbound_ones(grid, u, v):
-    forcings = compile(mms_forcing(parse(u), parse(v), CASE2))
-    cells = dict(zip("xy", grid.centers()))
-    bound = forcings.bind(cells)
-    for t in (0.0, 0.013, 0.5, 2.0):
-        got, want = bound({"t": t}), forcings({"t": t, **cells})
-        assert len(got) == 2
-        for g, w in zip(got, want):
-            assert _same_value(g, w)
-
-
 def _unread_constants(program) -> list:
     """The slots holding a constant that neither an instruction of the
     program nor its result reads."""
@@ -401,50 +348,30 @@ def _unread_constants(program) -> list:
             if v is not None and k not in read]
 
 
-def test_bound_programs_keep_no_unread_constant():
-    # a fresh compile reads every constant it holds; bind turns the nodes
-    # of x and y into constants and keeps only those that are still read
+def test_compiled_programs_keep_no_unread_constant():
+    # a fresh compile reads every constant it holds
     rng = np.random.default_rng(2468)
-    bound_any = 0
     for case in range(300):
         e = random_ast(rng, depth=5)
         if case % 3 == 0:
             e = differentiate(e, str(rng.choice(["x", "y", "t"])))
-        program = compile(e)
-        assert _unread_constants(program) == [], to_string(e)
-        bindings = _random_bindings(rng, scalar=case % 4 == 0)
-        try:
-            bound = program.bind({k: bindings[k] for k in "xy"})
-        except EvalError:
-            continue
-        assert _unread_constants(bound) == [], to_string(e)
-        bound_any += len(bound._code) < len(program._code)
-        got = _outcome(lambda _, b: bound(b), e, bindings)
-        want = _outcome(lambda _, b: program(b), e, bindings)
-        assert got[0] == want[0], to_string(e)
-        if want[0] == "value":
-            assert _same_value(got[1], want[1]), to_string(e)
-    assert bound_any >= 50
-    grid = Grid((16, 8), (1.0, 0.5))
+        assert _unread_constants(compile(e)) == [], to_string(e)
     forcings = compile(mms_forcing(
         parse("2 + 0.45*exp(-t)*cos(pi*x)*cos(pi*y)"),
         parse("2 + 0.25*sin(t)*cos(pi*y)"), CASE2))
-    bound = forcings.bind(dict(zip("xy", grid.centers())))
-    assert _unread_constants(forcings) == _unread_constants(bound) == []
-    assert sum(v is not None for v in bound._slots) \
-        < len(forcings) - len(bound._code)
+    assert _unread_constants(forcings) == []
 
 
-def test_bind_raises_for_the_first_failing_node_of_the_bound_variables():
+def test_evaluation_raises_for_the_first_failing_node_in_post_order():
     x = (np.arange(8) + 0.5) / 8
-    # in post-order ln(t - 5) fails first; bind runs only the nodes of x,
-    # of which sqrt(x - 0.5) fails before ln(x - 0.9)
+    # in post-order ln(t - 5) comes first, then sqrt(x - 0.5), which fails
+    # before ln(x - 0.9)
     e = parse("ln(t - 5) + sqrt(x - 0.5) * ln(x - 0.9)")
     with pytest.raises(EvalError) as err:
         compile(e)({"t": 1.0, "x": x})
     assert err.value.node == parse("ln(t - 5)")
     with pytest.raises(EvalError, match="sqrt of a negative value") as err:
-        compile(e).bind({"x": x})
+        compile(e)({"t": 6.0, "x": x})
     assert err.value.node == parse("sqrt(x - 0.5)")
 
 
@@ -460,7 +387,7 @@ def _cells_equal(got, want, shape) -> bool:
 @pytest.mark.parametrize("grid", [Grid((7,), (1.3,)),
                                   Grid((5, 3), (1.0, 0.8))])
 def test_a_column_of_times_gives_bitwise_each_time_alone(grid):
-    # the time loop calls a forcing bound to the cells on a column of step
+    # the time loop calls a forcing on the cells and a column of step
     # times; each row must be the value at that time alone, and the column
     # must raise where any one time does, so that the loop can fall back
     rng = np.random.default_rng(8642)
@@ -471,15 +398,13 @@ def test_a_column_of_times_gives_bitwise_each_time_alone(grid):
         e = random_ast(rng, depth=5, variables=("t",) + tuple("xy"[:grid.dim]))
         if case % 3 == 0:
             e = differentiate(e, str(rng.choice(["x", "t"])))
-        try:
-            bound = compile(e).bind(cells)
-        except EvalError:
-            continue
+        program = compile(e)
         times = [float(t) for t in rng.choice(_SAMPLE_POOL, size=4)] \
             + [float(rng.uniform(0.0, 0.3))]
-        alone = [_outcome(lambda _, b: bound(b), e, {"t": t}) for t in times]
-        got = _outcome(lambda _, b: bound(b), e,
-                       {"t": np.reshape(times, column)})
+        alone = [_outcome(lambda _, b: program(b), e, {**cells, "t": t})
+                 for t in times]
+        got = _outcome(lambda _, b: program(b), e,
+                       {**cells, "t": np.reshape(times, column)})
         want = "error" if any(o[0] == "error" for o in alone) else "value"
         kinds[want] += 1
         assert got[0] == want, to_string(e)
