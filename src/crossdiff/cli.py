@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -137,13 +138,19 @@ def _expr(block: Mapping, key: str, where: str, errors: list,
     return _REJECTED
 
 
-def _levels(block: Mapping, where: str, default: list, errors: list) -> list:
+def _levels(block: Mapping, where: str, default: list, errors: list,
+            level_grid) -> list:
     levels = block.get("levels", default)
     if not (isinstance(levels, list) and len(levels) >= 2
             and all(is_count(n, 2) for n in levels)
             and all(b > a for a, b in zip(levels, levels[1:]))):
         errors.append(f"{where}.levels must be an increasing list of at "
                       "least two cell counts")
+        return []
+    try:  # Grid owns the cell bound; the finest level has the most cells
+        level_grid(levels[-1])
+    except ValueError as err:
+        errors.append(f"{where}.levels: {err}")
         return []
     return list(levels)
 
@@ -323,8 +330,11 @@ def load_config(path) -> RunConfig:
                       in lipschitz_problems(**cfg.coeffcheck))
 
     po = block("poisson", keys=("levels",)) or {}
-    levels = {"mms": _levels(mm, "mms", [32, 64, 128], errors),
-              "poisson-test": _levels(po, "poisson", [64, 128, 256], errors)}
+    dim, lengths = (1, (1.0,)) if grid is None else (grid.dim, grid.lengths)
+    levels = {"mms": _levels(mm, "mms", [32, 64, 128], errors,
+                             lambda n: Grid((n,) * dim, lengths)),
+              "poisson-test": _levels(po, "poisson", [64, 128, 256], errors,
+                                      lambda n: Grid((n,), lengths[:1]))}
     cfg.levels = levels.get(command, [])
 
     out = block("output", keys=("directory", "formats"))
@@ -429,7 +439,8 @@ def _cmd_run(cfg: RunConfig, out: Path) -> None:
             for row in result.diagnostics))
         grid = cfg.sim.grid
         names = ("x",) if grid.dim == 1 else ("x", "y")
-        coords = list(map(",".join, zip(*map(_column, grid.centers()))))
+        coords = list(map(",".join, itertools.product(
+            *map(_column, grid.axes.values()))))
         for k, state in enumerate(result.states):
             yield (f"snapshot_{k:04d}.csv", names + ("u", "v"),
                    zip(coords, _column(state.u), _column(state.v)))
@@ -568,8 +579,7 @@ def _cmd_poisson_test(cfg: RunConfig, out: Path) -> None:
     levels = []
     for n in cfg.levels:
         grid = Grid((n,), (length,))
-        x = grid.axis_centers(0)
-        w = np.cos(math.pi * x / length)
+        w = np.cos(math.pi * grid.axes["x"] / length)
         sol = solve_neumann_zero_mean(grid, w)
         exact = w / (math.pi / length) ** 2
         err = float(np.max(np.abs(sol.psi - exact)))

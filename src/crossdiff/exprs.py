@@ -27,7 +27,7 @@ node in that order.  A constant expression evaluates to a Python float.
 Compile once and call the Program to evaluate an expression repeatedly;
 evaluate() compiles on every call.  A call binds every variable the
 program reads: the simulation runs its manufactured forcings once per
-block of step times, on the cell centres and t a column of the times.
+block of step times, on the grid's axes and t a column of the times.
 
 Grammar (also in docs/expression-grammar.md)::
 

@@ -11,6 +11,11 @@ divergence_arrays(gradient_arrays(.)) is symmetric with kernel = constants.
 Face data is a tuple with one array per axis; the array for axis i has
 shape[i] + 1 entries along that axis.  Integrals use midpoint quadrature,
 i.e. plain cell sums times the cell volume.
+
+Expressions meet the cells through Grid.axes, each coordinate along its
+own axis: a term in x alone costs n0 evaluations, not n0 * n1, and
+cell_values returns a value constant along an axis as a read-only
+broadcast view.  A grid has at most MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import numpy as np
 from . import exprs
 
 FaceData = tuple  # one ndarray per axis
+# most cells a grid may have: 2^22, 64 times a 256 x 256 grid
+MAX_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,9 @@ class Grid:
             raise ValueError("grids are 1D or 2D boxes")
         if any(n < 2 for n in shape):
             raise ValueError("need at least two cells per axis")
+        if math.prod(shape) > MAX_CELLS:
+            raise ValueError(f"a grid may have at most MAX_CELLS = "
+                             f"{MAX_CELLS} cells")
         if any(not (l > 0.0 and math.isfinite(l)) for l in lengths):
             raise ValueError("box lengths must be positive")
         object.__setattr__(self, "_spacing", tuple(
@@ -61,23 +71,19 @@ class Grid:
     def cell_count(self) -> int:
         return math.prod(self.shape)
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        return (np.arange(self.shape[axis]) + 0.5) * h
-
     @functools.cached_property
-    def _centers(self) -> tuple:
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 2:
-            axes = np.meshgrid(axes[0], axes[1], indexing="ij")
-        for a in axes:
-            a.flags.writeable = False
-        return tuple(axes)
-
-    def centers(self) -> tuple:
-        """Cell-center coordinate arrays, each broadcast to the grid shape;
-        computed once per grid and read-only."""
-        return self._centers
+    def axes(self) -> dict:
+        """The cell-centre coordinates by name, each varying along its own
+        axis only: x of shape (n0,) in 1D; x of shape (n0, 1) and y of
+        shape (1, n1) in 2D, which broadcast against each other and against
+        cell data.  Computed once per grid and read-only."""
+        axes = {}
+        for a, (name, n, h) in enumerate(zip("xy", self.shape, self.spacing)):
+            c = ((np.arange(n) + 0.5) * h).reshape(
+                [n if b == a else 1 for b in range(self.dim)])
+            c.flags.writeable = False
+            axes[name] = c
+        return axes
 
     @property
     def coordinates(self) -> frozenset:
@@ -86,11 +92,10 @@ class Grid:
 
     def cell_values(self, e: exprs.Expr | exprs.Program,
                     t: float = 0.0) -> np.ndarray:
-        """e, an expression or its compiled Program, evaluated at the cell
-        centres at time t, as an array of the grid shape; a value that does
-        not vary over the cells is broadcast, read-only, not copied."""
-        values = exprs.compile(e)(
-            {"t": t, **dict(zip("xy", self.centers()))})
+        """e, an expression or its compiled Program, evaluated on the axes
+        at time t, as an array of the grid shape; a value that does not
+        vary along an axis is broadcast along it, read-only, not copied."""
+        values = exprs.compile(e)({"t": t, **self.axes})
         if isinstance(values, np.ndarray) and values.shape == self.shape:
             return values
         return np.broadcast_to(np.asarray(values, dtype=float), self.shape)

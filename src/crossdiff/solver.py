@@ -17,8 +17,10 @@ arithmetic face means, so the degenerate diffusion is linearly implicit
 while cross-diffusion and reaction stay explicit.  S1, S2 are optional
 manufactured-solution forcings, built symbolically by mms_forcing and
 compiled together once per Simulation.  march runs that program once per
-block of step times, on the cell centres and t a column of the block's
+block of step times, on the grid's axes and t a column of the block's
 times, and hands each step its rows, bitwise the values at its time alone.
+A forcing that does not vary along an axis stays of length 1 there, as
+(n0, 1) for one without y, and broadcasts against the cells in the step.
 
 Batches: the state carries a leading member axis, u and v having shape
 (B, *grid.shape) with one row per trajectory.  The members share the grid,
@@ -544,10 +546,9 @@ class Simulation:
         self.reaction_mass_total = np.zeros(count)  # sum_k dt integral(R1+S1)
         self._grad_ledger = grad_ledger
         self.cum_grad_u_sq = np.full(count, 0.0 if grad_ledger else math.nan)
-        # (S1, S2), run on the cell centres and the step times
+        # (S1, S2), run on the grid's axes and the step times
         self._forcing = None if cfg.mms_u is None else compile(mms_forcing(
             cfg.mms_u, cfg.mms_v, cfg.model))
-        self._centres = dict(zip("xy", self.grid.centers()))
         # a constant A12 or A22 has the same face means at every step
         self._a12_faces, self._a22_faces = (
             face_average_arrays(self.grid, _cells(e.value, self.u.shape))
@@ -582,7 +583,7 @@ class Simulation:
 
         The program runs once per block of max(1, FORCING_BLOCK_CELLS //
         cells) times, t a column of shape (k, 1) in 1-D and (k, 1, 1) in 2-D
-        that broadcasts against the cell centres.  Each element of a value
+        that broadcasts against the grid's axes.  Each element of a value
         that depends on t comes from the same ufunc on the same operands as
         at its time alone, so its row is bitwise that value.  A block that
         raises is left to step(): the steps before the failing time run,
@@ -591,7 +592,7 @@ class Simulation:
         k = max(1, FORCING_BLOCK_CELLS // self.grid.cell_count)
         while block := list(itertools.islice(times, k)):
             try:
-                pair = self._forcing({**self._centres,
+                pair = self._forcing({**self.grid.axes,
                                       "t": np.reshape(block, column)})
             except exprs.EvalError:
                 yield from zip(block, itertools.repeat(None))
@@ -614,7 +615,7 @@ class Simulation:
             t_next = self.t + dt
         try:
             if forcing is None and self._forcing is not None:
-                forcing = self._forcing({**self._centres, "t": t_next})
+                forcing = self._forcing({**self.grid.axes, "t": t_next})
             s1, s2 = forcing or (None, None)
             v_new = self._step_v(dt, s2)
             u_new = self._step_u(dt, v_new, s1)

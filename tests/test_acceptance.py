@@ -69,7 +69,7 @@ def test_criterion_01_poisson_dense_oracle_and_eigenmode_convergence():
     errors = {}
     for n in (64, 128, 256):
         g = Grid((n,), (1.0,))
-        x = g.axis_centers(0)
+        x = g.axes["x"]
         w = np.cos(math.pi * x)
         sol = solve_neumann_zero_mean(g, w)
         errors[n] = float(np.max(np.abs(sol.psi - w / math.pi ** 2)))

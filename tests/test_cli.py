@@ -16,11 +16,14 @@ from crossdiff import cli, exprs, solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
 from crossdiff.exprs import Program, evaluate, parse
+from crossdiff.grid import MAX_CELLS
+from test_grid import centers
 from test_poisson import off_spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OPERATORS_CONFIG = Path(__file__).resolve().parent / "data" \
     / "operators_mms.json"
+MMS_2D_CONFIG = OPERATORS_CONFIG.parent / "mms_2d.json"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -158,6 +161,29 @@ def test_an_mms_level_asking_for_too_many_steps_fails_before_any_steps(
     assert err["kind"] == "config"
     assert err["message"].startswith("level n = 1024: invalid configuration: "
                                      "time.t_end / time.dt must not exceed")
+
+
+@pytest.mark.parametrize("config, path, value, name", [
+    ("case2_run_1d", ("grid", "n"), 10 ** 400, "grid"),
+    ("case2_run_2d", ("grid", "n"), [2, 10 ** 400], "grid"),
+    ("mms_case2", ("mms", "levels"), [32, 10 ** 400], "mms.levels"),
+    ("poisson_test", ("poisson", "levels"), [64, 10 ** 400],
+     "poisson.levels"),
+])
+def test_a_config_asking_for_too_many_cells_exits_1_naming_the_bound(
+        tmp_path, capsys, config, path, value, name):
+    # the grids escaped as an OverflowError traceback from the spacing's
+    # division, and the levels loaded, then failed at run time with exit 2
+    payload = json.loads((CONFIG_DIR / f"{config}.json").read_text(
+        encoding="utf-8"))
+    payload[path[0]][path[1]] = value
+    payload["output"]["directory"] = str(tmp_path / "out")
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert err["kind"] == "config"
+    assert err["details"] == [f"{name}: a grid may have at most MAX_CELLS "
+                              f"= {MAX_CELLS} cells"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_keys_are_reported_at_every_level(tmp_path):
@@ -400,7 +426,7 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
     assert main([str(path)]) == 0
     cfg = load_config(path)
     result = solver.run(cfg.sim)
-    coords = [c.ravel() for c in cfg.sim.grid.centers()]
+    coords = [c.ravel() for c in centers(cfg.sim.grid)]
     for k, state in enumerate(result.states):
         lines = (tmp_path / "out" / f"snapshot_{k:04d}.csv").read_text(
             encoding="utf-8").splitlines()[1:]
@@ -603,6 +629,31 @@ def test_mms_command_orders(tmp_path):
     assert 1.5 <= summary["spatial_order_u"] <= 2.5
     assert 0.75 <= summary["temporal_order_u"] <= 1.25
     assert len(plot_lines(out / "plot.gp")) == 1
+
+
+def test_a_y_free_pair_on_a_2d_grid_is_forced_on_one_column(tmp_path,
+                                                            monkeypatch):
+    # x is bound as a column of n0 centres and y as a row of n1, so the
+    # forcing of a pair without y comes in rows of shape (n0, 1)
+    shapes = set()
+    rows = solver.Simulation._forcing_rows
+
+    def recorded(sim, times):
+        for t, forcing in rows(sim, times):
+            shapes.add((sim.grid.shape, tuple(map(np.shape, forcing))))
+            yield t, forcing
+    monkeypatch.setattr(solver.Simulation, "_forcing_rows", recorded)
+    payload = json.loads(MMS_2D_CONFIG.read_text(encoding="utf-8"))
+    payload["mms"]["u"] = "2 + 0.5*exp(-t)*cos(pi*x)"
+    payload["output"]["directory"] = str(tmp_path / "mms")
+    assert main([str(write_config(tmp_path, payload))]) == 0
+    assert shapes == {((n, n), ((n, 1), (n, 1))) for n in (8, 16, 32)}
+    summary = json.loads((tmp_path / "mms" / "summary.json").read_text(
+        encoding="utf-8"))
+    for key in ("spatial_order_u", "spatial_order_v"):
+        assert 1.8 <= summary[key] <= 2.2
+    for key in ("temporal_order_u", "temporal_order_v"):
+        assert 0.8 <= summary[key] <= 1.2
 
 
 def test_mms_validates_each_level_and_names_it(tmp_path, capsys):
@@ -1076,7 +1127,9 @@ def test_artifact_digests_default_to_the_shipped_and_test_configs(
     monkeypatch.setattr(script, "digests",
                         lambda configs: seen.extend(configs) or {})
     assert script.main([]) == 0
-    assert seen == sorted(CONFIG_DIR.glob("*.json")) + [OPERATORS_CONFIG]
+    data = sorted(OPERATORS_CONFIG.parent.glob("*.json"))
+    assert OPERATORS_CONFIG in data and MMS_2D_CONFIG in data
+    assert seen == sorted(CONFIG_DIR.glob("*.json")) + data
 
 
 def test_a_model_using_every_function_converges_at_its_orders(tmp_path):

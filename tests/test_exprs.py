@@ -391,7 +391,7 @@ def test_a_column_of_times_gives_bitwise_each_time_alone(grid):
     # times; each row must be the value at that time alone, and the column
     # must raise where any one time does, so that the loop can fall back
     rng = np.random.default_rng(8642)
-    cells = dict(zip("xy", grid.centers()))
+    cells = grid.axes
     column = (-1,) + (1,) * grid.dim
     kinds = {"value": 0, "error": 0}
     for case in range(500):
@@ -413,6 +413,31 @@ def test_a_column_of_times_gives_bitwise_each_time_alone(grid):
             for i, (_, value) in enumerate(alone):
                 row = block[i] if np.ndim(block) > grid.dim else block
                 assert _cells_equal(row, value, grid.shape), to_string(e)
+    assert min(kinds.values()) >= 50
+
+
+@pytest.mark.parametrize("t", [0.25, np.reshape([0.0, 0.5, 2.0], (-1, 1, 1))],
+                         ids=["scalar t", "column of t"])
+def test_the_grid_axes_give_bitwise_the_meshgrid_values(t):
+    # each coordinate is bound along its own axis, so a one-axis subtree
+    # runs on n0 or n1 cells; each element must still be the one that a
+    # full meshgrid of the cells gives, and each error the same error
+    grid = Grid((5, 7), (1.0, 0.8))
+    x, y = np.meshgrid(*map(np.ravel, grid.axes.values()), indexing="ij")
+    rng = np.random.default_rng(1357)
+    kinds = {"value": 0, "error": 0}
+    for _ in range(400):
+        e = random_ast(rng, depth=5, variables=("x", "y", "t"))
+        run = compile(e)
+        got = _outcome(lambda _, b: run(b), e, {**grid.axes, "t": t})
+        want = _outcome(lambda _, b: run(b), e, {"x": x, "y": y, "t": t})
+        kinds[want[0]] += 1
+        assert got[0] == want[0], to_string(e)
+        if want[0] == "error":
+            assert got[1:] == want[1:], to_string(e)
+        else:
+            assert _cells_equal(got[1], want[1], np.shape(want[1])), \
+                to_string(e)
     assert min(kinds.values()) >= 50
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossdiff.exprs import parse
-from crossdiff.grid import (Grid, divergence_arrays, face_arrays,
+from crossdiff.grid import (MAX_CELLS, Grid, divergence_arrays, face_arrays,
                             face_average_arrays, grad_sq_sum, gradient_arrays,
                             member_sums)
 from crossdiff.coeffs import build_preset
@@ -20,6 +20,12 @@ def laplacian(grid, a):
 def integral(grid, a):
     return float(np.sum(a)) * grid.cell_volume
 
+
+def centers(grid):
+    """The cell-centre coordinates, each a read-only view of its axis in
+    grid.axes broadcast to the grid shape."""
+    return tuple(np.broadcast_to(a, grid.shape) for a in grid.axes.values())
+
 # ---------------------------------------------------------------------------
 # grid geometry
 
@@ -30,7 +36,7 @@ def test_grid_1d_geometry():
     assert g.spacing == (0.125,)
     assert g.cell_volume == 0.125
     assert g.cell_count == 8
-    assert np.allclose(g.axis_centers(0), (np.arange(8) + 0.5) * 0.125)
+    assert np.allclose(g.axes["x"], (np.arange(8) + 0.5) * 0.125)
 
 
 def test_grid_2d_geometry():
@@ -39,9 +45,12 @@ def test_grid_2d_geometry():
     assert g.spacing == (1.0 / 3.0, 0.5)
     assert g.cell_volume == pytest.approx((1.0 / 3.0) * 0.5, rel=1e-15)
     assert g.cell_count == 12
-    x, y = g.centers()
-    assert x.shape == (3, 4) and y.shape == (3, 4)
+    x, y = g.axes["x"], g.axes["y"]
+    assert x.shape == (3, 1) and y.shape == (1, 4)
+    assert np.array_equal(x[:, 0], (np.arange(3) + 0.5) * g.spacing[0])
+    assert np.array_equal(y[0], (np.arange(4) + 0.5) * 0.5)
     assert y[0, 1] == pytest.approx(0.75)
+    assert not x.flags.writeable and not y.flags.writeable
 
 
 def test_grid_rejects_bad_shapes():
@@ -53,6 +62,18 @@ def test_grid_rejects_bad_shapes():
         Grid((4,), (-1.0,))
     with pytest.raises(ValueError):
         Grid((4, 4), (1.0,))
+
+
+def test_the_cell_bound_admits_exactly_max_cells():
+    # a Grid allocates nothing until its axes are read, so the bound is
+    # checked at its edge without a cell array; 10^400 cells overflowed
+    # the spacing's division before the bound
+    for shape in ((MAX_CELLS,), (2, MAX_CELLS // 2), (2048, 2048)):
+        assert Grid(shape, (1.0,) * len(shape)).cell_count <= MAX_CELLS
+    for shape in ((MAX_CELLS + 1,), (2, MAX_CELLS // 2 + 1), (2049, 2048),
+                  (10 ** 400,), (2, 10 ** 400)):
+        with pytest.raises(ValueError, match=f"MAX_CELLS = {MAX_CELLS}"):
+            Grid(shape, (1.0,) * len(shape))
 
 
 def test_field_from_expression_and_validation():
@@ -74,6 +95,16 @@ def test_field_from_expression_and_validation():
             == ["field values must be finite"]
 
 
+def test_a_one_axis_field_on_a_2d_grid_is_a_view_of_its_axis():
+    # x is bound as a column of n0 centres, so cos(pi*x) is evaluated on
+    # n0 cells and broadcast along y, read-only, not copied
+    g = Grid((4, 5), (1.0, 1.0))
+    f = g.cell_values(parse("cos(pi*x)"))
+    assert f.shape == (4, 5) and f.strides == (8, 0)
+    assert not f.flags.writeable
+    assert np.array_equal(f[:, 0], np.cos(np.pi * g.axes["x"][:, 0]))
+
+
 def test_field_from_constant_expression_broadcasts():
     g = Grid((4, 5), (1.0, 1.0))
     f = g.cell_values(parse("2"))
@@ -93,7 +124,7 @@ def test_gradient_of_constant_is_zero_everywhere():
 
 def test_gradient_of_linear_data_is_exact():
     g = Grid((8,), (1.0,))
-    (gf,) = gradient_arrays(g, g.axis_centers(0))
+    (gf,) = gradient_arrays(g, g.axes["x"])
     assert np.array_equal(gf[1:-1], np.ones(7))
     assert gf[0] == 0.0 and gf[-1] == 0.0  # no-flux encoding
 
@@ -110,7 +141,7 @@ def test_boundary_faces_zero_regardless_of_data():
 
 def test_gradient_2d_linear_in_each_axis():
     g = Grid((4, 6), (1.0, 3.0))
-    x, y = g.centers()
+    x, y = centers(g)
     gx, gy = gradient_arrays(g, 2.0 * x + 5.0 * y)
     assert np.allclose(gx[1:-1, :], 2.0, atol=1e-13)
     assert np.allclose(gy[:, 1:-1], 5.0, atol=1e-13)

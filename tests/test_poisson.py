@@ -10,6 +10,7 @@ from crossdiff.exprs import parse
 from crossdiff.grid import (Grid, divergence_arrays, grad_sq_sum,
                             gradient_arrays)
 from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
+from test_grid import centers
 
 
 def laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -67,7 +68,7 @@ def test_constant_rhs_gives_zero_solution_without_iterations():
 
 def _near_constant(grid: Grid) -> np.ndarray:
     """A constant produced by cancellation: ~1e-16 noise per cell."""
-    x = grid.centers()[0]
+    x = centers(grid)[0]
     return (1.01 + 0.5 * np.cos(np.pi * x)) - (1.0 + 0.5 * np.cos(np.pi * x))
 
 
@@ -109,7 +110,7 @@ def _eigen_error(n: int) -> tuple:
     g = Grid((n,), (1.0,))
     w = g.cell_values(parse("cos(pi*x)"))
     sol = solve_neumann_zero_mean(g, w)
-    exact = np.cos(math.pi * g.axis_centers(0)) / math.pi ** 2
+    exact = np.cos(math.pi * g.axes["x"]) / math.pi ** 2
     return float(np.max(np.abs(sol.psi - exact))), sol.iterations
 
 
@@ -226,7 +227,7 @@ def test_seminorm_duality_identity():
                                   Grid((256, 256), (1.0, 1.0))])
 def test_seminorm_cross_check_passes_at_large_sizes(grid):
     rng = np.random.default_rng(11)
-    x = grid.centers()[0]
+    x = centers(grid)[0]
     for w in (rng.standard_normal(grid.shape), np.cos(math.pi * x)):
         norm = hminus1_seminorm(grid, w)
         assert math.isfinite(norm) and norm > 0.0

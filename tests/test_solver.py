@@ -22,6 +22,7 @@ from crossdiff.solver import (ConvergenceError, PositivityError, SimConfig,
                               Simulation, StepOperator, conjugate_gradient,
                               f_energy, mms_forcing, run, time_grid)
 from crossdiff.stability import perturbation_sweep
+from test_grid import centers
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -189,7 +190,7 @@ def test_batched_step_operator_equals_member_operators_bitwise(grid):
 def two_member_2d(**kwargs):
     g = Grid((24, 20), (1.0, 1.2))
     cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0, **kwargs)
-    x, y = g.centers()
+    x, y = centers(g)
     return Simulation(cfg, members=[
         (1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * y)),
         (np.full(g.shape, 1.2), 1.0 + 0.1 * np.cos(math.pi * x))])
@@ -278,7 +279,7 @@ def test_batched_step_equals_single_member_steps():
     cfg = SimConfig(grid=g, model=case2(), dt=5e-4, t_end=0.01,
                     ic_u=parse("1 + 0.5*cos(pi*x)"),
                     ic_v=parse("1 + 0.2*cos(pi*x)"), lin_tol=1e-12)
-    x = g.axis_centers(0)
+    x = g.axes["x"]
     data = [(1.0 + 0.5 * np.cos(math.pi * x), 1.0 + 0.2 * np.cos(math.pi * x)),
             (1.2 + 0.1 * np.cos(2 * math.pi * x), np.full(40, 0.8))]
     batch = Simulation(cfg, members=data, grad_ledger=True)
@@ -636,7 +637,7 @@ def smooth_batch(shape: tuple, count: int) -> Simulation:
     of smooth positive data."""
     g = Grid(shape, (1.0,) * len(shape))
     cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0)
-    x = g.centers()[0]
+    x = centers(g)[0]
     return Simulation(cfg, members=[
         (1.0 + 0.1 * (i + 1) * np.cos(math.pi * x),
          1.0 + 0.05 * np.cos(math.pi * x)) for i in range(count)])
@@ -790,7 +791,7 @@ def test_heat_mode_decay_rate():
                     output_every=1000)
     result = run(cfg)
     u = result.states[-1].u
-    x = g.axis_centers(0)
+    x = g.axes["x"]
     amplitude = 2.0 * float(np.sum(u * np.cos(math.pi * x))) * g.spacing[0]
     expected = math.exp(-math.pi ** 2 * 0.1)
     assert amplitude == pytest.approx(expected, rel=5e-3)
@@ -809,7 +810,7 @@ def test_u_step_mass_change_equals_reaction_integral():
     # full Case-2 step: mass change is dt * integral(R1) exactly
     m = case2()
     g = Grid((64,), (1.0,))
-    x = g.axis_centers(0)
+    x = g.axes["x"]
     u0 = 1.0 + 0.5 * np.cos(math.pi * x)
     v0 = 1.0 + 0.2 * np.cos(math.pi * x)
     dt = 1e-4

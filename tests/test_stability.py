@@ -131,7 +131,7 @@ def test_initial_energy_obeys_quadratic_control(heat_pair):
     # ||grad dpsi0||^2 <= C_P ||du0||^2 with C_P the Poincare ratio
     cfg, report = heat_pair
     g = cfg.grid
-    x = g.axis_centers(0)
+    x = g.axes["x"]
     du0 = 0.01 * np.cos(math.pi * x)
     q = float(np.sum(du0 ** 2)) * g.cell_volume
     ratio = poincare_ratio(g)
