@@ -5,13 +5,13 @@ line only picks the file and an output-directory override, so runs stay
 archivable and diffable.  Validation is total: every invalid field is
 reported, not just the first, and once, by the one owner of its rule:
 
-    load_config                  JSON syntax, which blocks a command reads,
-                                 unknown keys, expression parsing, building
-                                 the Grid and the model, output
+    load_config                  JSON syntax, the only blocks and keys each
+                                 command accepts (the ones it reads),
+                                 expression parsing, building the Grid and
+                                 the model, output
     SimConfig.problems           time, solver, fenergy, initial data or a
                                  manufactured pair, the data's signs
     stability.amplitude_problems the amplitudes of stability and sweep
-    stability.pairing_problems   stability and sweep take no manufactured pair
     coeffs.lipschitz_problems    the coeffcheck block
 
 All outputs are written with fixed float formatting and sorted JSON keys,
@@ -57,11 +57,22 @@ from .poisson import poincare_ratio, solve_neumann_zero_mean
 from .solver import DIAGNOSTICS_COLUMNS, SimConfig
 
 OUTPUT_ROOT_ENV = "CROSSDIFF_OUTPUT_ROOT"
-COMMANDS = ("run", "stability", "sweep", "mms", "check-coeffs", "poisson-test")
 FORMATS = ("csv", "json", "gnuplot")
 
-_TOP_KEYS = ("command", "grid", "model", "time", "initial", "stability",
-             "solver", "output", "mms", "coeffcheck", "poisson", "fenergy")
+# command -> the only blocks it accepts, "!" marking the ones it requires,
+# each followed by the keys it reads when it reads fewer than the block has
+_SIM = ("grid!", "model!", "solver", "output")  # read by every simulation
+_READS = {
+    "run": _SIM + ("time", "initial", "mms u v", "fenergy"),
+    "stability": _SIM + ("time", "initial", "stability! du dv amplitude"),
+    "sweep": _SIM + ("time", "initial", "stability! du dv amplitudes"),
+    "mms": _SIM + ("time dt t_end", "mms!"),
+    "check-coeffs": ("coeffcheck!", "output directory"),
+    "poisson-test": ("grid!", "poisson", "output directory"),
+}
+COMMANDS = tuple(_READS)
+_BLOCKS = {entry.split()[0].rstrip("!")
+           for entries in _READS.values() for entry in entries}
 
 
 class ConfigError(ValueError):
@@ -156,7 +167,6 @@ def _levels(block: Mapping, where: str, default: list, errors: list,
 
 
 def _parse_grid(block, errors) -> Optional[Grid]:
-    _check_keys(block, ("dim", "n", "L"), "grid", errors)
     dim = block.get("dim")
     if not (is_count(dim) and dim <= 2):
         errors.append("grid.dim must be 1 or 2")
@@ -236,14 +246,14 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
 def load_config(path) -> RunConfig:
     """Read and fully validate a JSON run configuration.
 
-    The loader owns the rules of the file itself: JSON syntax, which blocks
-    a command reads, unknown keys, expression parsing, building the Grid
-    and the model, and the output block.  Every other value goes unchanged
-    (a JSON number as a float, an absent value as None) to its one owner,
-    which checks type as well as range: SimConfig.problems() the time,
-    solver and fenergy blocks and the initial data (or manufactured pair),
-    stability.amplitude_problems the amplitudes, stability.pairing_problems
-    a paired run's config, SimConfig.data_problems its largest perturbed
+    The loader owns the rules of the file itself: JSON syntax, expression
+    parsing, building the Grid and the model, the output block, and _READS,
+    which rejects every block and key the command does not read, each with
+    one entry naming it.  Every other value goes unchanged (a JSON number as
+    a float, an absent value as None) to its one owner, which checks type as
+    well as range: SimConfig.problems() the time, solver and fenergy blocks
+    and the initial data (or manufactured pair), stability.amplitude_problems
+    the amplitudes, SimConfig.data_problems a paired run's largest perturbed
     member, and coeffs.lipschitz_problems the coeffcheck block.  Raises
     ConfigError carrying every detected problem; OSError for unreadable
     files.
@@ -258,40 +268,44 @@ def load_config(path) -> RunConfig:
         raise ConfigError(["top level must be a JSON object"])
 
     errors: list = []
-    _check_keys(raw, _TOP_KEYS, "top level", errors)
+    _check_keys(raw, ("command", *_BLOCKS), "top level", errors)
     command = raw.get("command")
     if command not in COMMANDS:
         errors.append(f"command must be one of {', '.join(COMMANDS)}")
         raise ConfigError(errors)
+    reads = {entry.split()[0].rstrip("!"): entry for entry in _READS[command]}
+    errors.extend(f"'{name}' is not read by {command}" for name
+                  in sorted(_BLOCKS.intersection(raw) - set(reads)))
 
-    def block(name: str, required: bool = False,
-              keys: Optional[Sequence[str]] = None) -> Optional[Mapping]:
-        b = raw.get(name)
+    def block(name: str, keys: Optional[Sequence[str]] = None
+              ) -> Optional[Mapping]:
+        # what the command reads of the block, None if nothing: the keys its
+        # _READS entry names, or else keys (all of them; model checks its own)
+        entry = reads.get(name, "")
+        b = raw.get(name) if entry else None
         if b is None:
-            if required:
+            if "!" in entry:
                 errors.append(f"'{name}' block is required for {command}")
             return None
         if not isinstance(b, dict):
             errors.append(f"'{name}' must be an object")
             return None
-        if keys is not None:  # grid and model check their own keys
-            _check_keys(b, keys, name, errors)
-        return b
+        keys = entry.split()[1:] or keys
+        if keys is None:
+            return b
+        _check_keys(b, keys, name, errors)
+        return {key: b[key] for key in keys if key in b}
 
-    needs_sim = command in ("run", "stability", "sweep", "mms")
-    paired = command in ("stability", "sweep")
-    g = block("grid", needs_sim or command == "poisson-test")
+    g = block("grid", ("dim", "n", "L"))
     grid = None if g is None else _parse_grid(g, errors)
-    m = block("model", needs_sim)
+    m = block("model")
     model = None if m is None else _parse_model(m, errors)
-    t = block("time", keys=("dt", "t_end", "cadence")) or {}
-    ic = block("initial", keys=("u", "v")) or {}
-    mm = block("mms", command == "mms", ("u", "v", "levels")) or {}
-    so = block("solver", keys=("tol", "max_iter")) or {}
-    fe = block("fenergy", keys=("gamma", "ks")) or {}
+    t = block("time", ("dt", "t_end", "cadence")) or {}
+    ic = block("initial", ("u", "v")) or {}
+    mm = block("mms", ("u", "v", "levels")) or {}
+    so = block("solver", ("tol", "max_iter")) or {}
+    fe = block("fenergy", ("gamma", "ks")) or {}
     ic_u, ic_v = (_expr(ic, key, "initial", errors) for key in "uv")
-    if command == "mms":  # the study's data are its manufactured pair
-        ic_u = ic_v = None
     sim = SimConfig(
         grid=grid, model=model,
         dt=_real(t.get("dt")), t_end=_real(t.get("t_end")),
@@ -305,7 +319,7 @@ def load_config(path) -> RunConfig:
         f_energy_ks=_real(fe.get("ks")))
     cfg = RunConfig(command=command, sim=sim)
 
-    st = block("stability", paired, ("du", "dv", "amplitude", "amplitudes"))
+    st = block("stability", ("du", "dv", "amplitude", "amplitudes"))
     if st is not None:
         spatial = None if grid is None else grid.coordinates
         cfg.du, cfg.dv = (_expr(st, key, "stability", errors, default="0",
@@ -317,8 +331,7 @@ def load_config(path) -> RunConfig:
         errors.extend(f"stability: {problem}" for problem
                       in stability.amplitude_problems(cfg.amplitudes))
 
-    cc = block("coeffcheck", command == "check-coeffs",
-               ("f", "gamma", "a1", "a2", "budget", "seed"))
+    cc = block("coeffcheck", ("f", "gamma", "a1", "a2", "budget", "seed"))
     if cc is not None:
         cfg.coeffcheck = {"f": _expr(cc, "f", "coeffcheck", errors),
                           "gamma": _real(cc.get("gamma"))}
@@ -329,15 +342,16 @@ def load_config(path) -> RunConfig:
         errors.extend(f"coeffcheck: {problem}" for problem
                       in lipschitz_problems(**cfg.coeffcheck))
 
-    po = block("poisson", keys=("levels",)) or {}
+    po = block("poisson", ("levels",)) or {}
     dim, lengths = (1, (1.0,)) if grid is None else (grid.dim, grid.lengths)
-    levels = {"mms": _levels(mm, "mms", [32, 64, 128], errors,
-                             lambda n: Grid((n,) * dim, lengths)),
-              "poisson-test": _levels(po, "poisson", [64, 128, 256], errors,
-                                      lambda n: Grid((n,), lengths[:1]))}
-    cfg.levels = levels.get(command, [])
+    if command == "mms":
+        cfg.levels = _levels(mm, "mms", [32, 64, 128], errors,
+                             lambda n: Grid((n,) * dim, lengths))
+    elif command == "poisson-test":
+        cfg.levels = _levels(po, "poisson", [64, 128, 256], errors,
+                             lambda n: Grid((n,), lengths[:1]))
 
-    out = block("output", keys=("directory", "formats"))
+    out = block("output", ("directory", "formats"))
     if out is not None:
         directory = out.get("directory", "out")
         if not isinstance(directory, str) or not directory:
@@ -357,21 +371,18 @@ def load_config(path) -> RunConfig:
         else:
             cfg.formats = tuple(f for f in FORMATS if f in formats)
 
-    if needs_sim:
+    if "solver" in reads:  # a simulation command
         errors.extend(sim.problems())
-    if paired:
-        errors.extend(stability.pairing_problems(sim))
+    if st is not None and not errors:
         # the largest perturbation's data; the run checks every member
-        if not errors:
-            member = stability.perturbed(sim, cfg.du, cfg.dv,
-                                         cfg.amplitudes[0])
-            try:
-                u0, v0 = (grid.cell_values(e) for e in member)
-            except EvalError as err:
-                errors.append(f"perturbed data: {err}")
-            else:
-                errors.extend(f"perturbed data: {problem}" for problem
-                              in sim.data_problems(u0, v0))
+        member = stability.perturbed(sim, cfg.du, cfg.dv, cfg.amplitudes[0])
+        try:
+            u0, v0 = (grid.cell_values(e) for e in member)
+        except EvalError as err:
+            errors.append(f"perturbed data: {err}")
+        else:
+            errors.extend(f"perturbed data: {problem}" for problem
+                          in sim.data_problems(u0, v0))
     if errors:
         raise ConfigError(errors)
     return cfg

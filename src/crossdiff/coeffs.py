@@ -261,7 +261,7 @@ class LipschitzVerdict:
 
 
 _SCALES = tuple(10.0 ** -k for k in range(8))
-_GROWTH_FACTOR = 9.5      # flag >= 10x growth per decade, minus sampling slack
+_GROWTH_FACTOR = 10 ** 0.1  # flag a log10 slope >= 0.1 per decade
 _GROWTH_RUN = 3           # over at least 3 consecutive scale reductions
 
 
@@ -299,10 +299,10 @@ def check_finite_gamma_lipschitz(f: Expr, gamma: float, a1: float = 1.0,
     the first, power-weighted argument, v the second.  Pairs are drawn at
     separation scales 1, 1e-1, ..., 1e-7 (plus broad random pairs and
     degenerate-corner pairs (y, z) vs (0, z)); the verdict flips to
-    'diverging' when the per-scale max ratio grows by at least a factor 10
-    per tenfold separation reduction over 3 consecutive reductions, or when
-    evaluation overflows.  A heuristic: 'plausible' is not a proof.
-    Raises ValueError listing lipschitz_problems().
+    'diverging' when the per-scale max ratio grows by at least 10^0.1 (a
+    log-log slope of 0.1) per decade of separation, 3 decades running, or
+    when evaluation overflows; f ~ y^b with gamma - 0.1 < b < gamma passes.
+    A heuristic, not a proof.  Raises ValueError listing lipschitz_problems().
     """
     problems = lipschitz_problems(f, gamma, a1, a2, budget, seed)
     if problems:

@@ -95,16 +95,6 @@ def _trapezoid_cumulative(times: Sequence[float],
     return out
 
 
-def pairing_problems(cfg: SimConfig) -> list:
-    """The rule on a paired run's config beyond its own: the trajectories
-    start from explicit initial data, so a manufactured pair, which would
-    replace that data and force every member, is not allowed."""
-    if cfg.mms_u is None and cfg.mms_v is None:
-        return []
-    return ["a paired run perturbs explicit initial data; "
-            "manufactured-solution configs are not pairable"]
-
-
 def perturbed(cfg: SimConfig, du: Expr, dv: Expr, eps: float) -> tuple:
     """(u0, v0) expressions of the trajectory perturbed by eps along the
     direction (du, dv): cfg's initial data plus eps times the direction."""
@@ -132,15 +122,15 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
     measured against the base at every tick of Simulation.march, the same
     ticks as solver.run.
 
-    This is the entry point that validates every paired run: cfg must pass
-    the pairing rule and is validated in full; only then is `others` read,
-    and each other member's data checked by the data rules, with the same
-    dt advisory.  A PositivityError is re-raised naming the failing members
-    by their `labels`.
+    This entry point validates every paired run: cfg must hold no
+    manufactured pair, which would replace the base's data and force every
+    member (the pairing rule), and is validated in full; only then is
+    `others` read and each member's data checked, dt advisory included.
+    A PositivityError is re-raised naming the failing members by `labels`.
     """
-    problems = pairing_problems(cfg)
-    if problems:
-        raise ValueError("; ".join(problems))
+    if cfg.mms_u is not None or cfg.mms_v is not None:
+        raise ValueError("a paired run perturbs explicit initial data; "
+                         "manufactured-solution configs are not pairable")
     cfg.validate()
     grid = cfg.grid
     members = [cfg.initial_fields()]

@@ -334,26 +334,81 @@ def test_each_broken_field_is_reported_once(tmp_path, command, blocks,
 def test_paired_commands_reject_a_manufactured_pair_at_load(tmp_path, capsys,
                                                            command):
     # the manufactured pair would replace the base member's initial data and
-    # force both members: run anyway, stability reports E0 = 2.05 here,
-    # against 5.1e-6 without the mms block
+    # force both members (stability would report E0 = 2.05 here, against
+    # 5.1e-6 without the mms block), so a paired command reads no mms block
+    amplitudes = {"amplitude": 1.0} if command == "stability" \
+        else {"amplitudes": [1.0, 0.5]}
     payload = {
         "command": command,
         "grid": {"dim": 1, "n": 16, "L": 1.0},
         "model": {"alpha": 0.0, "p": "1", "a22": "1"},
         "time": {"dt": 1e-3, "t_end": 1e-2},
         "initial": {"u": "1", "v": "1"},
-        "stability": {"du": "0.01*cos(pi*x)", "amplitude": 1.0,
-                      "amplitudes": [1.0, 0.5]},
+        "stability": {"du": "0.01*cos(pi*x)", **amplitudes},
         "mms": {"u": "2 + exp(-t)*cos(pi*x)", "v": "2"},
         "output": {"directory": str(tmp_path / "paired")},
     }
     assert main([str(write_config(tmp_path, payload))]) == 1
     err = stderr_payload(capsys)
     assert err["kind"] == "config"
-    assert err["details"] == ["a paired run perturbs explicit initial data; "
-                              "manufactured-solution configs are not "
-                              "pairable"]
+    assert err["details"] == [f"'mms' is not read by {command}"]
     assert not (tmp_path / "paired").exists()
+
+
+def _shipped(name, **blocks):
+    """The shipped config `name` with a short horizon, if it has one, and
+    the given blocks in place of its own."""
+    payload = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if "time" in payload:
+        payload["time"]["t_end"] = 10 * payload["time"]["dt"]
+    return {**payload, **blocks}
+
+
+HEAT_DIRECTION = {"du": "cos(pi*x)", "dv": "0"}
+SWEEP_DIRECTION = {"du": "cos(pi*x)", "dv": "cos(2*pi*x)"}
+LIPSCHITZ_SQRT = {"f": "y^0.5", "gamma": 1.5, "a1": 1.0, "a2": 1.0}
+
+
+# a block or key meant for another command must not leave the run on a
+# default: heat_stability with amplitudes [0.5] would run at amplitude 1.0
+@pytest.mark.parametrize("payload, details", [
+    (_shipped("heat_stability",
+              stability={**HEAT_DIRECTION, "amplitudes": [0.5]}),
+     ["stability: unknown key 'amplitudes'"]),
+    (_shipped("heat_stability", fenergy={"gamma": 1.0, "ks": 1.0}),
+     ["'fenergy' is not read by stability"]),
+    (_shipped("case2_sweep_1d", stability={
+        **SWEEP_DIRECTION, "amplitudes": [0.01, 0.005, 0.0025],
+        "amplitude": 0.5}),
+     ["stability: unknown key 'amplitude'"]),
+    (_shipped("case2_run_1d", stability={**HEAT_DIRECTION,
+                                         "amplitude": 0.01}),
+     ["'stability' is not read by run"]),
+    (_shipped("case2_run_1d", coeffcheck=LIPSCHITZ_SQRT,
+              poisson={"levels": [16, 32]}),
+     ["'coeffcheck' is not read by run", "'poisson' is not read by run"]),
+    (_shipped("mms_case2", initial={"u": "-1", "v": "1"},
+              fenergy={"gamma": 1.0, "ks": 1.0}),
+     ["'fenergy' is not read by mms", "'initial' is not read by mms"]),
+    (_shipped("lipschitz_sqrt", time={"dt": 1e-3, "t_end": 1e-2},
+              model={"preset": "case2", "chi": 0.25, "l": 0.5}),
+     ["'model' is not read by check-coeffs",
+      "'time' is not read by check-coeffs"]),
+    (_shipped("mms_case2", time={"dt": 1e-3, "t_end": 2e-3, "cadence": 2}),
+     ["time: unknown key 'cadence'"]),
+    (_shipped("poisson_test", output={"directory": "poisson-test",
+                                      "formats": ["json"]}),
+     ["output: unknown key 'formats'"]),
+], ids=["stability-amplitudes", "stability-fenergy", "sweep-amplitude",
+        "run-stability", "run-coeffcheck-poisson", "mms-initial-fenergy",
+        "check-coeffs-time-model", "mms-cadence", "poisson-test-formats"])
+def test_a_block_or_key_the_command_does_not_read_is_rejected_naming_it(
+        tmp_path, capsys, monkeypatch, payload, details):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert (err["kind"], err["details"]) == ("config", details)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +568,18 @@ def test_formats_that_leave_nothing_or_no_csv_to_plot_are_rejected(
     assert not (tmp_path / "out").exists()
 
 
-def test_reports_are_written_whatever_the_formats(tmp_path):
-    # check-coeffs and poisson-test always write their one JSON report
+def test_reports_are_written_whatever_the_formats(tmp_path, capsys):
+    # check-coeffs and poisson-test always write their one JSON report, so
+    # they read no output.formats and reject one
     payload = {"command": "poisson-test", "grid": {"dim": 1, "n": 8},
                "poisson": {"levels": [16, 32]},
-               "output": {"directory": str(tmp_path / "out"),
-                          "formats": ["csv"]}}
+               "output": {"directory": str(tmp_path / "out")}}
     assert main([str(write_config(tmp_path, payload))]) == 0
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["poisson.json"]
+    payload["output"]["formats"] = ["csv"]
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    assert stderr_payload(capsys)["details"] == [
+        "output: unknown key 'formats'"]
 
 
 def test_stability_command_outputs(tmp_path):

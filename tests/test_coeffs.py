@@ -296,6 +296,25 @@ def test_lipschitz_verdict_is_budget_robust():
             assert good.verdict == "plausible"
 
 
+# against gamma = 1.5, f(y) - f(0) ~ y^b near y = 0 makes the max ratio
+# grow like separation^(b - 1.5): a log10 slope of 0.25 to 0.5 per decade
+# for these, and a cusp |y - 1/2|^(1/2) inside the box grows the same way
+SLOW_GROWTH = ("y^1.0", "y^1.25", "sin(10*y)", "1/(1+y)", "exp(5*y)",
+               "abs(y-0.5)^0.5")
+ADMISSIBLE = ("y^1.5", "y^2", "y^2*v", "y^1.5*v", "v", "ln(1+y)*y",
+              "cos(30*v)*y^2")
+
+
+@pytest.mark.parametrize("budget", [1000, 20000])
+@pytest.mark.parametrize("seed", range(4))
+def test_lipschitz_flags_growth_slower_than_tenfold_per_decade(seed, budget):
+    verdicts = {f: check_finite_gamma_lipschitz(
+        parse(f), 1.5, budget=budget, seed=seed).verdict
+        for f in SLOW_GROWTH + ADMISSIBLE}
+    assert verdicts == {**dict.fromkeys(SLOW_GROWTH, "diverging"),
+                        **dict.fromkeys(ADMISSIBLE, "plausible")}
+
+
 def test_lipschitz_example_product_powers_plausible():
     # f = y^a z^b with a >= gamma
     verdict = check_finite_gamma_lipschitz(parse("y^2 * v"), 1.5, 1.0, 1.0)

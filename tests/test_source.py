@@ -1,11 +1,18 @@
-"""Structure of the package source: no function in src/ serves tests only."""
+"""Structure of the package source: no function in src/ serves tests only,
+and every target the benchmark's tracer wraps exists."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import crossdiff
 
 SOURCE = Path(crossdiff.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # exprs.evaluate is the target that perfbench/tracing.py wraps for its
 # expression layer; nothing in the package calls it, but the tracer reports
@@ -56,3 +63,33 @@ def test_the_scan_counts_neither_re_exports_nor_self_reads(tmp_path):
     (tmp_path / "b.py").write_text(
         "from .a import recursive\n\nrecursive(3)\n", encoding="utf-8")
     assert unused_functions(tmp_path) == ["a.lonely", "a.selfish"]
+
+
+def _tracing():
+    """perfbench/tracing.py as a module, executed from its text so that
+    nothing is written next to it."""
+    module = types.ModuleType("tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_every_target_the_tracer_wraps_exists():
+    # a missing target drops its layer's metrics from a traced benchmark run
+    # without failing it
+    tracing = _tracing()
+    assert [target for targets in tracing.LAYERS.values()
+            for target in targets if tracing._resolve(target) is None] == []
+
+
+def test_the_tracer_installs_every_layer():
+    # install() rebinds the package's attributes, so it runs in a process of
+    # its own; -B keeps it from writing bytecode next to tracing.py
+    code = (f"import json, sys; sys.path.insert(0, {str(TRACING.parent)!r}); "
+            "import tracing; "
+            "print(json.dumps(tracing.install(tracing.Tracer())))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
