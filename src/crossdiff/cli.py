@@ -249,14 +249,15 @@ def load_config(path) -> RunConfig:
     The loader owns the rules of the file itself: JSON syntax, expression
     parsing, building the Grid and the model, the output block, and _READS,
     which rejects every block and key the command does not read, each with
-    one entry naming it.  Every other value goes unchanged (a JSON number as
-    a float, an absent value as None) to its one owner, which checks type as
-    well as range: SimConfig.problems() the time, solver and fenergy blocks
-    and the initial data (or manufactured pair), stability.amplitude_problems
-    the amplitudes, SimConfig.data_problems a paired run's largest perturbed
-    member, and coeffs.lipschitz_problems the coeffcheck block.  Raises
-    ConfigError carrying every detected problem; OSError for unreadable
-    files.
+    one entry naming it.  A block given as null is absent, whether the
+    command reads it or not.  Every other value goes unchanged (a JSON
+    number as a float, an absent value as None) to its one owner, which
+    checks type as well as range: SimConfig.problems() the time, solver
+    and fenergy blocks and the initial data (or manufactured pair),
+    stability.amplitude_problems the amplitudes, SimConfig.data_problems a
+    paired run's largest perturbed member, and coeffs.lipschitz_problems
+    the coeffcheck block.  Raises ConfigError carrying every detected
+    problem; OSError for unreadable files.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -274,8 +275,9 @@ def load_config(path) -> RunConfig:
         errors.append(f"command must be one of {', '.join(COMMANDS)}")
         raise ConfigError(errors)
     reads = {entry.split()[0].rstrip("!"): entry for entry in _READS[command]}
+    given = {name for name in _BLOCKS if raw.get(name) is not None}
     errors.extend(f"'{name}' is not read by {command}" for name
-                  in sorted(_BLOCKS.intersection(raw) - set(reads)))
+                  in sorted(given - set(reads)))
 
     def block(name: str, keys: Optional[Sequence[str]] = None
               ) -> Optional[Mapping]:
@@ -324,12 +326,13 @@ def load_config(path) -> RunConfig:
         spatial = None if grid is None else grid.coordinates
         cfg.du, cfg.dv = (_expr(st, key, "stability", errors, default="0",
                                 allowed_vars=spatial) for key in ("du", "dv"))
-        amps = st.get("amplitudes") if command == "sweep" \
-            else [st.get("amplitude", 1.0)]
+        pair = command == "stability"
+        key = "amplitude" if pair else "amplitudes"
+        amps = [st.get(key, 1.0)] if pair else st.get(key)
         cfg.amplitudes = [_real(a) for a in amps] \
             if isinstance(amps, list) else amps
-        errors.extend(f"stability: {problem}" for problem
-                      in stability.amplitude_problems(cfg.amplitudes))
+        errors.extend(stability.amplitude_problems(
+            cfg.amplitudes, f"stability.{key}", one=pair))
 
     cc = block("coeffcheck", ("f", "gamma", "a1", "a2", "budget", "seed"))
     if cc is not None:

@@ -36,13 +36,16 @@ StepWorkspace for its batch shape, and a step after the first allocates no
 cell- or face-sized array of its own; only the coefficient and forcing
 programs return fresh arrays.  The step's kernels and arithmetic write
 through numpy's out=, with the ufuncs, operands and order of the plain
-expressions, so every value is bitwise theirs.  Each solve writes its
-solution into the workspace's spare state, which the step then swaps with
-u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
-caller that keeps them copies them, as state() does.  Each owner cuts
-them from one block with aligned_zeros, each on a CACHE_LINE boundary (a
-flux at flux[s], where an apply writes first): numpy aligns to 16 bytes
-only, and a 64-byte AVX-512 store off a line straddles two.  The ledger
+expressions, so every value is bitwise theirs.  Inside a solve every
+vector is flat: CG flattens its right-hand side, iterate and work arrays
+once, hands the operator flat vectors only and uses its flat result, so
+no iteration reshapes an array.  Each solve writes its solution into the
+workspace's spare state, which the step then swaps with u or v: the
+arrays sim.u and sim.v are overwritten by later steps, so a caller that
+keeps them copies them, as state() does.  Each owner cuts them from one
+block with aligned_zeros, each on a CACHE_LINE boundary (a flux at
+flux[s], where an apply writes first): numpy aligns to 16 bytes only, and
+a 64-byte AVX-512 store off a line straddles two.  The ledger
 cum_grad_u_sq, a gradient of u' per step, is kept only with grad_ledger,
 which run sets for its diagnostics; a sweep or an MMS level reads nan.
 
@@ -322,11 +325,15 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     bound on every member's relative residual.
 
     The iterate is out, started from x0; work is three more arrays of b's
-    shape (r, p and scratch), so an iteration allocates no array.  Dots
-    are ndarray.dot on flat views made once per solve, np.vdot's BLAS dot
-    bitwise; member norms are sqrt(member_sums(b * b)), np.linalg.norm's.
-    apply_a is called with one argument, its result used, so a plain
-    wrapper can stand in for it; it may return the same array every call.
+    shape (r, p and scratch), so an iteration allocates no array.  All
+    five are flattened once per solve, so out and work must be contiguous,
+    and from then on every vector is flat: apply_a receives flat vectors
+    only, its result is used as one, and every update writes through a
+    positional out.  Dots are ndarray.dot, np.vdot's BLAS dot bitwise;
+    member norms are sqrt(member_sums(b * b)), np.linalg.norm's.  apply_a
+    is called with one argument, its result used, so a plain wrapper can
+    stand in for it; it may return the same array every call.  The
+    iterate returned, and every one an error carries, has b's shape.
 
     A solve fails with ConvergenceError, carrying a copy of the checked
     iterate with the smallest true residual and that residual on the scale
@@ -337,32 +344,32 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     right-hand side returns zeros with zero iterations, and a non-finite one
     fails at once with a copy of x0.
     """
-    r, p, scratch = work
-    bf, rf, pf, sf = (a.reshape(-1) for a in (b, r, p, scratch))
+    bf, x, r, p, scratch = (a.reshape(-1) for a in (b, out, *work))
     norm_b = math.sqrt(float(bf.dot(bf)))  # bitwise np.linalg.norm(b)
     if not math.isfinite(norm_b):
         raise ConvergenceError("CG right-hand side is not finite", x0.copy(),
                                math.nan, 0)
-    x = out
     if norm_b == 0.0:
         x.fill(0.0)
-        return x, 0, 0.0
+        return out, 0, 0.0
     if len(b) > 1:
-        member_norms = np.sqrt(member_sums(np.multiply(b, b, out=scratch)))
+        member_norms = np.sqrt(member_sums(np.multiply(b, b, out=work[2])))
         norm_b = float(np.minimum.reduce(member_norms[member_norms > 0.0]))
-    np.copyto(x, x0)
-    np.subtract(b, apply_a(x), out=r)
+    # local names: at 1-D sizes an iteration is bound by dispatch
+    add, subtract, multiply, sqrt = np.add, np.subtract, np.multiply, math.sqrt
+    np.copyto(x, x0.reshape(-1))
+    subtract(bf, apply_a(x), r)
     np.copyto(p, r)
-    rs = float(rf.dot(rf))
+    rs = float(r.dot(r))
     iterations = 0
     target = tol * norm_b
     best, best_norm, stale = None, math.inf, 0
     while True:
-        if math.sqrt(rs) <= target or iterations >= max_iter:
-            true_r = np.subtract(b, apply_a(x), out=scratch)
-            true_norm = math.sqrt(float(sf.dot(sf)))
+        if sqrt(rs) <= target or iterations >= max_iter:
+            subtract(bf, apply_a(x), scratch)
+            true_norm = sqrt(float(scratch.dot(scratch)))
             if true_norm <= target:
-                return x, iterations, true_norm / norm_b
+                return out, iterations, true_norm / norm_b
             improved = not true_norm >= best_norm  # a nan is reported
             if improved:
                 best_norm, stale = true_norm, 0
@@ -377,24 +384,24 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                     f"reached a floor of {floor:.3e} and the next "
                     f"{STAGNATION_CHECKS} checks did not lower it "
                     f"({iterations} iterations)",
-                    x.copy() if improved else best, floor, iterations)
+                    out.copy() if improved else best, floor, iterations)
             if improved:  # restarts are rare; keep it to report a failure
-                best = x.copy()
-            r, rf, scratch, sf = true_r, sf, r, rf
+                best = out.copy()
+            r, scratch = scratch, r
             np.copyto(p, r)
-            rs = float(rf.dot(rf))
+            rs = float(r.dot(r))
         ap = apply_a(p)
-        p_ap = float(pf.dot(ap.reshape(-1)))
+        p_ap = float(p.dot(ap))
         if not p_ap > 0.0:
             raise ConvergenceError(
                 "CG broke down: operator is not positive definite on the "
-                "search space", x.copy(), math.sqrt(rs) / norm_b, iterations)
+                "search space", out.copy(), sqrt(rs) / norm_b, iterations)
         alpha = rs / p_ap
-        x += np.multiply(alpha, p, out=scratch)
-        r -= np.multiply(alpha, ap, out=scratch)
-        rs_next = float(rf.dot(rf))
-        p *= rs_next / rs
-        p += r
+        add(x, multiply(alpha, p, scratch), x)
+        subtract(r, multiply(alpha, ap, scratch), r)
+        rs_next = float(r.dot(r))
+        multiply(p, rs_next / rs, p)
+        add(p, r, p)
         rs = rs_next
         iterations += 1
 
@@ -410,6 +417,11 @@ class StepOperator:
     rows or members.  Buffers are cut once from one block, each on a cache
     line, a flux at flux[s], where f_in starts; assemble() invalidates the
     last apply, and each apply overwrites the one before.
+
+    CG calls it with flat vectors of B * cells values and gets back the
+    flat view of its one result buffer, the same object every call.  A
+    shaped input, of the batch shape, costs one ndim test and gets the
+    shaped view of that buffer back.
     """
 
     def __init__(self, grid: Grid, shape: tuple):
@@ -443,16 +455,20 @@ class StepOperator:
                    out=self._diag)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out, part, x = self._flat, self._part, x.reshape(-1)
+        if x.ndim > 1:
+            self(x.reshape(-1))
+            return self._out
+        out, part = self._flat, self._part
+        subtract, multiply = np.subtract, np.multiply
         acc = x  # without diag the first axis subtracts straight from x
         if self._absorbs:
-            acc = np.multiply(self._diag, x, out=out)
+            acc = multiply(self._diag, x, out)
         for s, w, f_in, f_hi, f_lo in self._axes:
-            np.subtract(x[s:], x[:-s], out=f_in)
-            np.multiply(f_in, w, out=f_in)
-            np.subtract(f_hi, f_lo, out=part)
-            acc = np.subtract(acc, part, out=out)
-        return self._out
+            subtract(x[s:], x[:-s], f_in)
+            multiply(f_in, w, f_in)
+            subtract(f_hi, f_lo, part)
+            acc = subtract(acc, part, out)
+        return out
 
 
 class StepWorkspace:

@@ -283,16 +283,20 @@ class SweepResult:
     bounded: bool    # spread <= RATIO_SPREAD_BOUND
 
 
-def amplitude_problems(amplitudes) -> list:
+def amplitude_problems(amplitudes, key: str = "amplitudes",
+                       one: bool = False) -> list:
     """The rule on the amplitudes of a sweep, or of a pair as a list of
     one: a nonempty list of finite, nonnegative, strictly decreasing
-    numbers.  Any value is judged, and the first broken part is named."""
+    numbers.  Any value is judged, and the first broken part is named;
+    each message starts with key, the name the value has where it came
+    from, and with one a pair's amplitude is named a number."""
     if not (isinstance(amplitudes, (list, tuple)) and amplitudes
             and all(is_number(a) and a >= 0.0 for a in amplitudes)):
-        return ["amplitudes must be a nonempty list of finite, "
-                "nonnegative numbers"]
+        return [f"{key} must be a finite, nonnegative number" if one else
+                f"{key} must be a nonempty list of finite, nonnegative "
+                "numbers"]
     if any(b >= a for a, b in zip(amplitudes, amplitudes[1:])):
-        return ["amplitudes must be strictly decreasing"]
+        return [f"{key} must be strictly decreasing"]
     return []
 
 

@@ -411,6 +411,59 @@ def test_a_block_or_key_the_command_does_not_read_is_rejected_naming_it(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, details", [
+    (_shipped("heat_stability", stability={**HEAT_DIRECTION,
+                                           "amplitude": -1}),
+     ["stability.amplitude must be a finite, nonnegative number"]),
+    (_shipped("heat_stability", stability={**HEAT_DIRECTION,
+                                           "amplitude": [0.5]}),
+     ["stability.amplitude must be a finite, nonnegative number"]),
+    (_shipped("case2_sweep_1d", stability={**SWEEP_DIRECTION,
+                                           "amplitudes": [0.01, -1]}),
+     ["stability.amplitudes must be a nonempty list of finite, nonnegative "
+      "numbers"]),
+    (_shipped("case2_sweep_1d", stability={**SWEEP_DIRECTION,
+                                           "amplitudes": [0.01, 0.02]}),
+     ["stability.amplitudes must be strictly decreasing"]),
+], ids=["stability-negative", "stability-list", "sweep-negative",
+        "sweep-increasing"])
+def test_an_amplitude_error_names_the_key_its_command_reads(
+        tmp_path, capsys, monkeypatch, payload, details):
+    # stability rejects the key amplitudes, so its errors name amplitude
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    assert main([str(write_config(tmp_path, payload))]) == 1
+    err = stderr_payload(capsys)
+    assert (err["kind"], err["details"]) == ("config", details)
+
+
+@pytest.mark.parametrize("name, command", [
+    ("stability", "run"), ("mms", "run"), ("fenergy", "stability"),
+    ("coeffcheck", "sweep"), ("initial", "mms"), ("solver", "check-coeffs"),
+    ("grid", "check-coeffs"), ("model", "poisson-test")])
+def test_a_null_block_the_command_does_not_require_is_absent(tmp_path, name,
+                                                             command):
+    config = {"run": "case2_run_1d", "stability": "heat_stability",
+              "sweep": "case2_sweep_1d", "mms": "mms_case2",
+              "check-coeffs": "lipschitz_sqrt",
+              "poisson-test": "poisson_test"}[command]
+    payload = _shipped(config, **{name: None})
+    assert payload["command"] == command
+    load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("config, name", [
+    ("case2_sweep_1d", "stability"), ("heat_stability", "stability"),
+    ("mms_case2", "mms"), ("lipschitz_sqrt", "coeffcheck"),
+    ("case2_run_1d", "grid")])
+def test_a_null_block_the_command_requires_is_reported_missing(
+        tmp_path, config, name):
+    payload = _shipped(config, **{name: None})
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert f"'{name}' block is required for {payload['command']}" \
+        in err.value.errors
+
+
 # ---------------------------------------------------------------------------
 # commands end to end
 

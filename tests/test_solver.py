@@ -187,6 +187,54 @@ def test_batched_step_operator_equals_member_operators_bitwise(grid):
                               operator(grid, member_mob, dt)(x[i]))
 
 
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("members", [1, 3])
+def test_a_flat_input_gets_the_flat_view_of_one_buffer(grid, members):
+    # CG hands the operator flat vectors of B * cells values and uses the
+    # result as one, so an apply reshapes nothing on the way in or out
+    rng = np.random.default_rng(50 + members)
+    dt = 0.0137
+    mob, c = random_operator_data(grid, rng, (members,))
+    for absorbing in (c, None):
+        op = operator(grid, mob, dt, absorbing)
+        results = []
+        for _ in range(3):
+            x = rng.standard_normal(c.shape)
+            flat = op(x.reshape(-1))
+            assert flat.shape == (x.size,)
+            assert np.array_equal(flat.reshape(x.shape),
+                                  folded(grid, mob, dt, absorbing, x))
+            results.append(flat)
+        assert all(r is results[0] for r in results)
+        shaped = op(x)  # the shaped view of the same buffer
+        assert shaped.shape == x.shape and np.shares_memory(shaped, flat)
+
+
+@pytest.mark.parametrize("members, dt, tol, max_iter", [
+    (3, 0.05, 1e-11, 500), (3, 0.05, 1e-11, 3), (3, 10.0, 1e-12, 400),
+    (2, 1.0, 1e-16, 10 ** 5)], ids=["converged", "max_iter", "restarted",
+                                   "stagnated"])
+def test_cg_hands_apply_a_only_flat_vectors(members, dt, tol, max_iter):
+    g = Grid((32,), (1.0,))
+    rng = np.random.default_rng(32 + members)
+    mob = (rng.uniform(0.1, 3.0, (members, 33)),)
+    b = rng.standard_normal((members, 32))
+    op = operator(g, mob, dt)
+    assert_cg_matches_textbook(op, b, tol, max_iter)
+    shapes = []
+
+    def recorded(x):
+        shapes.append(x.shape)
+        return op(x)
+
+    try:
+        x = cg(recorded, b, np.zeros_like(b), tol, max_iter)[0]
+    except ConvergenceError as err:
+        x = err.best
+    assert x.shape == b.shape
+    assert len(shapes) > 3 and set(shapes) == {(b.size,)}
+
+
 def two_member_2d(**kwargs):
     g = Grid((24, 20), (1.0, 1.2))
     cfg = SimConfig(grid=g, model=case2(), dt=1e-4, t_end=1.0, **kwargs)

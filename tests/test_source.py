@@ -1,8 +1,10 @@
 """Structure of the package source: no function in src/ serves tests only,
-and every target the benchmark's tracer wraps exists."""
+every target the benchmark's tracer wraps exists, and a traced run yields
+every per-layer metric the benchmark declares."""
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,3 +95,64 @@ def test_the_tracer_installs_every_layer():
     done = subprocess.run([sys.executable, "-B", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == []
+
+
+ROOT = TRACING.parents[1]
+# the per-layer metrics a traced benchmark run reports beside tracing's own
+TRACE_OVERHEAD = {"trace.overhead_s", "trace.overhead_frac"}
+
+
+def tiny_2d_run(tmp_path: Path) -> Path:
+    """A 2-D run of 8x8 cells and 3 steps."""
+    path = tmp_path / "tiny_2d.json"
+    path.write_text(json.dumps({
+        "command": "run",
+        "grid": {"dim": 2, "n": 8, "L": 1.0},
+        "model": {"preset": "case2", "chi": 0.25, "l": 0.5},
+        "time": {"dt": 1e-3, "t_end": 3e-3},
+        "initial": {"u": "1 + 0.5*cos(pi*x)*cos(pi*y)",
+                    "v": "1 + 0.2*cos(pi*x)*cos(pi*y)"},
+    }), encoding="utf-8")
+    return path
+
+
+def test_a_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch):
+    # a traced run whose metrics the benchmark cannot read measures nothing:
+    # its last line must hold every per-layer metric, finite, as strict JSON
+    config = tiny_2d_run(tmp_path)
+    code = (
+        "import json, math, sys\n"
+        f"sys.path.insert(0, {str(TRACING.parent)!r})\n"
+        "import tracing\n"
+        "from crossdiff import cli\n"
+        "tracer = tracing.Tracer()\n"
+        "absent = tracing.install(tracer)\n"
+        f"assert cli.main([{str(config)!r}, '--output-dir', "
+        f"{str(tmp_path / 'traced')!r}]) == 0\n"
+        f"tracer.save({str(tmp_path / 'spans.npz')!r})\n"
+        "metrics = tracing.layer_metrics(tracing.load_spans("
+        f"{str(tmp_path / 'spans.npz')!r}), tracer.counters, absent)\n"
+        "print(json.dumps(metrics, allow_nan=False))\n")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    metrics = json.loads(done.stdout.splitlines()[-1])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))["per_layer"]
+    assert set(metrics) == {m["name"] for m in declared} - TRACE_OVERHEAD
+    assert all(math.isfinite(value) for value in metrics.values())
+
+    # the same run untraced: the tracer counts every iteration CG returns
+    from crossdiff import cli, solver
+    solve, iterations = solver.conjugate_gradient, []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "conjugate_gradient", counted)
+    assert cli.main([str(config), "--output-dir",
+                     str(tmp_path / "untraced")]) == 0
+    assert len(iterations) == metrics["poisson.step_solves"] == 6
+    assert metrics["poisson.step_iters"] == sum(iterations) > 0
