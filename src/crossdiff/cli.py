@@ -48,7 +48,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import solver, stability
-from .coeffs import (CoefficientModel, build_preset,
+from .coeffs import (CASE_PARAMS, CoefficientModel, build_preset,
                      check_finite_gamma_lipschitz, lipschitz_problems)
 from .exprs import (Const, EvalError, ExpressionError, Expr, ParseError,
                     is_count, is_number, parse, variable_problems, variables)
@@ -126,11 +126,9 @@ def _expr(block: Mapping, key: str, where: str, errors: list,
           allowed_vars: Optional[frozenset] = None) -> Optional[Expr]:
     """The expression at block[key] (or the default source); None when it
     is absent, _REJECTED when it is reported broken."""
-    source = block.get(key)
+    source = block.get(key, None if required else default)
     if source is None and not required:
-        if default is None:
-            return None
-        source = default
+        return None
     if source is None:
         errors.append(f"{where}.{key} is required")
     elif not isinstance(source, str):
@@ -199,13 +197,27 @@ _MODEL_EXPR_KEYS = ("p", "a12", "a22", "q_lower", "r1_linear", "r1_tilde",
                     "r2_linear", "r2_tilde")
 
 
+def _preset_case(preset):
+    """A preset, 2 or "case2", as its case number, else None."""
+    if isinstance(preset, str) and preset[:4] == "case" \
+            and preset[4:].isdecimal():
+        preset = int(preset[4:])
+    return preset if is_count(preset) else None
+
+
+def _model_keys(block: Mapping) -> tuple:
+    """The keys of a model block's form: alpha and the expressions, or a
+    preset and its case's parameters (any key, for a preset of no case)."""
+    if block.get("preset") is None:
+        return ("preset", "alpha") + _MODEL_EXPR_KEYS
+    return ("preset",) + CASE_PARAMS.get(_preset_case(block["preset"]),
+                                         tuple(block))
+
+
 def _parse_model(block, errors) -> Optional[CoefficientModel]:
     if "preset" in block:
-        case = block["preset"]
-        if isinstance(case, str) and case[:4] == "case" \
-                and case[4:].isdecimal():
-            case = int(case[4:])
-        if not is_count(case):
+        case = _preset_case(block["preset"])
+        if case is None:
             errors.append(f"model.preset '{block['preset']}' is not one of "
                           "case1..case6")
             return None
@@ -220,7 +232,6 @@ def _parse_model(block, errors) -> Optional[CoefficientModel]:
             errors.append(f"model: {err}")
             return None
 
-    _check_keys(block, ("alpha",) + _MODEL_EXPR_KEYS, "model", errors)
     here = len(errors)
     alpha = _real(block.get("alpha"))
     if not isinstance(alpha, float):
@@ -282,7 +293,8 @@ def load_config(path) -> RunConfig:
     def block(name: str, keys: Optional[Sequence[str]] = None
               ) -> Optional[Mapping]:
         # what the command reads of the block, None if nothing: the keys its
-        # _READS entry names, or else keys (all of them; model checks its own)
+        # _READS entry names, or else keys (of the block, for the model),
+        # each unknown key reported and each null one left out
         entry = reads.get(name, "")
         b = raw.get(name) if entry else None
         if b is None:
@@ -292,15 +304,13 @@ def load_config(path) -> RunConfig:
         if not isinstance(b, dict):
             errors.append(f"'{name}' must be an object")
             return None
-        keys = entry.split()[1:] or keys
-        if keys is None:
-            return b
+        keys = entry.split()[1:] or (keys(b) if callable(keys) else keys)
         _check_keys(b, keys, name, errors)
-        return {key: b[key] for key in keys if key in b}
+        return {key: b[key] for key in keys if b.get(key) is not None}
 
     g = block("grid", ("dim", "n", "L"))
     grid = None if g is None else _parse_grid(g, errors)
-    m = block("model")
+    m = block("model", _model_keys)
     model = None if m is None else _parse_model(m, errors)
     t = block("time", ("dt", "t_end", "cadence")) or {}
     ic = block("initial", ("u", "v")) or {}

@@ -153,7 +153,8 @@ class CoefficientModel:
 # presets: nutrient-taxis family u_t = div(u v grad u) - div(chi u^beta v grad v) + f,
 #          v_t = lap v - u v
 
-_CASE_PARAMS = {
+# per preset case, the parameters its model block may give
+CASE_PARAMS = {
     1: ("chi", "beta"),
     2: ("chi", "beta", "l"),
     3: ("chi", "beta", "l"),
@@ -175,9 +176,9 @@ def build_preset(case: int, params: Mapping[str, float]) -> CoefficientModel:
     beta >= 3/2 is enforced (below it the cross term leaves the admissible
     Lipschitz class for gamma = 3/2); chi must be positive, l nonnegative.
     """
-    if case not in _CASE_PARAMS:
+    if case not in CASE_PARAMS:
         raise ValueError(f"unknown preset case {case}; valid cases are 1-6")
-    allowed = _CASE_PARAMS[case]
+    allowed = CASE_PARAMS[case]
     unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise ValueError(f"unknown parameters for case {case}: {unknown}")

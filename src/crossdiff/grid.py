@@ -8,9 +8,13 @@ gradient_arrays are exact negative adjoints of each other (summation by
 parts), so the discrete operators conserve mass and the Neumann Laplacian
 divergence_arrays(gradient_arrays(.)) is symmetric with kernel = constants.
 
-Face data is a tuple with one array per axis; the array for axis i has
-shape[i] + 1 entries along that axis.  Integrals use midpoint quadrature,
-i.e. plain cell sums times the cell volume.
+Face data is one flat float64 vector per axis.  For N flat cells (B * cells
+for a batch of B) and an axis of stride s (Grid.strides), f has s + N
+entries: s zeros, then at s + k the face between cells k and k + s.  Where
+k is last along the axis, that is its boundary face: 0 for a gradient or a
+flux, the cell's value for a mean; the next row's lower boundary shares
+it.  So cell k's faces are f[k] and f[s + k], and each kernel pass is one
+contiguous ufunc.  Integrals are cell sums times the cell volume.
 
 Expressions meet the cells through Grid.axes, each coordinate along its
 own axis: a term in x alone costs n0 evaluations, not n0 * n1, and
@@ -23,12 +27,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import exprs
 
-FaceData = tuple  # one ndarray per axis
 # most cells a grid may have: 2^22, 64 times a 256 x 256 grid
 MAX_CELLS = 2 ** 22
 
@@ -71,6 +75,10 @@ class Grid:
     def cell_count(self) -> int:
         return math.prod(self.shape)
 
+    @functools.cached_property  # in the cells' flat order: n1, 1 in 2D
+    def strides(self) -> tuple:
+        return tuple(math.prod(self.shape[a + 1:]) for a in range(self.dim))
+
     @functools.cached_property
     def axes(self) -> dict:
         """The cell-centre coordinates by name, each varying along its own
@@ -93,86 +101,81 @@ class Grid:
     def cell_values(self, e: exprs.Expr | exprs.Program,
                     t: float = 0.0) -> np.ndarray:
         """e, an expression or its compiled Program, evaluated on the axes
-        at time t, as an array of the grid shape; a value that does not
-        vary along an axis is broadcast along it, read-only, not copied."""
-        values = exprs.compile(e)({"t": t, **self.axes})
-        if isinstance(values, np.ndarray) and values.shape == self.shape:
-            return values
-        return np.broadcast_to(np.asarray(values, dtype=float), self.shape)
+        at time t, as an array of the grid shape (see as_cells)."""
+        return as_cells(exprs.compile(e)({"t": t, **self.axes}), self.shape)
+
+
+def as_cells(values, shape: tuple) -> np.ndarray:
+    """values as an array of `shape`: one of that shape as it is, a scalar
+    or a value constant along an axis broadcast, read-only, not copied."""
+    if isinstance(values, np.ndarray) and values.shape == shape:
+        return values
+    return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
 # ---------------------------------------------------------------------------
-# array kernels
-#
-# The kernels index from the last axis, so an array of shape grid.shape and a
-# batch of shape (B, *grid.shape) both work: the leading member axis passes
-# through and the output shape follows the input.
+# array kernels, on cell data of shape grid.shape or (B, *grid.shape)
 
 
-def _along(dim: int, axis: int, s) -> tuple:
-    return (Ellipsis, s) + (slice(None),) * (dim - 1 - axis)
+def last_positions(x: np.ndarray, n: int, s: int) -> np.ndarray:
+    """The view of flat x at the cells last along an axis of n cells."""
+    return x.reshape(-1, n * s)[:, (n - 1) * s:]
 
 
-# per grid dimension, per axis: the index tuples of the upper and the lower
-# cell of each interior face, of the interior faces, and of the first and the
-# last cell (or face) along that axis
-FACE_SLICES = {
-    dim: tuple(tuple(_along(dim, axis, s) for s in (
-        slice(1, None), slice(None, -1), slice(1, -1), 0, -1))
-        for axis in range(dim))
-    for dim in (1, 2)
-}
+class FaceData(tuple):
+    """Face data for cells of `shape`, the vectors given or fresh ones, and
+    its views: data, the N entries f[s:] that coefficients are evaluated
+    on, and cuts, what a kernel writes: f[s:N] and the last positions."""
 
-
-def face_shape(shape: tuple, dim: int, axis: int) -> tuple:
-    """The shape of the faces normal to `axis` of cell data of `shape`."""
-    k = len(shape) - dim + axis
-    return shape[:k] + (shape[k] + 1,) + shape[k + 1:]
-
-
-def face_arrays(grid: Grid, shape: tuple) -> FaceData:
-    """Uninitialised face data for cell data of `shape`, one array per axis."""
-    return tuple(np.empty(face_shape(shape, grid.dim, axis))
-                 for axis in range(grid.dim))
+    def __new__(cls, grid: Grid, shape: tuple, vectors: Sequence = ()):
+        faces = super().__new__(cls, vectors or [
+            np.empty(s + math.prod(shape)) for s in grid.strides])
+        for f, s in zip(faces, grid.strides):
+            f[:s] = 0.0  # the s leading zeros, which no kernel writes
+        faces.data = tuple(f[s:] for f, s in zip(faces, grid.strides))
+        faces.cuts = tuple((d[:-s], last_positions(d, n, s)) for d, n, s
+                           in zip(faces.data, grid.shape, grid.strides))
+        return faces
 
 
 def gradient_arrays(grid: Grid, a: np.ndarray,
                     out: FaceData | None = None) -> FaceData:
     """Face differences over h, zero on boundary faces; into out if given."""
-    faces = out or face_arrays(grid, a.shape)
-    for h, g, (hi, lo, inner, first, last) in zip(
-            grid.spacing, faces, FACE_SLICES[grid.dim]):
-        g[first] = g[last] = 0.0
-        d = np.subtract(a[hi], a[lo], out=g[inner])
+    x = a.ravel()
+    faces = out or FaceData(grid, x.shape)
+    for h, s, (inner, last) in zip(grid.spacing, grid.strides, faces.cuts):
+        d = np.subtract(x[s:], x[:-s], out=inner)
         np.divide(d, h, out=d)
+        last.fill(0.0)
     return faces
 
 
-def divergence_arrays(grid: Grid, fluxes: FaceData,
+def divergence_arrays(grid: Grid, fluxes: Sequence,
                       out: np.ndarray | None = None,
                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the axes, left to right, of the flux differences over h;
-    into out if given, each later axis's term formed in scratch (allocated
-    if None)."""
+    """Sum over the axes, left to right, of (f[s:] - f[:-s]) / h: flat, or
+    into out (any shape of N cells), each later axis's term formed in
+    scratch (allocated if None)."""
     total = None
-    for h, f, (hi, lo, _, _, _) in zip(grid.spacing, fluxes,
-                                       FACE_SLICES[grid.dim]):
-        term = np.subtract(f[hi], f[lo], out=scratch if total is not None
-                           else out)
+    for h, s, f in zip(grid.spacing, grid.strides, fluxes):
+        into = out if total is None else scratch
+        term = np.subtract(f[s:], f[:-s],
+                           out=None if into is None else into.ravel())
         np.divide(term, h, out=term)
         total = term if total is None else np.add(total, term, out=total)
-    return total
+    return total if out is None else out
 
 
 def face_average_arrays(grid: Grid, a: np.ndarray,
                         out: FaceData | None = None) -> FaceData:
-    """Arithmetic mean onto faces; boundary faces copy the adjacent cell.
-    Into out if given."""
-    faces = out or face_arrays(grid, a.shape)
-    for m, (hi, lo, inner, first, last) in zip(faces, FACE_SLICES[grid.dim]):
-        mean = np.add(a[hi], a[lo], out=m[inner])
+    """Arithmetic mean onto faces; a cell last along an axis gives its
+    boundary face its own value.  Into out if given."""
+    x = a.ravel()
+    faces = out or FaceData(grid, x.shape)
+    for n, s, (inner, last) in zip(grid.shape, grid.strides, faces.cuts):
+        mean = np.add(x[s:], x[:-s], out=inner)
         np.multiply(0.5, mean, out=mean)
-        m[first], m[last] = a[first], a[last]
+        last[...] = last_positions(x, n, s)
     return faces
 
 
@@ -188,10 +191,19 @@ def member_sums(x: np.ndarray, lead: int = 1) -> np.ndarray:
 def grad_sq_sum(grid: Grid, a: np.ndarray, out: FaceData | None = None):
     """Sum of squared face gradients times the cell volume, per member of a
     batch (a numpy float for grid-shaped a).  The gradients are formed,
-    and squared, in out if given."""
+    and squared, in out if given.  Each member sums its faces in the order
+    [lower boundary, interior, upper boundary], bitwise as with n + 1
+    faces along an axis: the (n + 1) s entries from every (n s)-th are one
+    member, or one row along the last 2-D axis, copied into one run."""
+    lead = a.ndim - grid.dim
     vol = grid.cell_volume
     total = 0.0
-    for g in gradient_arrays(grid, a, out=out):
+    for n, s, g in zip(grid.shape, grid.strides,
+                       gradient_arrays(grid, a, out=out)):
         np.multiply(g, g, out=g)
-        total = total + member_sums(g, a.ndim - grid.dim) * vol
+        step = n * s
+        rows = np.ndarray(((len(g) - s) // step, step + s), buffer=g,
+                          strides=(step * g.itemsize, g.itemsize))
+        total = total + member_sums(rows.reshape(a.shape[:lead] + (-1,)),
+                                    lead) * vol
     return total

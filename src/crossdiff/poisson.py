@@ -18,10 +18,9 @@ operations.  Every solve also returns ||grad psi||^2, the square of the
 discrete H^-1 seminorm of w.  By summation by parts it equals
 <w - mean(w), psi>, and each nonconstant member computes both routes and
 cross-checks them against a roundoff model, so every caller gets a checked
-value.  poincare_ratio is
-the best constant K with ||f||^2 <= K ||grad f||^2 over mean-zero fields,
-1/lambda_1 for the smallest nonzero eigenvalue lambda_1 of the same
-spectrum.
+value.  poincare_ratio is the best constant K with ||f||^2 <= K ||grad f||^2
+over mean-zero fields, 1/lambda_1 for the smallest nonzero eigenvalue
+lambda_1 of the same spectrum.
 """
 
 from __future__ import annotations
@@ -132,7 +131,8 @@ def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
         psi = _idct(psi, axis, twiddle)
     psi -= psi.mean(axis=cells, keepdims=True)
     psi[flat] = 0.0
-    residual = b + divergence_arrays(grid, gradient_arrays(grid, psi))
+    residual = b + divergence_arrays(
+        grid, gradient_arrays(grid, psi)).reshape(psi.shape)
     rel = np.divide(_norms(residual, lead), norm_b,
                     out=np.zeros(norm_b.shape), where=~flat)
 

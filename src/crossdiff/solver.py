@@ -34,18 +34,16 @@ bitwise as it would be for that member alone.
 Buffers: a Simulation allocates its state, its StepOperator and one
 StepWorkspace for its batch shape, and a step after the first allocates no
 cell- or face-sized array of its own; only the coefficient and forcing
-programs return fresh arrays.  The step's kernels and arithmetic write
-through numpy's out=, with the ufuncs, operands and order of the plain
-expressions, so every value is bitwise theirs.  Inside a solve every
-vector is flat: CG flattens its right-hand side, iterate and work arrays
-once, hands the operator flat vectors only and uses its flat result, so
-no iteration reshapes an array.  Each solve writes its solution into the
-workspace's spare state, which the step then swaps with u or v: the
-arrays sim.u and sim.v are overwritten by later steps, so a caller that
-keeps them copies them, as state() does.  Each owner cuts them from one
-block with aligned_zeros, each on a CACHE_LINE boundary (a flux at
-flux[s], where an apply writes first): numpy aligns to 16 bytes only, and
-a 64-byte AVX-512 store off a line straddles two.  The ledger
+programs return fresh arrays, and a 2-D ledger's grad_sq_sum copies its y
+faces.  The step's kernels and arithmetic write through numpy's out=, with
+the ufuncs, operands and order of the plain expressions, so every value is
+bitwise theirs.  Face data, the operator's included, has the grid's flat
+layout, and every vector inside a solve is flat (conjugate_gradient), so no
+kernel pass is strided and no iteration reshapes an array.  Each solve writes
+its solution into the workspace's spare state, which the step then swaps with
+u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
+caller that keeps them copies them, as state() does.  Each owner cuts its
+buffers from one block with aligned_zeros, each on a cache line.  The ledger
 cum_grad_u_sq, a gradient of u' per step, is kept only with grad_ledger,
 which run sets for its diagnostics; a sweep or an MMS level reads nan.
 
@@ -86,8 +84,9 @@ from . import exprs
 from .coeffs import CoefficientModel
 from .exprs import (Const, Expr, compile, differentiate, is_count, is_number,
                     mul, substitute)
-from .grid import (FACE_SLICES, Grid, divergence_arrays, face_average_arrays,
-                   face_shape, grad_sq_sum, gradient_arrays, member_sums)
+from .grid import (FaceData, Grid, as_cells, divergence_arrays,
+                   face_average_arrays, grad_sq_sum, gradient_arrays,
+                   last_positions, member_sums)
 
 CLIP_BUDGET = 1e-8  # largest tolerated clipped mass per step, relative to mass
 # most steps a config may ask for: 200 times the 5,000 of the largest shipped
@@ -276,7 +275,7 @@ class SimConfig:
 
     def warn_if_dt_large(self, u0: np.ndarray, v0: np.ndarray) -> None:
         """Advisory explicit-term bound dt <= h^2 / max |A12 grad v| at t=0."""
-        worst = _max_cross_rate(self.grid, _cells(
+        worst = _max_cross_rate(self.grid, as_cells(
             self.model.a12_values(u0, v0), self.grid.shape), v0)
         h2 = min(self.grid.spacing) ** 2
         if worst > 0.0 and self.dt > h2 / worst:
@@ -287,24 +286,17 @@ class SimConfig:
 
 
 def _max_cross_rate(grid: Grid, a12: np.ndarray, v: np.ndarray) -> float:
-    """max over faces of |A12 grad v|, A12 averaged onto the faces: the
-    largest over the axes of max |(a12[hi] + a12[lo])/2 (v[hi] - v[lo])/h|
-    on the interior faces.  A boundary face, whose gradient is zero, adds
-    0, or nan where a12 is not finite, which hides its axis as np.max over
-    all faces did."""
+    """max over faces of |A12 grad v|, A12 averaged onto the faces.  A
+    boundary face adds 0, or nan where a12 is not finite, so a non-finite
+    a12 on a cell first or last along an axis hides that axis."""
     worst = 0.0
-    for h, (hi, lo, _, first, last) in zip(grid.spacing,
-                                           FACE_SLICES[grid.dim]):
-        rate = np.add(a12[hi], a12[lo])
-        np.multiply(0.5, rate, out=rate)
-        dv = np.subtract(v[hi], v[lo])
-        np.divide(dv, h, out=dv)
-        np.multiply(rate, dv, out=rate)
-        axis_max = float(np.max(np.abs(rate, out=rate)))
-        if not (np.isfinite(a12[first]).all()
-                and np.isfinite(a12[last]).all()):
-            axis_max = math.nan
-        worst = max(worst, axis_max)
+    for n, s, mean, grad in zip(grid.shape, grid.strides,
+                                face_average_arrays(grid, a12).data,
+                                gradient_arrays(grid, v).data):
+        ends = a12.reshape(-1, n, s)[:, ::n - 1]  # first and last cells
+        worst = max(worst, float(np.max(np.abs(np.multiply(
+            mean, grad, out=grad), out=grad))) if np.isfinite(ends).all()
+            else math.nan)
     return worst
 
 
@@ -409,14 +401,11 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
 class StepOperator:
     """The step matrix x -> x + dt c x - dt div(M grad x) of a batch shape.
 
-    An apply is diag x - sum over axes of D(w G x): G x = x[hi] - x[lo],
-    D f = f[hi] - f[lo], diag = 1 + dt c (or 1), w = (dt/h^2) M; it equals
-    the grid kernels' composition to roundoff, not bitwise.  On the flat
-    cells w[k] weighs the face of cells k and k + s, s the axis's stride,
-    and is zero where k is last along the axis, so no flux wraps between
-    rows or members.  Buffers are cut once from one block, each on a cache
-    line, a flux at flux[s], where f_in starts; assemble() invalidates the
-    last apply, and each apply overwrites the one before.
+    An apply is diag x - sum over axes of D(w G x): G x = x[s:] - x[:-s],
+    D f = f[s:] - f[:-s], diag = 1 + dt c (or 1), w = (dt/h^2) M; it equals
+    the grid kernels' composition to roundoff, not bitwise.  Its flux is
+    face data: w[k] weighs the face of flat cells k and k + s, zero where
+    k is last along the axis, so no flux wraps between rows or members.
 
     CG calls it with flat vectors of B * cells values and gets back the
     flat view of its one result buffer, the same object every call.  A
@@ -425,30 +414,26 @@ class StepOperator:
     """
 
     def __init__(self, grid: Grid, shape: tuple):
-        cells = math.prod(shape)
-        strides = [math.prod(grid.shape[axis + 1:]) for axis in range(grid.dim)]
+        cells, strides = math.prod(shape), grid.strides
         self._out, self._diag, self._part, *axes = aligned_zeros(
             [shape, (cells,), (cells,)]
-            + [size for s in strides for size in (shape, (cells + s,))],
+            + [size for s in strides for size in ((cells,), (s + cells,))],
             [0, 0, 0] + [lead for s in strides for lead in (0, s)])
         self._flat = self._out.reshape(-1)
         self._absorbs = False
         self._weights, self._axes = [], []  # per axis, to assemble, apply
-        for s, w, flux, h, (_, lo, inner, _, _) in zip(
-                strides, axes[::2], axes[1::2], grid.spacing,
-                FACE_SLICES[grid.dim]):
-            self._weights.append((inner, h * h, w[lo], w.reshape(-1)))
-            self._axes.append((s, w.reshape(-1)[:-s], flux[s:-s], flux[s:],
-                               flux[:-s]))
+        for n, s, h, w, flux in zip(grid.shape, strides, grid.spacing,
+                                    axes[::2], axes[1::2]):
+            self._weights.append((h * h, w, last_positions(w, n, s)))
+            self._axes.append((s, w[:-s], flux[s:-s], flux[s:], flux[:-s]))
 
-    def assemble(self, mob: tuple, dt: float,
+    def assemble(self, mob: Sequence, dt: float,
                  c: Optional[np.ndarray] = None) -> None:
-        """Set w from the face mobilities mob and dt, and diag from c."""
-        # a strided copy, then a contiguous multiply: a strided multiply
-        # would make numpy allocate iterator buffers
-        for (inner, h2, w, flat), m in zip(self._weights, mob):
-            np.copyto(w, m[inner])
-            np.multiply(flat, dt / h2, out=flat)
+        """Set w from dt and the face mobilities mob, per axis a value per
+        flat cell (FaceData.data) or a constant, and diag from c."""
+        for (h2, w, last), m in zip(self._weights, mob):
+            np.multiply(m, dt / h2, out=w)
+            last.fill(0.0)
         self._absorbs = c is not None
         if self._absorbs:
             np.add(np.multiply(c.reshape(-1), dt, out=self._diag), 1.0,
@@ -476,10 +461,10 @@ class StepWorkspace:
     StepOperator, allocated once for a batch shape and reused by every step.
 
     The v and the u step take turns with the same buffers:
-      u_faces   A22's face means (v step); u's face means, then A12's
-                (u step); grad u' (the step's closing sum)
-      v_faces   v''s face means, then grad v', overwritten by the cross
-                flux A12 grad v' (u step)
+      u_faces   FaceData: A22's face means (v step); u's face means,
+                then A12's (u step); grad u' (the step's closing sum)
+      v_faces   FaceData: v''s face means, then grad v', overwritten by
+                the cross flux A12 grad v' (u step)
       aux       C = u max(-q2, 0)/v, then C v' (v step); the reaction plus
                 the forcing, when there is a forcing (u step)
       rhs       the right-hand side of each solve; min(u', 0) after the
@@ -490,14 +475,16 @@ class StepWorkspace:
                 Simulation.step swaps it with the current state
 
     They are views of one block, mapped and returned to the system as a
-    whole, each on a cache line, so that no 64-byte store straddles two.
+    whole, each on a cache line (a face vector at entry s, the first the
+    kernels write, so its s leading zeros stay zero).
     """
 
     def __init__(self, grid: Grid, shape: tuple):
-        faces = [face_shape(shape, grid.dim, axis) for axis in range(grid.dim)]
-        views = aligned_zeros(faces * 2 + [shape] * 7)
-        d = grid.dim
-        self.u_faces, self.v_faces = tuple(views[:d]), tuple(views[d:2 * d])
+        cells, d = math.prod(shape), grid.dim
+        views = aligned_zeros([(s + cells,) for s in grid.strides] * 2
+                              + [shape] * 7, grid.strides * 2)
+        self.u_faces, self.v_faces = (FaceData(grid, shape, views[i:i + d])
+                                      for i in (0, d))
         self.aux, self.rhs, self.u, self.v, *cg = views[2 * d:]
         self.cg = tuple(cg)
 
@@ -515,14 +502,6 @@ def aligned_zeros(shapes: Sequence, leads: Sequence = ()) -> list:
     skip = -block.ctypes.data % CACHE_LINE // 8
     return [block[skip + start:skip + start + math.prod(shape)].reshape(shape)
             for shape, start in zip(shapes, starts)]
-
-
-def _cells(values, shape) -> np.ndarray:
-    """values as an array of `shape`: an array of that shape as it is, a
-    scalar (a constant coefficient) broadcast."""
-    if isinstance(values, np.ndarray) and values.shape == shape:
-        return values
-    return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
 class Simulation:
@@ -565,10 +544,9 @@ class Simulation:
         # (S1, S2), run on the grid's axes and the step times
         self._forcing = None if cfg.mms_u is None else compile(mms_forcing(
             cfg.mms_u, cfg.mms_v, cfg.model))
-        # a constant A12 or A22 has the same face means at every step
+        # a constant A12 or A22 is its own face mean, (c + c) / 2 = c
         self._a12_faces, self._a22_faces = (
-            face_average_arrays(self.grid, _cells(e.value, self.u.shape))
-            if isinstance(e, Const) else None
+            (e.value,) * self.grid.dim if isinstance(e, Const) else None
             for e in (cfg.model.a12, cfg.model.a22))
         self._max_iter = cfg.lin_max_iter or max(200, 10 * self.grid.cell_count)
         self.operator = StepOperator(self.grid, self.u.shape)
@@ -663,7 +641,7 @@ class Simulation:
         g, m, ws = self.grid, self.model, self.work
         u, v = self.u, self.v
         mob = self._a22_faces or face_average_arrays(
-            g, _cells(m.a22_values(u, v), u.shape), out=ws.u_faces)
+            g, as_cells(m.a22_values(u, v), u.shape), out=ws.u_faces).data
         q2 = m.q2_values(v)
         c_abs = np.negative(q2, out=ws.aux)  # u max(-q2, 0) / v
         np.maximum(c_abs, 0.0, out=c_abs)
@@ -703,12 +681,12 @@ class Simulation:
         u_faces = face_average_arrays(g, u, out=ws.u_faces)
         v_faces = face_average_arrays(g, v_new, out=ws.v_faces)
         self.operator.assemble(tuple(m.a11_values(uf, vf) for uf, vf
-                                     in zip(u_faces, v_faces)), dt)
+                                     in zip(u_faces.data, v_faces.data)), dt)
 
         a12_faces = self._a12_faces or face_average_arrays(
-            g, _cells(m.a12_values(u, v_new), u.shape), out=ws.u_faces)
+            g, as_cells(m.a12_values(u, v_new), u.shape), out=ws.u_faces).data
         cross = gradient_arrays(g, v_new, out=ws.v_faces)
-        for af, gf in zip(a12_faces, cross):
+        for af, gf in zip(a12_faces, cross.data):
             np.multiply(af, gf, out=gf)
         reaction = m.r1_values(u, v_new)
         if s1 is not None:
@@ -807,9 +785,8 @@ def f_energy(g: Grid, u: np.ndarray, v: np.ndarray, gamma_param: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         ulnu = np.where(u > 0.0, u * np.log(np.maximum(u, 1e-300)), 0.0)
     grad_sq = np.zeros(g.shape)
-    for gf, (hi, lo, _, _, _) in zip(gradient_arrays(g, v),
-                                     FACE_SLICES[g.dim]):
-        centered = 0.5 * (gf[lo] + gf[hi])
+    for s, gf in zip(g.strides, gradient_arrays(g, v)):
+        centered = (0.5 * (gf[:-s] + gf[s:])).reshape(g.shape)
         grad_sq = grad_sq + centered * centered
     vol = g.cell_volume
     return (float(np.sum(ulnu)) * vol

@@ -464,6 +464,44 @@ def test_a_null_block_the_command_requires_is_reported_missing(
         in err.value.errors
 
 
+@pytest.mark.parametrize("block, given, field, default", [
+    ("solver", {"tol": None}, "lin_tol", solver.SimConfig.lin_tol),
+    ("time", {"dt": 0.00025, "t_end": 0.0025, "cadence": None},
+     "output_every", solver.SimConfig.output_every)])
+def test_a_null_key_is_absent(tmp_path, block, given, field, default):
+    # as a null block is; these exited 1 with "solver.tol must lie in
+    # (0, 1)" and "time.cadence must be an integer >= 1"
+    payload = _shipped("case2_run_1d", **{block: given})
+    cfg = load_config(write_config(tmp_path, payload))
+    assert getattr(cfg.sim, field) == default
+
+
+@pytest.mark.parametrize("model", [
+    {"preset": "case2", "chi": 0.25, "l": 0.5},
+    {"alpha": 1.0, "p": "v", "a12": "-0.25*u^2*v", "a22": "1",
+     "r1_linear": "0.5*v", "r2_tilde": "-u*v"}])
+def test_a_null_model_key_is_absent(tmp_path, model):
+    # a null beta is the preset's default, a null r1_tilde the default 0
+    null = {**model, ("beta" if "preset" in model else "r1_tilde"): None}
+    loaded = [load_config(write_config(tmp_path, _shipped(
+        "case2_run_1d", model=m))).sim.model for m in (model, null)]
+    assert loaded[0] == loaded[1]
+
+
+@pytest.mark.parametrize("block, given, detail", [
+    ("solver", {"tolerance": None}, "solver: unknown key 'tolerance'"),
+    ("model", {"preset": "case2", "chi": 0.25, "l": 0.5, "kappa": None},
+     "model: unknown key 'kappa'"),
+    ("model", {"alpha": 0.0, "p": "1", "a22": "1", "chi": None},
+     "model: unknown key 'chi'")])
+def test_an_unknown_null_key_is_still_rejected(tmp_path, block, given,
+                                               detail):
+    payload = _shipped("case2_run_1d", **{block: given})
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert err.value.errors == [detail]
+
+
 # ---------------------------------------------------------------------------
 # commands end to end
 

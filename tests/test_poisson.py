@@ -14,7 +14,7 @@ from test_grid import centers
 
 
 def laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
-    return divergence_arrays(grid, gradient_arrays(grid, a))
+    return divergence_arrays(grid, gradient_arrays(grid, a)).reshape(a.shape)
 
 
 def dense_neg_laplacian(grid: Grid) -> np.ndarray:

@@ -15,14 +15,13 @@ from crossdiff import solver
 from crossdiff.cli import load_config, main
 from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import evaluate, parse
-from crossdiff.grid import (FACE_SLICES, Grid, divergence_arrays,
-                            face_average_arrays, grad_sq_sum,
+from crossdiff.grid import (Grid, divergence_arrays, grad_sq_sum,
                             gradient_arrays)
 from crossdiff.solver import (ConvergenceError, PositivityError, SimConfig,
                               Simulation, StepOperator, conjugate_gradient,
                               f_energy, mms_forcing, run, time_grid)
 from crossdiff.stability import perturbation_sweep
-from test_grid import centers
+from test_grid import centers, reference_averages, reference_gradients
 
 
 def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
@@ -55,30 +54,42 @@ def stepper(grid, model, u, v):
 # step operator and CG
 
 
+def flat(mob):
+    """Cell-shaped mobilities, each cell's value on its upper face per
+    axis, as assemble takes them: one value per flat cell."""
+    return tuple(m.reshape(-1) for m in mob)
+
+
 def operator(grid, mob, dt, c=None):
     """A StepOperator for the cells of mob's batch, assembled."""
-    shape = mob[0].shape[:mob[0].ndim - grid.dim] + grid.shape
-    op = StepOperator(grid, shape)
-    op.assemble(mob, dt, c)
+    op = StepOperator(grid, mob[0].shape)
+    op.assemble(flat(mob), dt, c)
     return op
+
+
+def along(grid, axis, x):
+    """Cell data of N flat cells as (N / (n s), n, s), for the axis of n
+    cells and stride s: the cells along the axis in the middle."""
+    return x.reshape(-1, grid.shape[axis], grid.strides[axis])
 
 
 def folded(grid, mob, dt, c, x):
     """The step matrix written out as the operator folds it:
     diag x - sum over axes of D(w G x), with w = (dt/h^2) M on the interior
-    faces, zero flux on the boundary faces and diag = 1 + dt c."""
+    faces, zero flux on the boundary faces and diag = 1 + dt c; M on the
+    face between two cells is the mobility of the lower one."""
     out = x.copy() if c is None else (1.0 + dt * c) * x
-    for h, m, (hi, lo, inner, _, _) in zip(grid.spacing, mob,
-                                          FACE_SLICES[grid.dim]):
-        flux = np.zeros(m.shape)
-        flux[inner] = (x[hi] - x[lo]) * (m[inner] * (dt / (h * h)))
-        out = out - (flux[hi] - flux[lo])
+    for axis, (h, m) in enumerate(zip(grid.spacing, mob)):
+        xa, ma = along(grid, axis, x), along(grid, axis, m)
+        flux = np.zeros((len(xa), xa.shape[1] + 1, xa.shape[2]))
+        w = ma[:, :-1] * (dt / (h * h))
+        flux[:, 1:-1] = (xa[:, 1:] - xa[:, :-1]) * w
+        out = out - (flux[:, 1:] - flux[:, :-1]).reshape(x.shape)
     return out
 
 
 def random_operator_data(grid, rng, lead=()):
-    faces = gradient_arrays(grid, np.zeros(lead + grid.shape))
-    mob = tuple(rng.uniform(0.1, 3.0, f.shape) for f in faces)
+    mob = tuple(rng.uniform(0.1, 3.0, lead + grid.shape) for _ in grid.shape)
     return mob, rng.uniform(0.0, 2.0, lead + grid.shape)
 
 
@@ -125,19 +136,21 @@ def test_step_operator_matches_grid_calculus_to_roundoff(grid):
         op = operator(grid, mob, dt, absorbing)
         for _ in range(3):
             x = rng.standard_normal(grid.shape)
-            diffusion = dt * divergence_arrays(grid, tuple(
-                m * g for m, g in zip(mob, gradient_arrays(grid, x))))
+            flux = gradient_arrays(grid, x)
+            for m, g in zip(flat(mob), flux.data):
+                np.multiply(m, g, out=g)
+            diffusion = dt * divergence_arrays(grid, flux).reshape(x.shape)
             if absorbing is None:
                 kernels, size = x - diffusion, np.abs(x)
             else:
                 kernels = x + dt * absorbing * x - diffusion
                 size = np.abs(x) + dt * absorbing * np.abs(x)
-            for h, m, (hi, lo, inner, _, _) in zip(grid.spacing, mob,
-                                                  FACE_SLICES[grid.dim]):
-                terms = np.zeros(m.shape)
-                terms[inner] = dt / (h * h) * m[inner] * (
-                    np.abs(x[hi]) + np.abs(x[lo]))
-                size = size + terms[hi] + terms[lo]
+            for axis, (h, m) in enumerate(zip(grid.spacing, mob)):
+                xa, ma = along(grid, axis, np.abs(x)), along(grid, axis, m)
+                terms = np.zeros((len(xa), xa.shape[1] + 1, xa.shape[2]))
+                terms[:, 1:-1] = dt / (h * h) * ma[:, :-1] * (
+                    xa[:, 1:] + xa[:, :-1])
+                size = size + (terms[:, 1:] + terms[:, :-1]).reshape(x.shape)
             assert np.all(np.abs(op(x) - kernels) <= 2.0 * gamma * size)
 
 
@@ -162,9 +175,9 @@ def test_v_then_u_assembly_equals_fresh_operators_bitwise(grid):
     mob_u, _ = random_operator_data(grid, rng, (3,))
     x = rng.standard_normal((3,) + grid.shape)
     op = StepOperator(grid, x.shape)
-    op.assemble(mob_v, dt, c)
+    op.assemble(flat(mob_v), dt, c)
     v_result = op(x).copy()
-    op.assemble(mob_u, dt)
+    op.assemble(flat(mob_u), dt)
     u_result = op(x)
     assert np.array_equal(v_result, operator(grid, mob_v, dt, c)(x))
     assert np.array_equal(u_result, operator(grid, mob_u, dt)(x))
@@ -217,7 +230,7 @@ def test_a_flat_input_gets_the_flat_view_of_one_buffer(grid, members):
 def test_cg_hands_apply_a_only_flat_vectors(members, dt, tol, max_iter):
     g = Grid((32,), (1.0,))
     rng = np.random.default_rng(32 + members)
-    mob = (rng.uniform(0.1, 3.0, (members, 33)),)
+    mob = (rng.uniform(0.1, 3.0, (members, 33))[:, 1:],)  # upper faces
     b = rng.standard_normal((members, 32))
     op = operator(g, mob, dt)
     assert_cg_matches_textbook(op, b, tol, max_iter)
@@ -291,10 +304,10 @@ def test_assemble_allocates_nothing_and_keeps_the_folded_weights():
     op = StepOperator(g, c.shape)
     x = rng.standard_normal(c.shape)
     for absorbing in (c, None):
-        op.assemble(mob, dt, absorbing)
+        op.assemble(flat(mob), dt, absorbing)
         tracemalloc.start()
         try:
-            op.assemble(mob, dt, absorbing)
+            op.assemble(flat(mob), dt, absorbing)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -309,7 +322,7 @@ def test_batched_cg_bounds_every_member_relative_residual():
     # a stop at tol * ||b|| would leave it far above tol
     g = Grid((96,), (1.0,))
     rng = np.random.default_rng(4)
-    mob = (rng.uniform(0.5, 2.0, (3, 97)),)
+    mob = (rng.uniform(0.5, 2.0, (3, 97))[:, 1:],)  # upper faces
     apply_a = operator(g, mob, 0.05)
     b = rng.standard_normal((3, 96))
     b[1] *= 1e-6
@@ -382,7 +395,7 @@ def test_only_run_keeps_the_grad_ledger(tmp_path, monkeypatch):
 def test_nonconvergence_carries_best_iterate():
     g = Grid((128,), (1.0,))
     rng = np.random.default_rng(12)
-    apply_a = operator(g, (rng.uniform(0.5, 2.0, (1, 129)),), 1.0)
+    apply_a = operator(g, (rng.uniform(0.5, 2.0, (1, 129))[:, 1:],), 1.0)
     b = rng.standard_normal((1, 128))
     with pytest.raises(ConvergenceError) as err:
         cg(apply_a, b, np.zeros((1, 128)), 1e-14, 2)
@@ -415,7 +428,7 @@ def test_failed_solve_reports_the_true_residual_of_its_best_iterate(
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_cg_refuses_a_non_finite_right_hand_side(bad):
     g = Grid((16,), (1.0,))
-    apply_a = operator(g, (np.ones((2, 17)),), 0.1)
+    apply_a = operator(g, (np.ones((2, 16)),), 0.1)
     b = np.ones((2, 16))
     b[1, 3] = bad
     with pytest.raises(ConvergenceError, match="not finite") as err:
@@ -522,7 +535,7 @@ def test_cg_matches_the_textbook_loop_after_restarts(members, dt):
     # drifts below the true one, so CG restarts from the true residual
     g = Grid((32,), (1.0,))
     rng = np.random.default_rng(32 + members)
-    mob = (rng.uniform(0.1, 3.0, (members, 33)),)
+    mob = (rng.uniform(0.1, 3.0, (members, 33))[:, 1:],)  # upper faces
     b = rng.standard_normal((members, 32))
     assert assert_cg_matches_textbook(operator(g, mob, dt), b, 1e-12,
                                       400) >= 1
@@ -577,7 +590,7 @@ def test_cg_matches_the_textbook_loop_when_it_stagnates():
     # STAGNATION_CHECKS checks in a row fail to lower the best one
     g = Grid((32,), (1.0,))
     rng = np.random.default_rng(34)
-    mob = (rng.uniform(0.1, 3.0, (2, 33)),)
+    mob = (rng.uniform(0.1, 3.0, (2, 33))[:, 1:],)  # upper faces
     b = rng.standard_normal((2, 32))
     apply_a = operator(g, mob, 1.0)
     assert assert_cg_matches_textbook(apply_a, b, 1e-16, 10 ** 5) \
@@ -694,15 +707,19 @@ def smooth_batch(shape: tuple, count: int) -> Simulation:
 def step_buffer_groups(sim) -> list:
     """Every buffer a step writes through out=, each as a list of the views
     cut from it, first the one that is to start on a cache line: the
-    state, the spare state, the workspace's views, the operator's out, diag
-    and part, and per axis its weights and its flux (f_in, f_hi, f_lo)."""
+    state, the spare state, the workspace's views, per axis each face
+    vector (from its entry s on), the operator's out, diag and part, and
+    per axis its weights and its flux (f_in, f_hi, f_lo)."""
     ws, op = sim.work, sim.operator
     groups = [[a] for a in (sim.u, sim.v, ws.u, ws.v, ws.aux, ws.rhs, *ws.cg,
-                            *ws.u_faces, *ws.v_faces, op._diag, op._part)]
+                            op._diag, op._part)]
+    for faces in (ws.u_faces, ws.v_faces):
+        groups += [[data, f, *cuts] for f, data, cuts
+                   in zip(faces, faces.data, faces.cuts)]
     groups.append([op._out, op._flat])
-    for (_, _, w_lo, w), (_, w_apply, f_in, f_hi, f_lo) in zip(op._weights,
-                                                               op._axes):
-        groups += [[w, w_lo, w_apply], [f_in, f_hi, f_lo]]
+    for (_, w, last), (_, w_apply, f_in, f_hi, f_lo) in zip(op._weights,
+                                                            op._axes):
+        groups += [[w, last, w_apply], [f_in, f_hi, f_lo]]
     return groups
 
 
@@ -1140,8 +1157,8 @@ def whole_face_cross_rate(grid, a12, v):
     """max |A12 grad v| as warn_if_dt_large formed it before: A12's face
     means times the gradient on every face, boundary faces included."""
     worst = 0.0
-    for a12_f, dv_f in zip(face_average_arrays(grid, a12),
-                           gradient_arrays(grid, v)):
+    for a12_f, dv_f in zip(reference_averages(grid, a12),
+                           reference_gradients(grid, v)):
         worst = max(worst, float(np.max(np.abs(a12_f * dv_f))))
     return worst
 

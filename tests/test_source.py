@@ -102,24 +102,46 @@ ROOT = TRACING.parents[1]
 TRACE_OVERHEAD = {"trace.overhead_s", "trace.overhead_frac"}
 
 
-def tiny_2d_run(tmp_path: Path) -> Path:
-    """A 2-D run of 8x8 cells and 3 steps."""
-    path = tmp_path / "tiny_2d.json"
-    path.write_text(json.dumps({
+# a 2-D run of 8x8 cells and 3 steps, and a 1-D sweep of 32 cells and 10
+# steps over 3 amplitudes, which steps a batch of 4 and runs the
+# delta-psi solves and grad_sq_sum under the tracer; with the numbers of
+# step solves and of (batched) delta-psi solves, one per tick, each makes
+TRACED_CONFIGS = {
+    "tiny_2d_run": ({
         "command": "run",
         "grid": {"dim": 2, "n": 8, "L": 1.0},
         "model": {"preset": "case2", "chi": 0.25, "l": 0.5},
         "time": {"dt": 1e-3, "t_end": 3e-3},
         "initial": {"u": "1 + 0.5*cos(pi*x)*cos(pi*y)",
                     "v": "1 + 0.2*cos(pi*x)*cos(pi*y)"},
-    }), encoding="utf-8")
-    return path
+    }, 6, 0),
+    "tiny_1d_sweep": ({
+        "command": "sweep",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"preset": "case2", "chi": 0.25, "l": 0.5},
+        "time": {"dt": 1e-4, "t_end": 1e-3, "cadence": 2},
+        "initial": {"u": "1 + 0.5*cos(pi*x)", "v": "1 + 0.1*cos(pi*x)"},
+        "stability": {"du": "cos(pi*x)", "dv": "cos(2*pi*x)",
+                      "amplitudes": [0.01, 0.005, 0.0025]},
+    }, 20, 6),
+}
 
 
 def test_a_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch):
+    check_traced_run(tmp_path, monkeypatch, "tiny_2d_run")
+
+
+def test_a_traced_batched_sweep_reports_every_per_layer_metric(tmp_path,
+                                                               monkeypatch):
+    check_traced_run(tmp_path, monkeypatch, "tiny_1d_sweep")
+
+
+def check_traced_run(tmp_path, monkeypatch, name):
     # a traced run whose metrics the benchmark cannot read measures nothing:
     # its last line must hold every per-layer metric, finite, as strict JSON
-    config = tiny_2d_run(tmp_path)
+    payload, solves, psi_solves = TRACED_CONFIGS[name]
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
     code = (
         "import json, math, sys\n"
         f"sys.path.insert(0, {str(TRACING.parent)!r})\n"
@@ -141,6 +163,8 @@ def test_a_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch):
         encoding="utf-8"))["per_layer"]
     assert set(metrics) == {m["name"] for m in declared} - TRACE_OVERHEAD
     assert all(math.isfinite(value) for value in metrics.values())
+    assert metrics["poisson.psi_solves"] == psi_solves
+    assert metrics["grid.kernel_calls"] > 0
 
     # the same run untraced: the tracer counts every iteration CG returns
     from crossdiff import cli, solver
@@ -154,5 +178,5 @@ def test_a_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "conjugate_gradient", counted)
     assert cli.main([str(config), "--output-dir",
                      str(tmp_path / "untraced")]) == 0
-    assert len(iterations) == metrics["poisson.step_solves"] == 6
+    assert len(iterations) == metrics["poisson.step_solves"] == solves
     assert metrics["poisson.step_iters"] == sum(iterations) > 0
