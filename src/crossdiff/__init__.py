@@ -19,8 +19,8 @@ from .exprs import (EvalError, ExpressionError, Expr, ParseError,
                     differentiate, evaluate, parse, substitute, to_string)
 from .grid import Grid
 from .poisson import PoissonSolution, poincare_ratio, solve_neumann_zero_mean
-from .solver import (ConvergenceError, PositivityError, RunResult, SimConfig,
-                     SimState, Simulation, f_energy, mms_forcing, run)
+from .solver import (ConvergenceError, PositivityError, SimConfig, SimState,
+                     Simulation, f_energy, mms_forcing, run)
 from .stability import (GronwallTrace, StabilityReport, SweepResult,
                         gronwall_trace, perturbation_sweep, run_pair)
 
@@ -33,7 +33,7 @@ __all__ = [
     "evaluate", "parse", "substitute", "to_string",
     "Grid",
     "PoissonSolution", "poincare_ratio", "solve_neumann_zero_mean",
-    "ConvergenceError", "PositivityError", "RunResult", "SimConfig", "SimState", "Simulation",
+    "ConvergenceError", "PositivityError", "SimConfig", "SimState", "Simulation",
     "f_energy", "mms_forcing", "run",
     "GronwallTrace", "StabilityReport", "SweepResult",
     "gronwall_trace", "perturbation_sweep", "run_pair",

@@ -58,6 +58,9 @@ from .solver import DIAGNOSTICS_COLUMNS, SimConfig
 
 OUTPUT_ROOT_ENV = "CROSSDIFF_OUTPUT_ROOT"
 FORMATS = ("csv", "json", "gnuplot")
+# cells of a snapshot formatted at a time, so that a run holds one chunk's
+# strings, not a snapshot's
+SNAPSHOT_CHUNK_CELLS = 1024
 
 # command -> the only blocks it accepts, "!" marking the ones it requires,
 # each followed by the keys it reads when it reads fewer than the block has
@@ -406,9 +409,9 @@ def load_config(path) -> RunConfig:
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     """rows: sequences of strings, as _formatted makes from numbers."""
-    # rows stream through a 1 MiB buffer: few write calls, and freeing it
-    # raises glibc's trim threshold as the one-string writer's text did
-    with path.open("w", encoding="utf-8", buffering=1 << 20) as f:
+    # the default buffer: a snapshot is written while its run's Simulation
+    # lives, and a larger one would add to the run's peak memory
+    with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         f.writelines(",".join(row) + "\n" for row in rows)
 
@@ -442,7 +445,6 @@ def _write_artifacts(cfg: RunConfig, out: Path, tables, summary: dict) -> None:
     if "csv" in cfg.formats:
         for name, header, rows in tables:
             _write_csv(out / name, header, rows)
-            del rows  # freed before the next table's rows are made
     if "json" in cfg.formats:
         _write_json(out / "summary.json", summary)
     if "gnuplot" in cfg.formats:
@@ -450,34 +452,45 @@ def _write_artifacts(cfg: RunConfig, out: Path, tables, summary: dict) -> None:
 
 
 def _column(a: np.ndarray):
-    """The cells of a in row-major order, as the reprs of Python floats."""
-    return map(repr, a.ravel().tolist())
+    """The cells of a in row-major order, as the reprs of Python floats,
+    made SNAPSHOT_CHUNK_CELLS cells at a time."""
+    a = a.reshape(-1)
+    return itertools.chain.from_iterable(
+        map(repr, a[start:start + SNAPSHOT_CHUNK_CELLS].tolist())
+        for start in range(0, a.size, SNAPSHOT_CHUNK_CELLS))
+
+
+def _snapshot_rows(grid: Grid, u: np.ndarray, v: np.ndarray):
+    """The rows of one snapshot: each cell's coordinates, joined from the
+    per-axis reprs, then its u and v."""
+    coords = map(",".join, itertools.product(*map(_column,
+                                                  grid.axes.values())))
+    return zip(coords, _column(u), _column(v))
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> None:
-    result = solver.run(cfg.sim)
-
-    def tables():  # made lazily: one snapshot's columns at a time
-        yield ("diagnostics.csv", DIAGNOSTICS_COLUMNS, _formatted(
+    grid = cfg.sim.grid
+    header = (*grid.axes, "u", "v")
+    diagnostics = []
+    # sim's arrays hold this tick's state until its next step
+    for k, sim in enumerate(solver.run(cfg.sim)):
+        diagnostics.append(sim.diagnostics_row())
+        if "csv" in cfg.formats:
+            _write_csv(out / f"snapshot_{k:04d}.csv", header,
+                       _snapshot_rows(grid, sim.u[0], sim.v[0]))
+    last = diagnostics[-1]
+    _write_artifacts(cfg, out, [
+        ("diagnostics.csv", DIAGNOSTICS_COLUMNS, _formatted(
             [getattr(row, c) for c in DIAGNOSTICS_COLUMNS]
-            for row in result.diagnostics))
-        grid = cfg.sim.grid
-        names = ("x",) if grid.dim == 1 else ("x", "y")
-        coords = list(map(",".join, itertools.product(
-            *map(_column, grid.axes.values()))))
-        for k, state in enumerate(result.states):
-            yield (f"snapshot_{k:04d}.csv", names + ("u", "v"),
-                   zip(coords, _column(state.u), _column(state.v)))
-
-    last = result.diagnostics[-1]
-    _write_artifacts(cfg, out, tables(), {
+            for row in diagnostics)),
+    ], {
         "t_end": last.t,
         "mass_u": last.mass_u,
         "mass_v": last.mass_v,
         "min_u": last.min_u,
         "min_v": last.min_v,
-        "clipped_mass": result.clipped_total,
-        "reaction_mass": result.reaction_mass_total,
+        "clipped_mass": float(sim.clipped_total[0]),
+        "reaction_mass": float(sim.reaction_mass_total[0]),
     })
 
 

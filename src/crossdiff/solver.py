@@ -49,11 +49,11 @@ which run sets for its diagnostics; a sweep or an MMS level reads nan.
 
 Ticks and validation: Simulation.march is the one time loop.  It steps
 time_grid(dt, t_end) and yields at t = 0, after every output_every-th step
-and after the final, possibly shortened, step; run and the stability
-harness record at exactly those ticks.  Every entry point that steps a
-config validates it first (run here, _run_batch in stability, the CLI's
-MMS study every level before the first steps); Simulation itself never
-does.
+and after the final, possibly shortened, step; run yields its Simulation,
+and the stability harness records, at exactly those ticks.  Every entry
+point that steps a config validates it first (run here, _run_batch in
+stability, the CLI's MMS study every level before the first steps);
+Simulation itself never does.
 
 Conservation: fluxes vanish on boundary faces, so the flux divergence sums
 to zero and the only mass sources are reactions, forcing and clipping.
@@ -754,25 +754,16 @@ def time_grid(dt: float, t_end: float):
     yield t_end
 
 
-@dataclass
-class RunResult:
-    states: list
-    diagnostics: list
-    clipped_total: float
-    reaction_mass_total: float
-
-
-def run(cfg: SimConfig) -> RunResult:
-    """Validate cfg, then march it to t_end, recording the state and the
-    diagnostics at every tick of Simulation.march."""
+def run(cfg: SimConfig):
+    """Validate cfg, then march it to t_end, yielding its Simulation, with
+    the run's gradient ledger, at every tick of Simulation.march.  A
+    generator: it validates at the first next().  The yielded arrays are
+    overwritten by the next step, so a caller that keeps a state copies it,
+    as Simulation.state() does."""
     cfg.validate()
     sim = Simulation(cfg, grad_ledger=True)
-    states, diagnostics = [], []
     for _ in sim.march():
-        states.append(sim.state())
-        diagnostics.append(sim.diagnostics_row())
-    return RunResult(states, diagnostics, float(sim.clipped_total[0]),
-                     float(sim.reaction_mass_total[0]))
+        yield sim
 
 
 # ---------------------------------------------------------------------------

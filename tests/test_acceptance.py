@@ -21,6 +21,7 @@ from crossdiff.stability import perturbed, run_pair
 from exprgen import derivative_agreement_failures
 from test_coeffs import mean_power_bounds_check, power_gap_inequality_check
 from test_poisson import SMALL_GRIDS, dense_pinned_solve
+from test_solver import record
 from test_stability import energy_identity_check
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -37,7 +38,7 @@ def shipped():
 @pytest.fixture(scope="session")
 def scenario_runs(shipped):
     """Base simulation of every shipped scenario config."""
-    return {name: solver.run(shipped[name].sim) for name in SCENARIOS}
+    return {name: record(shipped[name].sim) for name in SCENARIOS}
 
 
 @pytest.fixture(scope="session")
@@ -122,7 +123,7 @@ def test_criterion_03_conservation_clip_ledger_positivity(scenario_runs):
                            t_end=0.25, ic_u=parse("1 + 0.5*cos(pi*x)"),
                            ic_v=parse("1 + 0.2*cos(pi*x)"), output_every=50,
                            lin_tol=1e-11)
-    result = solver.run(cfg)
+    result = record(cfg)
     mass0 = result.diagnostics[0].mass_u
     drift = max(abs(row.mass_u - mass0) for row in result.diagnostics)
     assert drift <= 1e-12 * mass0

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from crossdiff.exprs import Program, evaluate, parse
 from crossdiff.grid import MAX_CELLS
 from test_grid import centers
 from test_poisson import off_spectrum
+from test_solver import record
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OPERATORS_CONFIG = Path(__file__).resolve().parent / "data" \
@@ -571,7 +573,7 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
     path = write_config(tmp_path, payload)
     assert main([str(path)]) == 0
     cfg = load_config(path)
-    result = solver.run(cfg.sim)
+    result = record(cfg.sim)
     coords = [c.ravel() for c in centers(cfg.sim.grid)]
     for k, state in enumerate(result.states):
         lines = (tmp_path / "out" / f"snapshot_{k:04d}.csv").read_text(
@@ -581,6 +583,90 @@ def test_snapshot_cells_are_plain_floats_equal_to_the_states(tmp_path, grid):
         expected = np.stack(coords + [state.u.ravel(), state.v.ravel()],
                             axis=1)
         assert np.array_equal(cells, expected)
+
+
+def one_shot_snapshot(grid, u, v) -> str:
+    """A snapshot's text as one string, every cell's line made in full:
+    its coordinates, u and v, each the repr of a Python float."""
+    names = ("x", "y")[:grid.dim]
+    axes = [[repr(c) for c in a.ravel().tolist()] for a in grid.axes.values()]
+    lines = [",".join(names + ("u", "v"))] + [
+        ",".join((*coords, repr(a), repr(b))) for coords, a, b in zip(
+            itertools.product(*axes), u.ravel().tolist(), v.ravel().tolist(),
+            strict=True)]
+    return "\n".join(lines) + "\n"
+
+
+CHUNK = cli.SNAPSHOT_CHUNK_CELLS
+
+
+@pytest.mark.parametrize("n", [[CHUNK - 1], [CHUNK], [CHUNK + 1], [67, 61]])
+def test_snapshots_written_by_chunk_are_the_one_shot_writers_bytes(tmp_path,
+                                                                    n):
+    # a chunk that ends mid-axis, or mid-row as 67 x 61 cells do, keeps
+    # each cell's coordinates with its values
+    payload = heat_run_config(tmp_path / "out", dt=1e-5, t_end=2e-5,
+                              cadence=1)
+    payload["grid"] = {"dim": len(n), "n": n, "L": [1.0, 0.7][:len(n)]}
+    payload["initial"]["v"] = "1 + 0.2*cos(pi*x)"
+    payload["output"]["formats"] = ["csv"]
+    path = write_config(tmp_path, payload)
+    assert main([str(path)]) == 0
+    sim = load_config(path).sim
+    states = record(sim).states
+    assert len(states) == 3
+    for k, state in enumerate(states):
+        assert (tmp_path / "out" / f"snapshot_{k:04d}.csv").read_text(
+            encoding="utf-8") == one_shot_snapshot(sim.grid, state.u, state.v)
+
+
+def test_a_run_that_fails_keeps_the_snapshots_of_the_ticks_before(tmp_path,
+                                                                  capsys):
+    # one CG iteration cannot solve step 1: the t = 0 snapshot is on disk,
+    # and neither the diagnostics nor the summary nor the plot script is
+    payload = {
+        "command": "run",
+        "grid": {"dim": 1, "n": 32, "L": 1.0},
+        "model": {"alpha": 1.0, "p": "v", "a22": "1"},
+        "time": {"dt": 1e-3, "t_end": 2e-3},
+        "initial": {"u": "1 + 0.5*cos(pi*x) + 0.2*cos(3*pi*x)",
+                    "v": "1 + 0.3*cos(2*pi*x)"},
+        "solver": {"max_iter": 1, "tol": 1e-12},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_config(tmp_path, payload)
+    assert main([str(path)]) == 2
+    err = stderr_payload(capsys)
+    assert err["code"] == 2 and err["kind"] == "numeric"
+    assert err["message"].startswith("step 1 (t = 0.001): ")
+    sim = load_config(path).sim
+    u0, v0 = sim.initial_fields()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
+        == ["snapshot_0000.csv"]
+    assert (tmp_path / "out" / "snapshot_0000.csv").read_text(
+        encoding="utf-8") == one_shot_snapshot(sim.grid, u0, v0)
+
+
+def test_a_runs_memory_does_not_grow_with_its_snapshot_count(tmp_path):
+    # 20 steps of 64^2 cells with 2 ticks, then with 21: the heap peaks of
+    # the two runs differ by less than one snapshot's u and v
+    grid = {"dim": 2, "n": 64, "L": 1.0}
+    peaks = []
+    for cadence in (20, 20, 1):  # the first run warms the caches
+        payload = heat_run_config(tmp_path / f"out{len(peaks)}", dt=1e-4,
+                                  t_end=2e-3, cadence=cadence)
+        payload["grid"] = grid
+        path = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main([str(path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    snapshots = [len(list((tmp_path / f"out{i}").glob("snapshot_*.csv")))
+                 for i in (1, 2)]
+    assert snapshots == [2, 21]
+    assert abs(peaks[2] - peaks[1]) < 2 * 64 * 64 * 8
 
 
 def test_formatted_writes_numpy_scalars_as_python_numbers():

@@ -19,7 +19,7 @@ from crossdiff.grid import (Grid, divergence_arrays, grad_sq_sum,
                             gradient_arrays)
 from crossdiff.solver import (ConvergenceError, PositivityError, SimConfig,
                               Simulation, StepOperator, conjugate_gradient,
-                              f_energy, mms_forcing, run, time_grid)
+                              f_energy, mms_forcing, time_grid)
 from crossdiff.stability import perturbation_sweep
 from test_grid import centers, reference_averages, reference_gradients
 
@@ -34,6 +34,26 @@ def make_model(alpha=0.0, p="1", a12="0", a22="1", q_lower="1",
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@dataclasses.dataclass
+class Recorded:
+    states: list
+    diagnostics: list
+    clipped_total: float
+    reaction_mass_total: float
+
+
+def record(cfg: SimConfig) -> Recorded:
+    """solver.run(cfg) to its end, keeping a copy of the state and the
+    diagnostics row of every tick, and the final ledgers."""
+    states, diagnostics = [], []
+    for sim in solver.run(cfg):
+        states.append(sim.state())
+        diagnostics.append(sim.diagnostics_row())
+    return Recorded(states, diagnostics, float(sim.clipped_total[0]),
+                    float(sim.reaction_mass_total[0]))
+
 
 HEAT = make_model()  # alpha = 0, p = 1, A12 = 0, A22 = 1, R = 0
 
@@ -388,7 +408,7 @@ def test_only_run_keeps_the_grad_ledger(tmp_path, monkeypatch):
     }), encoding="utf-8")
     assert main([str(mms)]) == 0
     assert calls == []
-    run(cfg)  # the counter sees run's ledger: one gradient per step
+    record(cfg)  # the counter sees run's ledger: one gradient per step
     assert calls == [(1, 24)] * 10
 
 
@@ -417,7 +437,7 @@ def test_failed_solve_reports_the_true_residual_of_its_best_iterate(
 
     monkeypatch.setattr(solver, "conjugate_gradient", recording)
     with pytest.raises(ConvergenceError) as err:
-        run(dataclasses.replace(cfg, lin_tol=1e-16, lin_max_iter=5))
+        record(dataclasses.replace(cfg, lin_tol=1e-16, lin_max_iter=5))
     apply_a, b = solves[-1]
     true = np.linalg.norm(b - apply_a(err.value.best)) / np.linalg.norm(b)
     assert err.value.iterations == 5
@@ -632,11 +652,12 @@ def test_a_stagnated_step_solve_fails_fast_and_names_its_floor():
 
 def step_arrays(sim) -> list:
     """Every array a Simulation steps with: its state, its workspace and
-    its operator's buffers (the operator keeps a list of tuples per axis)."""
-    held = [sim.u, sim.v]
-    for value in (*vars(sim.work).values(), *vars(sim.operator).values()):
-        if isinstance(value, list):
-            value = tuple(a for axis in value for a in axis)
+    its operator's buffers, with those of the operator's per-axis lists
+    _weights and _axes, tuples of arrays, looked into."""
+    op = sim.operator
+    held = [sim.u, sim.v, *(a for axis in (*op._weights, *op._axes)
+                            for a in axis)]
+    for value in (*vars(sim.work).values(), *vars(op).values()):
         held.extend(value if isinstance(value, tuple) else (value,))
     return [a for a in held if isinstance(a, np.ndarray)]
 
@@ -760,7 +781,7 @@ def test_snapshots_do_not_change_with_later_steps():
         snapshots.append(sim.state())
         copies.append((sim.u[0].copy(), sim.v[0].copy()))
     assert not np.array_equal(copies[-1][0], copies[-3][0])
-    result = run(cfg)
+    result = record(cfg)
     for snap, state, (u, v) in zip(snapshots, result.states, copies,
                                    strict=True):
         for got in (snap, state):
@@ -854,7 +875,7 @@ def test_heat_mode_decay_rate():
     cfg = SimConfig(grid=g, model=HEAT, dt=1e-4, t_end=0.1,
                     ic_u=parse("1.5 + cos(pi*x)"), ic_v=parse("1"),
                     output_every=1000)
-    result = run(cfg)
+    result = record(cfg)
     u = result.states[-1].u
     x = g.axes["x"]
     amplitude = 2.0 * float(np.sum(u * np.cos(math.pi * x))) * g.spacing[0]
@@ -901,7 +922,7 @@ def test_u_budget_error_on_violent_cross_flux():
                     ic_v=parse("2 + cos(pi*x)"))
     with pytest.warns(RuntimeWarning):
         with pytest.raises(PositivityError, match="positivity budget"):
-            run(cfg)
+            record(cfg)
 
 
 def test_degenerate_region_is_inert():
@@ -909,7 +930,7 @@ def test_degenerate_region_is_inert():
     g = Grid((50,), (1.0,))
     cfg = SimConfig(grid=g, model=m, dt=1e-3, t_end=1e-3,
                     ic_u=parse("(1 + sign(x - 0.6))/2"), ic_v=parse("1"))
-    result = run(cfg)
+    result = record(cfg)
     u = result.states[-1].u
     assert np.all(np.abs(u[:29]) <= 1e-12)  # interface sits at cell 30
     assert np.max(u) > 0.9
@@ -925,7 +946,7 @@ def test_conservation_without_reactions():
     cfg = SimConfig(grid=g, model=m, dt=1e-4, t_end=0.02,
                     ic_u=parse("1 + 0.5*cos(pi*x)"),
                     ic_v=parse("1 + 0.2*cos(pi*x)"), output_every=200)
-    result = run(cfg)
+    result = record(cfg)
     d0, dT = result.diagnostics[0], result.diagnostics[-1]
     assert abs(dT.mass_u - d0.mass_u) <= 1e-12 * d0.mass_u
     assert abs(dT.mass_v - d0.mass_v) <= 1e-12 * d0.mass_v
@@ -938,7 +959,7 @@ def test_mass_identity_with_reactions():
     cfg = SimConfig(grid=g, model=case2(), dt=2.5e-4, t_end=0.025,
                     ic_u=parse("1 + 0.5*cos(pi*x)"),
                     ic_v=parse("1 + 0.2*cos(pi*x)"), output_every=100)
-    result = run(cfg)
+    result = record(cfg)
     d0, dT = result.diagnostics[0], result.diagnostics[-1]
     defect = (dT.mass_u - d0.mass_u
               - result.reaction_mass_total - result.clipped_total)
@@ -951,7 +972,7 @@ def test_min_v_obeys_comparison_bound():
     cfg = SimConfig(grid=g, model=case2(), dt=2.5e-4, t_end=0.2,
                     ic_u=parse("1 + 0.5*cos(pi*x)"),
                     ic_v=parse("1 + 0.2*cos(pi*x)"), output_every=100)
-    result = run(cfg)
+    result = record(cfg)
     max_u = max(row.max_u for row in result.diagnostics)
     min_v0 = result.diagnostics[0].min_v
     for row in result.diagnostics:
@@ -964,7 +985,7 @@ def test_run_records_on_cadence_plus_final():
     cfg = SimConfig(grid=Grid((16,), (1.0,)), model=HEAT, dt=0.1, t_end=1.0,
                     ic_u=parse("1 + 0.1*cos(pi*x)"), ic_v=parse("1"),
                     output_every=4)
-    result = run(cfg)
+    result = record(cfg)
     times = [row.t for row in result.diagnostics]
     assert times == pytest.approx([0.0, 0.4, 0.8, 1.0])
     assert len(result.states) == len(times)
@@ -976,15 +997,15 @@ def test_run_annotates_errors_with_step_index():
     cfg = SimConfig(grid=Grid((8,), (1.0,)), model=m, dt=0.2, t_end=0.4,
                     ic_u=parse("1"), ic_v=parse("1"))
     with pytest.raises(PositivityError, match=r"step 1 \(t = 0\.2\)"):
-        run(cfg)
+        record(cfg)
 
 
 def test_run_is_deterministic():
     cfg = SimConfig(grid=Grid((32,), (1.0,)), model=case2(), dt=5e-4,
                     t_end=0.02, ic_u=parse("1 + 0.5*cos(pi*x)"),
                     ic_v=parse("1 + 0.2*cos(pi*x)"))
-    a = run(cfg)
-    b = run(cfg)
+    a = record(cfg)
+    b = record(cfg)
     assert np.array_equal(a.states[-1].u, b.states[-1].u)
     assert np.array_equal(a.states[-1].v, b.states[-1].v)
     assert a.clipped_total == b.clipped_total
@@ -994,7 +1015,7 @@ def test_run_2d_conserves_and_stays_positive():
     cfg = SimConfig(grid=Grid((12, 12), (1.0, 1.0)), model=case2(), dt=5e-4,
                     t_end=0.01, ic_u=parse("1 + 0.25*cos(pi*x)*cos(pi*y)"),
                     ic_v=parse("1 + 0.1*cos(pi*x)*cos(pi*y)"))
-    result = run(cfg)
+    result = record(cfg)
     d0, dT = result.diagnostics[0], result.diagnostics[-1]
     defect = (dT.mass_u - d0.mass_u
               - result.reaction_mass_total - result.clipped_total)
@@ -1082,7 +1103,7 @@ def test_diagnostics_columns_and_monotone_accumulator():
     cfg = SimConfig(grid=Grid((24,), (1.0,)), model=HEAT, dt=1e-3,
                     t_end=0.01, ic_u=parse("1 + 0.3*cos(pi*x)"),
                     ic_v=parse("1 + 0.1*cos(2*pi*x)"))
-    result = run(cfg)
+    result = record(cfg)
     rows = result.diagnostics
     cums = [row.cum_grad_u_sq for row in rows]
     assert cums == sorted(cums)
@@ -1230,7 +1251,7 @@ def test_f_energy_trend_is_recorded_when_configured():
                     ic_u=parse("1 + 0.5*cos(pi*x)"),
                     ic_v=parse("1 + 0.2*cos(pi*x)"),
                     f_energy_gamma=1.0, f_energy_ks=1.0)
-    result = run(cfg)
+    result = record(cfg)
     values = [row.f_energy for row in result.diagnostics]
     assert all(math.isfinite(v) for v in values)
 
@@ -1311,7 +1332,7 @@ def test_mms_run_converges_on_refinement():
                         mms_u=parse("2 + exp(-t)*cos(pi*x)"),
                         mms_v=parse("2 + 0.5*exp(-t)*cos(pi*x)"),
                         output_every=10 ** 9, lin_tol=1e-12)
-        result = run(cfg)
+        result = record(cfg)
         final = result.states[-1]
         exact = g.cell_values(cfg.mms_u, final.t)
         err = math.sqrt(float(np.sum((final.u - exact) ** 2))

@@ -11,9 +11,10 @@ from crossdiff.coeffs import CoefficientModel, build_preset
 from crossdiff.exprs import parse
 from crossdiff.grid import Grid
 from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
-from crossdiff.solver import PositivityError, SimConfig, Simulation, run
+from crossdiff.solver import PositivityError, SimConfig, Simulation
 from crossdiff.stability import (GronwallTrace, gronwall_trace,
                                  perturbation_sweep, run_pair)
+from test_solver import record
 
 
 def energy_identity_check(grid, delta_us):
@@ -163,7 +164,7 @@ def test_run_and_pair_tick_at_the_same_times():
     cfg = SimConfig(grid=Grid((16,), (1.0,)), model=HEAT, dt=0.1, t_end=1.05,
                     ic_u=parse("1 + 0.1*cos(pi*x)"), ic_v=parse("1"),
                     output_every=4)
-    run_times = [row.t for row in run(cfg).diagnostics]
+    run_times = [row.t for row in record(cfg).diagnostics]
     pair = run_pair(cfg, parse("1 + 0.2*cos(pi*x)"), parse("1"))
     assert pair.times == run_times == [0.0, 0.4, 0.8, 1.05]
 
