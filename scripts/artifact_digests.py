@@ -2,6 +2,7 @@
 
     python scripts/artifact_digests.py [CONFIG.json ...]
     python scripts/artifact_digests.py --check DIGESTS.json [CONFIG.json ...]
+    python scripts/artifact_digests.py --record DIGESTS.json
 
 Each config named, or when none is each one under configs/ and under
 tests/data/, runs through crossdiff.cli.main into a temporary directory,
@@ -10,9 +11,13 @@ status, and what it printed to stdout and to stderr, keyed by
 "<config>/<file>".  Two checkouts give the same artifacts exactly when
 the digests one printed, saved as DIGESTS.json, pass --check in the
 other: it prints each key whose digest differs or that only one side
-has, and exits 1 if there is any, 0 otherwise.  crossdiff is imported
-from the src/ next to this script, so each checkout measures its own
-code.
+has, and exits 1 if there is any, 0 otherwise.  --record writes the
+digests to DIGESTS.json under "digests", next to the "provenance" they
+depend on besides the code (Python, numpy, the machine and numpy's
+enabled SIMD paths, which change last bits); --check reads that form as
+well.  tests/artifact_digests.json is kept so, and tier-1 checks the
+artifacts against it.  crossdiff is imported from the src/ next to this
+script, so each checkout measures its own code.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -57,21 +63,43 @@ def digests(configs) -> dict:
     return out
 
 
+def provenance() -> dict:
+    """What the digests depend on besides the code and the configs."""
+    import numpy
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "machine": platform.machine(),
+            "cpu_features": sorted(name for name, enabled
+                                   in __cpu_features__.items() if enabled)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*", type=Path)
     parser.add_argument("--check", type=Path, metavar="DIGESTS.json",
                         help="compare with these digests instead of "
                         "printing them")
+    parser.add_argument("--record", type=Path, metavar="DIGESTS.json",
+                        help="write them with their provenance instead of "
+                        "printing them")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     found = digests(args.configs or [
         *sorted((ROOT / "configs").glob("*.json")),
         *sorted((ROOT / "tests" / "data").glob("*.json"))])
+    if args.record is not None:
+        args.record.write_text(json.dumps(
+            {"digests": found, "provenance": provenance()}, indent=1,
+            sort_keys=True) + "\n", encoding="utf-8")
+        return 0
     if args.check is None:
         print(json.dumps(found, indent=1, sort_keys=True))
         return 0
     expected = json.loads(args.check.read_text(encoding="utf-8"))
+    expected = expected.get("digests", expected)  # a recorded file
     differ = sorted(key for key in found.keys() | expected.keys()
                     if found.get(key) != expected.get(key))
     for key in differ:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -407,20 +406,22 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """rows: sequences of strings, as _formatted makes from numbers."""
+def _write_csv(path: Path, header: Sequence[str], lines) -> None:
+    """lines: strings of whole lines, each ending in a newline, as
+    _formatted and _snapshot_text make them."""
     # the default buffer: a snapshot is written while its run's Simulation
     # lives, and a larger one would add to the run's peak memory
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(row) + "\n" for row in rows)
+        f.writelines(lines)
 
 
 def _formatted(rows):
-    """Rows of numbers as strings: the repr of each Python number, and of
-    the one a numpy scalar holds (whose own repr reads np.float64(...))."""
-    return ([repr(x.item() if isinstance(x, np.generic) else x) for x in row]
-            for row in rows)
+    """Rows of numbers as lines: the repr of each Python number, and of the
+    one a numpy scalar holds (whose own repr reads np.float64(...)), joined
+    by commas."""
+    return (",".join([repr(x.item() if isinstance(x, np.generic) else x)
+                      for x in row]) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -440,32 +441,34 @@ def _resolve_out_dir(out_dir: str) -> Path:
 # commands
 
 def _write_artifacts(cfg: RunConfig, out: Path, tables, summary: dict) -> None:
-    """Write what cfg.formats selects: each (name, header, rows) of tables
+    """Write what cfg.formats selects: each (name, header, lines) of tables
     as a CSV, summary as summary.json, and plot.gp for the CSVs."""
     if "csv" in cfg.formats:
-        for name, header, rows in tables:
-            _write_csv(out / name, header, rows)
+        for name, header, lines in tables:
+            _write_csv(out / name, header, lines)
     if "json" in cfg.formats:
         _write_json(out / "summary.json", summary)
     if "gnuplot" in cfg.formats:
         emit_plots(out)
 
 
-def _column(a: np.ndarray):
-    """The cells of a in row-major order, as the reprs of Python floats,
-    made SNAPSHOT_CHUNK_CELLS cells at a time."""
-    a = a.reshape(-1)
-    return itertools.chain.from_iterable(
-        map(repr, a[start:start + SNAPSHOT_CHUNK_CELLS].tolist())
-        for start in range(0, a.size, SNAPSHOT_CHUNK_CELLS))
-
-
-def _snapshot_rows(grid: Grid, u: np.ndarray, v: np.ndarray):
-    """The rows of one snapshot: each cell's coordinates, joined from the
-    per-axis reprs, then its u and v."""
-    coords = map(",".join, itertools.product(*map(_column,
-                                                  grid.axes.values())))
-    return zip(coords, _column(u), _column(v))
+def _snapshot_text(grid: Grid, u: np.ndarray, v: np.ndarray):
+    """The lines of one snapshot, SNAPSHOT_CHUNK_CELLS cells to a string:
+    each cell's coordinates, picked from the per-axis reprs by the cell's
+    index, then its u and v, each the repr of a Python float."""
+    width = 2 * (grid.dim + 2)  # a cell's values, each with its separator
+    blank = ([","] * (width - 1) + ["\n"]) * SNAPSHOT_CHUNK_CELLS
+    axes = [(np.array(list(map(repr, a.reshape(-1).tolist())), dtype=object),
+             stride) for a, stride in zip(grid.axes.values(), grid.strides)]
+    u, v = u.reshape(-1), v.reshape(-1)
+    for start in range(0, u.size, SNAPSHOT_CHUNK_CELLS):
+        cells = np.arange(start, min(start + SNAPSHOT_CHUNK_CELLS, u.size))
+        parts = blank[:width * cells.size]
+        for i, (reprs, stride) in enumerate(axes):
+            parts[2 * i::width] = reprs[cells // stride % reprs.size].tolist()
+        parts[width - 4::width] = map(repr, u[cells].tolist())
+        parts[width - 2::width] = map(repr, v[cells].tolist())
+        yield "".join(parts)
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> None:
@@ -477,7 +480,7 @@ def _cmd_run(cfg: RunConfig, out: Path) -> None:
         diagnostics.append(sim.diagnostics_row())
         if "csv" in cfg.formats:
             _write_csv(out / f"snapshot_{k:04d}.csv", header,
-                       _snapshot_rows(grid, sim.u[0], sim.v[0]))
+                       _snapshot_text(grid, sim.u[0], sim.v[0]))
     last = diagnostics[-1]
     _write_artifacts(cfg, out, [
         ("diagnostics.csv", DIAGNOSTICS_COLUMNS, _formatted(
@@ -742,7 +745,7 @@ def dispatch(cfg: RunConfig) -> int:
         _emit_error(1, "config", str(err))
         return 1
     except (RuntimeError, ArithmeticError) as err:
-        _emit_error(2, "numeric", str(err))
+        _emit_error(2, "numeric", str(err), getattr(err, "details", ()))
         return 2
     except OSError as err:
         _emit_error(3, "io", str(err))

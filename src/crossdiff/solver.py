@@ -104,7 +104,8 @@ CACHE_LINE = 64
 
 
 class ConvergenceError(RuntimeError):
-    """A step solve failed; carries the best iterate seen."""
+    """A step solve failed; carries the best iterate seen and, as lines of
+    details, the solve's statistics."""
 
     def __init__(self, message: str, best: np.ndarray, residual_norm: float,
                  iterations: int):
@@ -112,15 +113,19 @@ class ConvergenceError(RuntimeError):
         self.best = best
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.details = [f"iterations: {iterations}",
+                        f"relative residual: {residual_norm:.1e}"]
 
 
 class PositivityError(RuntimeError):
     """A step produced nonpositive v or clipped more u mass than allowed;
-    members holds the indices of the failing members of the batch."""
+    members holds the indices of the failing members of the batch, details
+    them as a line."""
 
     def __init__(self, message: str, members: tuple = ()):
         super().__init__(message)
         self.members = members
+        self.details = [f"members: {', '.join(map(str, members))}"]
 
 
 @dataclass

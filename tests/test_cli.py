@@ -17,7 +17,7 @@ from crossdiff import cli, exprs, solver
 from crossdiff.cli import (ConfigError, emit_plots, load_config, main)
 from crossdiff.coeffs import CoefficientModel, check_finite_gamma_lipschitz
 from crossdiff.exprs import Program, evaluate, parse
-from crossdiff.grid import MAX_CELLS
+from crossdiff.grid import MAX_CELLS, Grid
 from test_grid import centers
 from test_poisson import off_spectrum
 from test_solver import record
@@ -620,6 +620,25 @@ def test_snapshots_written_by_chunk_are_the_one_shot_writers_bytes(tmp_path,
             encoding="utf-8") == one_shot_snapshot(sim.grid, state.u, state.v)
 
 
+# the shortest reprs, the longest, a signed zero, a subnormal, and the
+# exponents where repr switches to scientific notation
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e22, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 1500), (1500, 2)])
+def test_snapshot_text_is_the_one_shot_writers_text(shape):
+    # 1500-cell rows are longer than a chunk; 2-cell rows end in every one
+    grid = Grid(shape, (1.0, 0.7)[:len(shape)])
+    u = np.resize(EDGE_VALUES, shape)
+    v = np.resize(EDGE_VALUES[::-1] + [2.5], shape)
+    chunks = list(cli._snapshot_text(grid, u, v))
+    assert [chunk.count("\n") for chunk in chunks] == [
+        min(CHUNK, u.size - start) for start in range(0, u.size, CHUNK)]
+    # lists of lines: a mismatch reports its first line, not a text diff
+    assert [",".join((*grid.axes, "u", "v"))] + "".join(chunks).splitlines() \
+        == one_shot_snapshot(grid, u, v).splitlines()
+
+
 def test_a_run_that_fails_keeps_the_snapshots_of_the_ticks_before(tmp_path,
                                                                   capsys):
     # one CG iteration cannot solve step 1: the t = 0 snapshot is on disk,
@@ -639,6 +658,7 @@ def test_a_run_that_fails_keeps_the_snapshots_of_the_ticks_before(tmp_path,
     err = stderr_payload(capsys)
     assert err["code"] == 2 and err["kind"] == "numeric"
     assert err["message"].startswith("step 1 (t = 0.001): ")
+    assert err["details"] == ["iterations: 1", "relative residual: 2.0e-03"]
     sim = load_config(path).sim
     u0, v0 = sim.initial_fields()
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
@@ -671,8 +691,7 @@ def test_a_runs_memory_does_not_grow_with_its_snapshot_count(tmp_path):
 
 def test_formatted_writes_numpy_scalars_as_python_numbers():
     rows = [(np.float64(0.1), np.int64(3), 2, 0.25, np.float32(0.5))]
-    assert [list(row) for row in cli._formatted(rows)] == \
-        [["0.1", "3", "2", "0.25", "0.5"]]
+    assert list(cli._formatted(rows)) == ["0.1,3,2,0.25,0.5\n"]
 
 
 def _numbers(value):
@@ -1216,6 +1235,25 @@ def test_runtime_positivity_failure_exits_2(tmp_path, capsys):
     assert "step 1" in err["message"]
 
 
+def test_a_positivity_failure_details_its_failing_members(tmp_path, capsys):
+    # r2_tilde = -10 drains v below zero in step 1, in the reference and
+    # in the perturbed trajectory alike
+    payload = {
+        "command": "stability",
+        "grid": {"dim": 1, "n": 8, "L": 1.0},
+        "model": {"alpha": 0.0, "p": "1", "a22": "1", "r2_tilde": "-10"},
+        "time": {"dt": 0.2, "t_end": 0.4},
+        "initial": {"u": "1", "v": "1"},
+        "stability": {"du": "cos(pi*x)", "amplitude": 1e-2},
+        "output": {"directory": str(tmp_path / "boom")},
+    }
+    assert main([str(write_config(tmp_path, payload))]) == 2
+    err = stderr_payload(capsys)
+    assert err["kind"] == "numeric"
+    assert "positivity lost in the v step" in err["message"]
+    assert err["details"] == ["members: 0, 1"]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_non_finite_step_data_exit_2(tmp_path, capsys, command):
     # R~2 overflows at u = 1: the v solve must refuse at once
@@ -1366,6 +1404,31 @@ def test_artifact_digests_default_to_the_shipped_and_test_configs(
     data = sorted(OPERATORS_CONFIG.parent.glob("*.json"))
     assert OPERATORS_CONFIG in data and MMS_2D_CONFIG in data
     assert seen == sorted(CONFIG_DIR.glob("*.json")) + data
+
+
+def test_artifacts_are_the_recorded_digests(capsys):
+    # every artifact of the shipped configs and the test-data studies, byte
+    # for byte as recorded; a change meant to move science bytes re-records
+    # tests/artifact_digests.json with --record and says why
+    path = CONFIG_DIR.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    recorded = CONFIG_DIR.parent / "tests" / "artifact_digests.json"
+
+    def items(provenance):  # one item per entry of a list
+        return {f"{key}={value}" for key, values in provenance.items()
+                for value in (values if isinstance(values, list)
+                              else [values])}
+    then = items(json.loads(recorded.read_text(encoding="utf-8"))
+                 ["provenance"])
+    now = items(script.provenance())
+    if then != now:  # library versions and SIMD paths change last bits
+        pytest.skip(f"recorded with {sorted(then - now)}, running with "
+                    f"{sorted(now - then)}")
+    assert script.main(["--check", str(recorded)]) == 0, \
+        capsys.readouterr().out
+    assert capsys.readouterr().out == ""
 
 
 def test_a_model_using_every_function_converges_at_its_orders(tmp_path):
