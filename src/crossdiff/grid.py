@@ -184,26 +184,21 @@ def member_sums(x: np.ndarray, lead: int = 1) -> np.ndarray:
     float when lead is 0).  Each member's sum is bitwise np.sum of its own
     cells (checked from 1-D n = 7 to 4097 and on 2-D shapes): a contiguous
     row is reduced by the same pairwise summation either way.  The reduce
-    is the one ndarray.sum calls, without its Python wrapper."""
+    is the one ndarray.sum calls, without its Python wrapper.  This is the
+    one reduction of per-member cell and face data, so a batch's sums are
+    its members' alone; CG's inner products stay BLAS dots."""
     return np.add.reduce(x.reshape(x.shape[:lead] + (-1,)), axis=-1)
 
 
 def grad_sq_sum(grid: Grid, a: np.ndarray, out: FaceData | None = None):
     """Sum of squared face gradients times the cell volume, per member of a
-    batch (a numpy float for grid-shaped a).  The gradients are formed,
-    and squared, in out if given.  Each member sums its faces in the order
-    [lower boundary, interior, upper boundary], bitwise as with n + 1
-    faces along an axis: the (n + 1) s entries from every (n s)-th are one
-    member, or one row along the last 2-D axis, copied into one run."""
-    lead = a.ndim - grid.dim
-    vol = grid.cell_volume
+    batch (a numpy float for grid-shaped a): per axis, member_sums of the
+    N squared entries g[s:].  The gradients are formed, and squared, in
+    out if given."""
+    members = a.shape[:a.ndim - grid.dim]
     total = 0.0
-    for n, s, g in zip(grid.shape, grid.strides,
-                       gradient_arrays(grid, a, out=out)):
-        np.multiply(g, g, out=g)
-        step = n * s
-        rows = np.ndarray(((len(g) - s) // step, step + s), buffer=g,
-                          strides=(step * g.itemsize, g.itemsize))
-        total = total + member_sums(rows.reshape(a.shape[:lead] + (-1,)),
-                                    lead) * vol
+    for d in gradient_arrays(grid, a, out=out).data:
+        np.multiply(d, d, out=d)
+        total = total + member_sums(d.reshape(members + (-1,)),
+                                    len(members)) * grid.cell_volume
     return total

@@ -120,7 +120,7 @@ def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
     lead = w.ndim - grid.dim
     cells = tuple(range(-grid.dim, 0))
     b = w - w.mean(axis=cells, keepdims=True)
-    norm_b, norm_w = (_norms(a, lead) for a in (b, w))
+    norm_b, norm_w = (np.sqrt(member_sums(a * a, lead)) for a in (b, w))
     flat = norm_b <= 1e-13 * norm_w
     lam, twiddles = _spectrum(grid)
     coeffs = b
@@ -133,7 +133,7 @@ def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
     psi[flat] = 0.0
     residual = b + divergence_arrays(
         grid, gradient_arrays(grid, psi)).reshape(psi.shape)
-    rel = np.divide(_norms(residual, lead), norm_b,
+    rel = np.divide(np.sqrt(member_sums(residual * residual, lead)), norm_b,
                     out=np.zeros(norm_b.shape), where=~flat)
 
     grad_sq = grad_sq_sum(grid, psi)
@@ -151,12 +151,6 @@ def solve_neumann_zero_mean(grid: Grid, w: np.ndarray) -> PoissonSolution:
                            f"{np.ravel(grad_sq)[i]:.15e} vs duality route "
                            f"{np.ravel(duality_sq)[i]:.15e}")
     return PoissonSolution(psi, rel[()], 0, grad_sq)
-
-
-def _norms(a: np.ndarray, lead: int) -> np.ndarray:
-    """Per member, bitwise np.linalg.norm: BLAS's dot of the flat cells."""
-    flat = a.reshape(a.shape[:lead] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat))
 
 
 def poincare_ratio(grid: Grid) -> float:

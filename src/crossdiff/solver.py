@@ -34,18 +34,18 @@ bitwise as it would be for that member alone.
 Buffers: a Simulation allocates its state, its StepOperator and one
 StepWorkspace for its batch shape, and a step after the first allocates no
 cell- or face-sized array of its own; only the coefficient and forcing
-programs return fresh arrays, and a 2-D ledger's grad_sq_sum copies its y
-faces.  The step's kernels and arithmetic write through numpy's out=, with
-the ufuncs, operands and order of the plain expressions, so every value is
-bitwise theirs.  Face data, the operator's included, has the grid's flat
-layout, and every vector inside a solve is flat (conjugate_gradient), so no
-kernel pass is strided and no iteration reshapes an array.  Each solve writes
-its solution into the workspace's spare state, which the step then swaps with
-u or v: the arrays sim.u and sim.v are overwritten by later steps, so a
-caller that keeps them copies them, as state() does.  Each owner cuts its
-buffers from one block with aligned_zeros, each on a cache line.  The ledger
-cum_grad_u_sq, a gradient of u' per step, is kept only with grad_ledger,
-which run sets for its diagnostics; a sweep or an MMS level reads nan.
+programs return fresh arrays.  The step's kernels and arithmetic write
+through numpy's out=, with the ufuncs, operands and order of the plain
+expressions, so every value is bitwise theirs.  Face data, the operator's
+included, has the grid's flat layout, and every vector inside a solve is
+flat (conjugate_gradient), so no kernel pass is strided and no iteration
+reshapes an array.  Each solve writes its solution into the workspace's
+spare state, which the step then swaps with u or v: the arrays sim.u and
+sim.v are overwritten by later steps, so a caller that keeps them copies
+them, as state() does.  Each owner cuts its buffers from one block with
+aligned_zeros, each on a cache line.  The ledger cum_grad_u_sq, a gradient
+of u' per step, is kept only with grad_ledger, which run sets for its
+diagnostics; a sweep or an MMS level reads nan.
 
 Ticks and validation: Simulation.march is the one time loop.  It steps
 time_grid(dt, t_end) and yields at t = 0, after every output_every-th step
@@ -105,16 +105,20 @@ CACHE_LINE = 64
 
 class ConvergenceError(RuntimeError):
     """A step solve failed; carries the best iterate seen and, as lines of
-    details, the solve's statistics."""
+    details, the solve's statistics, with members (the indices of those
+    above tol at that iterate) where it ran out of iterations or stagnated."""
 
     def __init__(self, message: str, best: np.ndarray, residual_norm: float,
-                 iterations: int):
+                 iterations: int, members: Optional[tuple] = None):
         super().__init__(message)
         self.best = best
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.members = members or ()
         self.details = [f"iterations: {iterations}",
                         f"relative residual: {residual_norm:.1e}"]
+        if members is not None:
+            self.details.append(f"members: {', '.join(map(str, members))}")
 
 
 class PositivityError(RuntimeError):
@@ -291,17 +295,16 @@ class SimConfig:
 
 
 def _max_cross_rate(grid: Grid, a12: np.ndarray, v: np.ndarray) -> float:
-    """max over faces of |A12 grad v|, A12 averaged onto the faces.  A
-    boundary face adds 0, or nan where a12 is not finite, so a non-finite
-    a12 on a cell first or last along an axis hides that axis."""
+    """max over the interior faces of |A12 grad v|, A12 averaged onto the
+    faces; a boundary face adds 0.  A non-finite a12 on a cell first or last
+    along an axis hides that axis, as the nan its boundary face would add
+    does."""
     worst = 0.0
-    for n, s, mean, grad in zip(grid.shape, grid.strides,
-                                face_average_arrays(grid, a12).data,
-                                gradient_arrays(grid, v).data):
-        ends = a12.reshape(-1, n, s)[:, ::n - 1]  # first and last cells
-        worst = max(worst, float(np.max(np.abs(np.multiply(
-            mean, grad, out=grad), out=grad))) if np.isfinite(ends).all()
-            else math.nan)
+    for n, s, h in zip(grid.shape, grid.strides, grid.spacing):
+        a, x = a12.reshape(-1, n, s), v.reshape(-1, n, s)
+        worst = max(worst, float(np.max(np.abs(
+            0.5 * (a[:, 1:] + a[:, :-1]) * ((x[:, 1:] - x[:, :-1]) / h))))
+            if np.isfinite(a[:, ::n - 1]).all() else math.nan)
     return worst
 
 
@@ -337,9 +340,11 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
     above, at max_iter, or once STAGNATION_CHECKS checks in a row fail to
     lower it: the true residual then sits at its roundoff floor, which
     further iterations do not lower (Greenbaum 1997), and the message names
-    that floor.  A breakdown fails with the current iterate.  A zero
-    right-hand side returns zeros with zero iterations, and a non-finite one
-    fails at once with a copy of x0.
+    that floor; its members are those with ||r_i|| > tol ||b_i||, or a nan
+    residual, at that iterate (one more apply for an earlier one).  A
+    breakdown fails with the current iterate.  A zero right-hand side
+    returns zeros with zero iterations, and a non-finite one fails at once
+    with a copy of x0.
     """
     bf, x, r, p, scratch = (a.reshape(-1) for a in (b, out, *work))
     norm_b = math.sqrt(float(bf.dot(bf)))  # bitwise np.linalg.norm(b)
@@ -374,14 +379,21 @@ def conjugate_gradient(apply_a: Callable, b: np.ndarray, x0: np.ndarray,
                 stale += 1
             if iterations >= max_iter or stale >= STAGNATION_CHECKS:
                 floor = best_norm / norm_b
+                if improved:
+                    best = out.copy()
+                else:  # the true residual of the best iterate
+                    subtract(bf, apply_a(best.reshape(-1)), scratch)
+                r = scratch.reshape(b.shape)
+                above = ~(np.sqrt(member_sums(r * r))  # a nan is above
+                          <= tol * np.sqrt(member_sums(b * b)))
                 raise ConvergenceError(
                     f"CG did not reach tol {tol:g} in {max_iter} iterations "
                     f"(residual {floor:.3e})" if iterations >= max_iter else
                     f"CG stagnated above tol {tol:g}: its true residual "
                     f"reached a floor of {floor:.3e} and the next "
                     f"{STAGNATION_CHECKS} checks did not lower it "
-                    f"({iterations} iterations)",
-                    out.copy() if improved else best, floor, iterations)
+                    f"({iterations} iterations)", best, floor, iterations,
+                    tuple(np.flatnonzero(above).tolist()))
             if improved:  # restarts are rare; keep it to report a failure
                 best = out.copy()
             r, scratch = scratch, r
@@ -412,19 +424,16 @@ class StepOperator:
     face data: w[k] weighs the face of flat cells k and k + s, zero where
     k is last along the axis, so no flux wraps between rows or members.
 
-    CG calls it with flat vectors of B * cells values and gets back the
-    flat view of its one result buffer, the same object every call.  A
-    shaped input, of the batch shape, costs one ndim test and gets the
-    shaped view of that buffer back.
+    CG calls it with flat vectors of B * cells values and gets back its
+    one flat result buffer, the same object every call.
     """
 
     def __init__(self, grid: Grid, shape: tuple):
         cells, strides = math.prod(shape), grid.strides
         self._out, self._diag, self._part, *axes = aligned_zeros(
-            [shape, (cells,), (cells,)]
+            [(cells,)] * 3
             + [size for s in strides for size in ((cells,), (s + cells,))],
             [0, 0, 0] + [lead for s in strides for lead in (0, s)])
-        self._flat = self._out.reshape(-1)
         self._absorbs = False
         self._weights, self._axes = [], []  # per axis, to assemble, apply
         for n, s, h, w, flux in zip(grid.shape, strides, grid.spacing,
@@ -445,10 +454,7 @@ class StepOperator:
                    out=self._diag)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim > 1:
-            self(x.reshape(-1))
-            return self._out
-        out, part = self._flat, self._part
+        out, part = self._out, self._part
         subtract, multiply = np.subtract, np.multiply
         acc = x  # without diag the first axis subtracts straight from x
         if self._absorbs:

@@ -43,7 +43,7 @@ from .coeffs import CoefficientModel, dissipation_density
 from .exprs import Const, Expr, is_number, mul
 from .grid import member_sums
 from .poisson import solve_neumann_zero_mean
-from .solver import PositivityError, SimConfig, Simulation
+from .solver import ConvergenceError, PositivityError, SimConfig, Simulation
 
 FIT_FLOOR_FRACTION = 1e-2   # fit lambda_hat only where E > this fraction of E(0)
 RATIO_SPREAD_BOUND = 4.0    # acceptance bound for the sweep ratio spread
@@ -107,9 +107,9 @@ def run_pair(cfg: SimConfig, ic2_u: Expr, ic2_v: Expr) -> StabilityReport:
     at every cadence tick.
 
     The energy identity residual is computed when cfg.output_every == 1
-    (dense mode) and is None otherwise.  A positivity failure is re-raised
-    tagged with the trajectory that failed.  A config that breaks the
-    pairing rule is rejected with ValueError.
+    (dense mode) and is None otherwise.  A positivity or step-solve
+    failure is re-raised tagged with the trajectory that failed.  A config
+    that breaks the pairing rule is rejected with ValueError.
     """
     return _run_batch(cfg, [(ic2_u, ic2_v)],
                       ("first trajectory", "second trajectory"))[0]
@@ -126,7 +126,8 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
     manufactured pair, which would replace the base's data and force every
     member (the pairing rule), and is validated in full; only then is
     `others` read and each member's data checked, dt advisory included.
-    A PositivityError is re-raised naming the failing members by `labels`.
+    A PositivityError, or a ConvergenceError that names members, is
+    re-raised with the failing members' `labels` first.
     """
     if cfg.mms_u is not None or cfg.mms_v is not None:
         raise ValueError("a paired run perturbs explicit initial data; "
@@ -159,9 +160,8 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
         du = u[:1] - u[1:]
         dv = v[:1] - v[1:]
         sol = solve_neumann_zero_mean(grid, du)
-        # squared by libm's pow, as Python's float ** 2 does: the square
-        # that array ** 2 takes differs from it in the last bit
-        mass_sq = np.float_power(member_sums(du) * vol, 2)
+        mass = member_sums(du) * vol
+        mass_sq = mass * mass
         v_sq = member_sums(dv * dv) * vol
         ticks.append((mass_sq + sol.grad_sq + v_sq, mass_sq, sol.grad_sq,
                       v_sq, member_sums(dissipation_density(
@@ -180,9 +180,10 @@ def _run_batch(cfg: SimConfig, others: Iterable[tuple],
         for t in sim.march():
             times.append(t)
             tick()
-    except PositivityError as err:
-        failing = " and ".join(labels[i] for i in err.members)
-        err.args = (f"{failing}: {err.args[0]}",) + err.args[1:]
+    except (ConvergenceError, PositivityError) as err:
+        if err.members:
+            failing = " and ".join(labels[i] for i in err.members)
+            err.args = (f"{failing}: {err.args[0]}",) + err.args[1:]
         raise
 
     # per member, each quantity's series over the ticks, as Python floats

@@ -1,5 +1,6 @@
 """Command-line driver: config loading, commands, outputs, exit codes."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -658,7 +659,8 @@ def test_a_run_that_fails_keeps_the_snapshots_of_the_ticks_before(tmp_path,
     err = stderr_payload(capsys)
     assert err["code"] == 2 and err["kind"] == "numeric"
     assert err["message"].startswith("step 1 (t = 0.001): ")
-    assert err["details"] == ["iterations: 1", "relative residual: 2.0e-03"]
+    assert err["details"] == ["iterations: 1", "relative residual: 2.0e-03",
+                              "members: 0"]
     sim = load_config(path).sim
     u0, v0 = sim.initial_fields()
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
@@ -1291,8 +1293,12 @@ def test_sweep_step_failure_names_step_time_and_solve(tmp_path, capsys):
     assert main([str(write_config(tmp_path, payload))]) == 2
     err = stderr_payload(capsys)
     assert err["kind"] == "numeric"
-    assert err["message"].startswith("step 1 (t = 0.001): u solve: CG did "
-                                     "not reach tol 1e-12 in 1 iterations")
+    # led by the labels of the members the failed solve names
+    assert err["message"].startswith(
+        "base trajectory and amplitude 0.01 and amplitude 0.001: step 1 "
+        "(t = 0.001): u solve: CG did not reach tol 1e-12 in 1 iterations")
+    assert err["details"][0] == "iterations: 1"
+    assert err["details"][2:] == ["members: 0, 1, 2"]
 
 
 def test_sweep_checks_model_positivity_once_at_load_and_once_to_run(
@@ -1389,6 +1395,60 @@ def test_artifact_digests_check_names_the_keys_that_differ(tmp_path,
     assert script.main(["--check", str(saved), config]) == 1
     assert capsys.readouterr().out.split() == [
         "gone/summary.json", "poisson_test/poisson.json"]
+
+
+def test_artifact_digests_diff_sizes_the_values_that_differ(tmp_path,
+                                                           capsys):
+    path = CONFIG_DIR.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    files = {
+        "run/stability.csv": ("t,E\n0.0,1.5\n0.1,2.0\n0.2,4.0\n",
+                              "t,E\n0.0,1.5000000000000002\n0.1,2.0\n"
+                              "0.2,3.9999\n"),
+        "run/summary.json": ('{"E0": 2.0, "rows": [1, -0.0], "ok": true}',
+                             '{"E0": 2.0, "rows": [1, 0.0], "ok": false}'),
+        "run/plot.gp": ("set title A\n", "set title B\n"),
+        "run/same.csv": ("x\n1\n", "x\n1\n"),
+        "only_a.csv": ("1\n", None),
+    }
+    trees = tmp_path / "a", tmp_path / "b"
+    for name, texts in files.items():
+        for tree, text in zip(trees, texts):
+            if text is not None:
+                (tree / name).parent.mkdir(parents=True, exist_ok=True)
+                (tree / name).write_text(text, encoding="utf-8")
+    assert script.main(["--diff", str(trees[0]), str(trees[0])]) == 0
+    assert capsys.readouterr().out == ""
+    assert script.main(["--diff", *map(str, trees)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only_a.csv: only in {trees[0]}",
+        "run/plot.gp: 0 numbers differ, largest relative 0.00e+00, largest "
+        "absolute 0.00e+00; 1 other differences, first 'set title A' vs "
+        "'set title B'",
+        "run/stability.csv: 2 numbers differ, largest relative 2.50e-05, "
+        "largest absolute 1.00e-04",
+        "run/summary.json: 1 numbers differ, largest relative 0.00e+00, "
+        "largest absolute 0.00e+00; 1 other differences, first /ok: true "
+        "vs false"]
+
+
+def test_artifact_digests_keep_the_run_directories(tmp_path, capsys):
+    path = CONFIG_DIR.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    config = str(CONFIG_DIR / "poisson_test.json")
+    assert script.main([config]) == 0
+    printed = capsys.readouterr().out
+    assert script.main(["--keep", str(tmp_path / "kept"), config]) == 0
+    assert capsys.readouterr().out == printed
+    report = tmp_path / "kept" / "poisson_test" / "poisson.json"
+    assert json.loads(printed)["poisson_test/poisson.json"] \
+        == hashlib.sha256(report.read_bytes()).hexdigest()
+    with pytest.raises(FileExistsError):  # stale files would be digested
+        script.main(["--keep", str(tmp_path / "kept"), config])
 
 
 def test_artifact_digests_default_to_the_shipped_and_test_configs(

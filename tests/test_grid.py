@@ -64,16 +64,6 @@ def reference_averages(grid, a):
     return tuple(out)
 
 
-def reference_grad_sq_sum(grid, a):
-    """grad_sq_sum as the old layout summed it: each member's squared
-    faces, per axis in the order of that layout."""
-    lead = a.ndim - grid.dim
-    total = 0.0
-    for g in reference_gradients(grid, a):
-        total = total + member_sums(g * g, lead) * grid.cell_volume
-    return total
-
-
 def padded(grid, axis, faces):
     """Face data of one axis in the old layout as the flat padded vector:
     s zeros, then each cell's upper face in the flat order of the cells."""
@@ -447,12 +437,17 @@ def test_batched_grad_sq_sum_equals_member_sums_bitwise(grid):
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("shape", [(7,), (256,), (1000,), (2, 3), (33, 17),
                                    (128, 128)])
-def test_grad_sq_sum_keeps_the_old_layout_sums_bitwise(shape, members):
+def test_grad_sq_sum_is_member_sums_of_its_squared_faces_bitwise(shape,
+                                                                 members):
+    # per axis, each member's N entries g[s:] of the flat layout, squared
     grid = Grid(shape, (1.0,) * len(shape))
     rng = np.random.default_rng(math.prod(shape) + members)
     batch = rng.standard_normal((members,) + shape) \
         * rng.uniform(0.1, 10.0, (members,) + (1,) * grid.dim)
-    want = reference_grad_sq_sum(grid, batch)
+    want = 0.0
+    for s, g in zip(grid.strides, gradient_arrays(grid, batch)):
+        want = want + member_sums((g[s:] * g[s:]).reshape(members, -1)) \
+            * grid.cell_volume
     assert np.array_equal(grad_sq_sum(grid, batch), want)
     assert np.array_equal(grad_sq_sum(grid, batch, out=FaceData(
         grid, batch.shape)), want)
@@ -471,6 +466,15 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_grad_sq_sum_into_out_allocates_nothing_face_sized():
+    # summing in the old layout's order copied the 2-D y faces into one
+    # run per row, n0 (n1 + 1) doubles (65 KiB here) per call
+    grid = Grid((128, 64), (1.0, 1.0))
+    a = np.random.default_rng(8).standard_normal((1,) + grid.shape)
+    faces = FaceData(grid, a.shape)
+    assert traced_peak(lambda: grad_sq_sum(grid, a, out=faces)) < 4096
 
 
 @pytest.mark.parametrize("shape", [(1, 128, 128), (4, 256)])

@@ -8,7 +8,7 @@ import pytest
 from crossdiff import poisson
 from crossdiff.exprs import parse
 from crossdiff.grid import (Grid, divergence_arrays, grad_sq_sum,
-                            gradient_arrays)
+                            gradient_arrays, member_sums)
 from crossdiff.poisson import poincare_ratio, solve_neumann_zero_mean
 from test_grid import centers
 
@@ -99,8 +99,8 @@ def test_residual_contract_holds_on_return():
     sol = solve_neumann_zero_mean(g, w)
     b = w - w.mean()
     residual = b + laplacian(g, sol.psi)
-    rel = float(np.linalg.norm(residual.ravel())
-                / np.linalg.norm(b.ravel()))
+    rel = float(np.sqrt(member_sums(residual * residual, 0))
+                / np.sqrt(member_sums(b * b, 0)))
     assert sol.residual_norm == rel
     assert rel <= 1e-13
     assert sol.iterations == 0

@@ -81,10 +81,11 @@ def flat(mob):
 
 
 def operator(grid, mob, dt, c=None):
-    """A StepOperator for the cells of mob's batch, assembled."""
+    """A StepOperator for the cells of mob's batch, assembled, as a function
+    that applies it to x's flat vector and gives the result x's shape."""
     op = StepOperator(grid, mob[0].shape)
     op.assemble(flat(mob), dt, c)
-    return op
+    return lambda x: op(x.reshape(-1)).reshape(x.shape)
 
 
 def along(grid, axis, x):
@@ -196,12 +197,12 @@ def test_v_then_u_assembly_equals_fresh_operators_bitwise(grid):
     x = rng.standard_normal((3,) + grid.shape)
     op = StepOperator(grid, x.shape)
     op.assemble(flat(mob_v), dt, c)
-    v_result = op(x).copy()
+    v_result = op(x.reshape(-1)).copy()
     op.assemble(flat(mob_u), dt)
-    u_result = op(x)
-    assert np.array_equal(v_result, operator(grid, mob_v, dt, c)(x))
-    assert np.array_equal(u_result, operator(grid, mob_u, dt)(x))
-    assert op(x) is u_result  # every apply returns the same buffer
+    u_result = op(x.reshape(-1))
+    assert np.array_equal(v_result, operator(grid, mob_v, dt, c)(x).ravel())
+    assert np.array_equal(u_result, operator(grid, mob_u, dt)(x).ravel())
+    assert op(x.reshape(-1)) is u_result  # every apply returns one buffer
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -229,18 +230,17 @@ def test_a_flat_input_gets_the_flat_view_of_one_buffer(grid, members):
     dt = 0.0137
     mob, c = random_operator_data(grid, rng, (members,))
     for absorbing in (c, None):
-        op = operator(grid, mob, dt, absorbing)
+        op = StepOperator(grid, c.shape)
+        op.assemble(flat(mob), dt, absorbing)
         results = []
         for _ in range(3):
             x = rng.standard_normal(c.shape)
-            flat = op(x.reshape(-1))
-            assert flat.shape == (x.size,)
-            assert np.array_equal(flat.reshape(x.shape),
+            result = op(x.reshape(-1))
+            assert result.shape == (x.size,)
+            assert np.array_equal(result.reshape(x.shape),
                                   folded(grid, mob, dt, absorbing, x))
-            results.append(flat)
+            results.append(result)
         assert all(r is results[0] for r in results)
-        shaped = op(x)  # the shaped view of the same buffer
-        assert shaped.shape == x.shape and np.shares_memory(shaped, flat)
 
 
 @pytest.mark.parametrize("members, dt, tol, max_iter", [
@@ -297,7 +297,7 @@ def test_steps_after_the_first_allocate_no_operator_arrays():
         held = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        op(x)
+        op(x.reshape(-1))
         transient = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -334,7 +334,8 @@ def test_assemble_allocates_nothing_and_keeps_the_folded_weights():
         assert peak < 1024
         # the weights are m[inner] * (dt / h^2), as a multiply straight
         # from the mobilities makes them
-        assert np.array_equal(op(x), folded(g, mob, dt, absorbing, x))
+        assert np.array_equal(op(x.reshape(-1)).reshape(x.shape),
+                              folded(g, mob, dt, absorbing, x))
 
 
 def test_batched_cg_bounds_every_member_relative_residual():
@@ -439,7 +440,8 @@ def test_failed_solve_reports_the_true_residual_of_its_best_iterate(
     with pytest.raises(ConvergenceError) as err:
         record(dataclasses.replace(cfg, lin_tol=1e-16, lin_max_iter=5))
     apply_a, b = solves[-1]
-    true = np.linalg.norm(b - apply_a(err.value.best)) / np.linalg.norm(b)
+    true = np.linalg.norm(b.ravel() - apply_a(err.value.best.ravel())) \
+        / np.linalg.norm(b)
     assert err.value.iterations == 5
     assert err.value.residual_norm == pytest.approx(true, rel=1e-12)
     assert f"(residual {true:.3e})" in str(err.value)
@@ -620,6 +622,33 @@ def test_cg_matches_the_textbook_loop_when_it_stagnates():
     assert err.value.iterations < 1000
 
 
+@pytest.mark.parametrize("scale, tol, max_iter", [
+    (1.0, 1e-12, 1), (1.0, 1e-16, 10 ** 5), (1e3, 10 ** -14.5, 10 ** 5)],
+    ids=["max_iter", "stagnated", "stagnated-best-below-tol"])
+def test_a_failed_solve_names_its_members_above_tol(scale, tol, max_iter):
+    # member 1 has a zero right-hand side, so its residual stays zero and
+    # it is never named; the others are, where the iterate carried misses.
+    # With member 2 scaled by 1e3 and tol 10^-14.5 it sits at tol: at the
+    # best iterate it is below, at the last one checked above
+    g = Grid((32,), (1.0,))
+    rng = np.random.default_rng(0)
+    mob = (rng.uniform(0.1, 3.0, (3, 33))[:, 1:],)  # upper faces
+    b = rng.standard_normal((3, 32))
+    b[1] = 0.0
+    b[2] *= scale
+    apply_a = operator(g, mob, 1.0)
+    with pytest.raises(ConvergenceError) as err:
+        cg(apply_a, b, np.zeros_like(b), tol, max_iter)
+    r = b - apply_a(err.value.best)
+    want = tuple(i for i in range(3) if np.linalg.norm(r[i])
+                 > tol * np.linalg.norm(b[i]))
+    assert err.value.members == want and want and 1 not in want
+    assert err.value.details == [
+        f"iterations: {err.value.iterations}",
+        f"relative residual: {err.value.residual_norm:.1e}",
+        "members: " + ", ".join(map(str, want))]
+
+
 def run_2d_like(tol: float) -> SimConfig:
     """The shape of the benchmark's 128^2 case-2 run, with the data its
     seeds jitter by up to 10%."""
@@ -642,7 +671,8 @@ def test_a_stagnated_step_solve_fails_fast_and_names_its_floor():
     assert f"reached a floor of {floor:.3e}" in str(err.value)
     # the floor is the true residual of the iterate the error carries
     b = sim.work.rhs
-    true = np.linalg.norm(b - sim.operator(err.value.best)) / np.linalg.norm(b)
+    true = np.linalg.norm(b.ravel() - sim.operator(err.value.best.ravel())) \
+        / np.linalg.norm(b)
     assert floor == pytest.approx(true, rel=1e-12)
 
 
@@ -733,11 +763,10 @@ def step_buffer_groups(sim) -> list:
     per axis its weights and its flux (f_in, f_hi, f_lo)."""
     ws, op = sim.work, sim.operator
     groups = [[a] for a in (sim.u, sim.v, ws.u, ws.v, ws.aux, ws.rhs, *ws.cg,
-                            op._diag, op._part)]
+                            op._out, op._diag, op._part)]
     for faces in (ws.u_faces, ws.v_faces):
         groups += [[data, f, *cuts] for f, data, cuts
                    in zip(faces, faces.data, faces.cuts)]
-    groups.append([op._out, op._flat])
     for (_, w, last), (_, w_apply, f_in, f_hi, f_lo) in zip(op._weights,
                                                             op._axes):
         groups += [[w, last, w_apply], [f_in, f_hi, f_lo]]
